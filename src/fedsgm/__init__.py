@@ -35,7 +35,6 @@ from .errors import (  # noqa: F401
 from .mechanism import (  # noqa: F401
     MechanismConfig,
     clip,
-    gaussian_noise,
     noise_stream,
     ratio_sensitivity_bounds,
     sensitivity_ratio,

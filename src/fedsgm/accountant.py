@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from .errors import (
     CalibrationError,
@@ -37,8 +36,6 @@ from .mechanism import sensitivity_ratio
 # Above this per-release epsilon the composed budget is astronomically large;
 # short-circuit to inf instead of overflowing exp().
 _EPS_OVERFLOW = 700.0
-
-_BASELINE_ORDERS = tuple(range(2, 257))
 
 
 @dataclass(frozen=True)
@@ -412,39 +409,31 @@ def calibrate_sgm_sigma(
 # ---------------------------------------------------------------------------
 
 
-def _sampled_gaussian_rdp(alpha: int, q: float, sigma: float) -> float:
-    """Integer-order RDP of the subsampled Gaussian mechanism.
-
-    For integer alpha >= 2, sampling rate q, and noise multiplier sigma
-    (noise std = sigma * sensitivity):
-
-      RDP(alpha) = log( sum_{k=0}^{alpha} C(alpha,k) (1-q)^(alpha-k) q^k
-                        * exp((k^2 - k) / (2 sigma^2)) ) / (alpha - 1),
-
-    evaluated entirely in log space.
-    """
-    k = np.arange(alpha + 1)
-    log_binom = gammaln(alpha + 1) - gammaln(k + 1) - gammaln(alpha - k + 1)
-    if q == 1.0:
-        # only the k = alpha term survives
-        return float((alpha * alpha - alpha) / (2.0 * sigma * sigma)) / (alpha - 1)
-    terms = (
-        log_binom
-        + k * math.log(q)
-        + (alpha - k) * math.log1p(-q)
-        + (k * k - k) / (2.0 * sigma * sigma)
-    )
-    return float(logsumexp(terms)) / (alpha - 1)
+# log C(alpha, k) for the integer orders alpha = 2..256 (rows) and k = 0..256
+# (columns), masked to -inf where k > alpha.
+_ALPHAS = np.arange(2.0, 257.0)
+_K = np.arange(257.0)
+_ALPHA_MINUS_K = _ALPHAS[:, None] - _K
+_LOG_FACT = np.array([math.lgamma(n + 1.0) for n in range(257)])
+_LOG_BINOM = np.where(
+    _ALPHA_MINUS_K >= 0,
+    _LOG_FACT[2:, None] - _LOG_FACT - _LOG_FACT[np.maximum(_ALPHA_MINUS_K, 0).astype(int)],
+    -np.inf,
+)
 
 
-def baseline_gm_epsilon(
-    sigma: float, q: float, T: int, delta: float, orders=_BASELINE_ORDERS
-) -> float:
+def baseline_gm_epsilon(sigma: float, q: float, T: int, delta: float) -> float:
     """Total epsilon of T rounds of the (non-sketched) subsampled Gaussian.
 
     sigma is the noise multiplier relative to the clip threshold (noise std =
-    sigma * tau on sensitivity-tau sums).  Accounts in RDP over integer orders
-    and converts at the best one.
+    sigma * tau on sensitivity-tau sums).  One round of the sampled Gaussian
+    (Mironov, Talwar and Zhang 2019) is (alpha, RDP(alpha))-RDP with
+
+      RDP(alpha) = log( sum_{k=0}^{alpha} C(alpha,k) (1-q)^(alpha-k) q^k
+                        * exp((k^2 - k) / (2 sigma^2)) ) / (alpha - 1);
+
+    all integer orders 2..256 are evaluated at once in log space, and the
+    T-round composition is converted to (eps, delta)-DP at the best order.
     """
     if sigma <= 0.0:
         raise ConfigurationError(f"sigma must be positive, got {sigma}")
@@ -454,13 +443,21 @@ def baseline_gm_epsilon(
         raise ConfigurationError(f"T must be >= 1, got {T}")
     if not 0.0 < delta < 1.0:
         raise ConfigurationError(f"delta must be in (0,1), got {delta}")
-    best = math.inf
-    for alpha in orders:
-        point = RdpPoint(alpha, T * _sampled_gaussian_rdp(alpha, q, sigma))
-        eps = rdp_to_dp(point, delta).epsilon
-        if eps < best:
-            best = eps
-    return best
+    if q == 1.0:
+        # only the k = alpha term survives
+        rdp = _ALPHAS / (2.0 * sigma * sigma)
+    else:
+        terms = (
+            _LOG_BINOM
+            + _K * math.log(q)
+            + _ALPHA_MINUS_K * math.log1p(-q)
+            + (_K * _K - _K) / (2.0 * sigma * sigma)
+        )
+        peak = terms.max(axis=1, keepdims=True)
+        rdp = (peak[:, 0] + np.log(np.exp(terms - peak).sum(axis=1))) / (_ALPHAS - 1.0)
+        # a term that overflows (sigma^2 near underflow) leaves inf - inf = nan
+        rdp[np.isnan(rdp)] = np.inf
+    return float(np.min(T * rdp + math.log(1.0 / delta) / (_ALPHAS - 1.0)))
 
 
 def calibrate_baseline_sigma(

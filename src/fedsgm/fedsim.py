@@ -74,8 +74,9 @@ class FedConfig:
             )
         if self.local_steps < 1 or self.rounds < 1 or self.batch_size < 1:
             raise ConfigurationError("local_steps, rounds, batch_size must be >= 1")
-        if self.eta_local <= 0 or self.eta_global <= 0:
-            raise ConfigurationError("step sizes must be positive")
+        for name, eta in (("eta_local", self.eta_local), ("eta_global", self.eta_global)):
+            if not 0 < eta < np.inf:
+                raise ConfigurationError(f"{name} must be finite and positive, got {eta}")
         if self.optimizer not in _OPTIMIZERS:
             raise ConfigurationError(
                 f"unknown optimizer {self.optimizer!r}; expected one of {_OPTIMIZERS}"
@@ -356,13 +357,14 @@ def run_federation(
         theta, server_state = server_round(theta, updates, compressor, server_state)
 
         g = task.grad(theta)
+        train_loss, test_metric = task.evaluate(theta)
         records.append(
             RoundRecord(
                 round=t,
                 selected_clients=tuple(int(c) for c in selected),
-                train_loss=float(task.loss(theta)),
+                train_loss=train_loss,
                 grad_norm_sq=float(g @ g),
-                test_metric=float(task.test_metric(theta)),
+                test_metric=test_metric,
                 clip_activation_rate=float(np.mean([u.clipped for u in updates])),
                 epsilon_spent=_epsilon_spent(cfg, d, t + 1),
             )
@@ -446,13 +448,14 @@ def run_central_sgm(cfg: CentralConfig, task: Task) -> FederationResult:
             )
         except (ParameterRegimeError, ConfigurationError):
             eps = float("inf")
+        train_loss, test_metric = task.evaluate(theta)
         records.append(
             RoundRecord(
                 round=t,
                 selected_clients=tuple(int(i) for i in np.sort(batch)),
-                train_loss=float(task.loss(theta)),
+                train_loss=train_loss,
                 grad_norm_sq=float(g @ g),
-                test_metric=float(task.test_metric(theta)),
+                test_metric=test_metric,
                 clip_activation_rate=n_clipped / m,
                 epsilon_spent=eps,
             )

@@ -84,13 +84,6 @@ def noise_stream(noise_seed: int, client_id: int, round_idx: int) -> np.random.G
     return np.random.Generator(np.random.Philox(ss))
 
 
-def gaussian_noise(b: int, sigma_g: float, rng: np.random.Generator) -> np.ndarray:
-    """xi ~ N(0, sigma_g^2 I_b); returns exact zeros (no draw) for sigma_g = 0."""
-    if sigma_g == 0.0:
-        return np.zeros(b)
-    return sigma_g * rng.standard_normal(b)
-
-
 def sgm_apply(
     x: np.ndarray, R: Compressor, sigma_g: float, rng: np.random.Generator | None = None
 ) -> np.ndarray:

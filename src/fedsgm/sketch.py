@@ -70,7 +70,8 @@ def _gen_block(spec: SketchSpec, block: int) -> np.ndarray:
     lo = block * BLOCK_ROWS
     rows = min(BLOCK_ROWS, spec.b - lo)
     rng = np.random.Generator(np.random.Philox(_block_seed_seq(spec, block)))
-    return rng.standard_normal((rows, spec.d)) * (spec.b ** -0.5)
+    out = rng.standard_normal((rows, spec.d))
+    return np.multiply(out, spec.b ** -0.5, out=out)
 
 
 class SketchMatrix:
@@ -137,12 +138,11 @@ class SketchMatrix:
             )
         if self._dense is not None:
             return self._dense @ x
-        out = np.empty(self.spec.b)
-        lo = 0
+        parts = []
         for block in self.iter_blocks():
-            out[lo : lo + block.shape[0]] = block @ x
-            lo += block.shape[0]
-        return out
+            parts.append(block @ x)
+            del block  # free it before the next block is generated
+        return np.concatenate(parts)
 
     def desketch(self, y: np.ndarray) -> np.ndarray:
         """R^T @ y: lift a b-vector back to d dimensions."""
@@ -158,6 +158,7 @@ class SketchMatrix:
         for block in self.iter_blocks():
             out += block.T @ y[lo : lo + block.shape[0]]
             lo += block.shape[0]
+            del block  # free it before the next block is generated
         return out
 
 

@@ -75,9 +75,15 @@ class Task:
     test_metric_name: str = "loss"
 
     def __post_init__(self):
-        if self.test_metric is None:
+        self._metric_is_loss = self.test_metric is None
+        if self._metric_is_loss:
             self.test_metric = lambda theta: float(self.loss(theta))
             self.test_metric_name = "loss"
+
+    def evaluate(self, theta) -> tuple[float, float]:
+        """Full-data (train loss, test metric); a default metric reuses the loss."""
+        loss = float(self.loss(theta))
+        return loss, (loss if self._metric_is_loss else float(self.test_metric(theta)))
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,16 @@ quadrature, or a dense grid search) and then frozen.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import integrate, stats
+from scipy.special import gammaln, logsumexp
 
 from fedsgm import (
     AccountantParams,
@@ -38,6 +43,8 @@ from fedsgm.errors import (
     ParameterRegimeError,
     RenyiOrderDomainError,
 )
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 # Parameters of the reference image-classification run used throughout:
 # 4 of 625 clients per round, 500 rounds, clip 1.0, sketch dimension 4e5.
@@ -467,6 +474,51 @@ def test_baseline_pinned_values():
     eps4 = baseline_gm_epsilon(4.0, Q_VISION, T_VISION, 1e-5)
     assert eps4 == pytest.approx(0.17996937528680718, rel=1e-10)
     assert abs(eps4 - 0.18) / 0.18 < 0.20
+
+
+def _baseline_epsilon_per_order(sigma, q, T, delta):
+    """Reference: one sampled-Gaussian RDP sum per integer order, via scipy."""
+    best = math.inf
+    for alpha in range(2, 257):
+        if q == 1.0:
+            rdp = (alpha * alpha - alpha) / (2.0 * sigma * sigma) / (alpha - 1)
+        else:
+            k = np.arange(alpha + 1)
+            log_binom = gammaln(alpha + 1) - gammaln(k + 1) - gammaln(alpha - k + 1)
+            terms = (
+                log_binom
+                + k * math.log(q)
+                + (alpha - k) * math.log1p(-q)
+                + (k * k - k) / (2.0 * sigma * sigma)
+            )
+            rdp = float(logsumexp(terms)) / (alpha - 1)
+        best = min(best, T * rdp + math.log(1.0 / delta) / (alpha - 1))
+    return best
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    sigma=st.floats(min_value=0.3, max_value=50.0),
+    q=st.one_of(st.just(1.0), st.floats(min_value=1e-4, max_value=1.0)),
+    T=st.integers(min_value=1, max_value=5000),
+    delta=st.floats(min_value=1e-10, max_value=1e-2),
+)
+@example(sigma=1.0, q=1.0, T=500, delta=1e-5)
+def test_baseline_matches_per_order_reference(sigma, q, T, delta):
+    assert baseline_gm_epsilon(sigma, q, T, delta) == pytest.approx(
+        _baseline_epsilon_per_order(sigma, q, T, delta), rel=1e-9
+    )
+
+
+def test_cli_import_leaves_scipy_out():
+    code = "import sys, fedsgm.cli; sys.exit('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.returncode == 0
+
+
+def test_baseline_infinite_when_noise_term_overflows():
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert baseline_gm_epsilon(1e-160, 0.5, 1, 1e-5) == math.inf
 
 
 def test_baseline_vanishes_with_noise():

@@ -422,6 +422,16 @@ def test_simulate_bad_override_exits_1(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["eta_local", "eta_global"])
+def test_simulate_non_finite_step_size_exits_1(tmp_path, capsys, name):
+    out_dir = tmp_path / "out"
+    path = write_config(tmp_path, small_config())
+    rc = main(["simulate", path, "--override", f"federation.{name}=inf", "--out-dir", str(out_dir)])
+    assert rc == 1
+    assert f"{name} must be finite" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.csv"))
+
+
 def test_simulate_missing_config_exits_1(capsys):
     rc = main(["simulate", "/nonexistent/run.json"])
     assert rc == 1

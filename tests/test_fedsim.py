@@ -89,6 +89,10 @@ def test_fed_config_validation():
         small_fed_config(local_steps=0)
     with pytest.raises(ConfigurationError):
         small_fed_config(eta_global=0.0)
+    for name in ("eta_local", "eta_global"):
+        for value in (math.inf, math.nan):
+            with pytest.raises(ConfigurationError, match=name):
+                small_fed_config(**{name: value})
     with pytest.raises(ConfigurationError):
         small_fed_config(optimizer="lbfgs")
     with pytest.raises(ConfigurationError):
@@ -346,6 +350,27 @@ def test_run_deterministic_in_seed():
         FedConfig(**{**cfg.__dict__, "master_seed": 8}), task, part
     )
     assert not np.array_equal(r1.theta, r3.theta)
+
+
+def test_default_test_metric_reuses_train_loss():
+    # a task without a test metric of its own reports its train loss, so
+    # each round evaluates the full-data loss once, not twice
+    task, part = make_federated_quadratic([2.0, 1.0, 0.5, 0.25], seed=3, clients=4)
+    loss = task.loss
+    calls = []
+
+    def counted_loss(theta, idx=None):
+        calls.append(idx)
+        return loss(theta, idx)
+
+    task.loss = counted_loss
+    cfg = small_fed_config(
+        rounds=5, sketch_b=2, mechanism=MechanismConfig(tau=1.0, sigma_g=1.2, b=2, noise_seed=5)
+    )
+    result = run_federation(cfg, task, part)
+    assert calls == [None] * 5
+    assert all(r.test_metric == r.train_loss for r in result)
+    assert result[-1].train_loss == float(loss(result.theta))
 
 
 def test_thread_count_does_not_change_results(monkeypatch):

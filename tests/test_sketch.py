@@ -4,6 +4,8 @@ Statistical checks use fixed seeds and tolerances wide enough (3-4 standard
 errors) that they are deterministic in practice.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +19,7 @@ from fedsgm import (
     sketch,
 )
 from fedsgm.errors import DimensionMismatchError
+from fedsgm.sketch import BLOCK_ROWS, _block_seed_seq
 
 
 def test_sample_sketch_deterministic():
@@ -40,6 +43,35 @@ def test_dense_and_streamed_agree():
     x = np.random.default_rng(0).standard_normal(700)
     assert np.array_equal(dense.materialize(), streamed.materialize())
     assert np.allclose(dense.sketch(x), streamed.sketch(x), rtol=1e-12, atol=0)
+
+
+def test_streamed_blocks_match_reference_bits():
+    # b spans two generation blocks; every block must hold exactly the bits of
+    # N(0, 1) draws from its own Philox stream times b^-1/2, in both modes.
+    spec = SketchSpec(b=BLOCK_ROWS + 40, d=9, seed=(4, 2))
+    reference = np.concatenate([
+        np.random.Generator(np.random.Philox(_block_seed_seq(spec, k))).standard_normal(
+            (rows, spec.d)
+        ) * spec.b ** -0.5
+        for k, rows in enumerate((BLOCK_ROWS, 40))
+    ])
+    streamed = sample_sketch(spec, mode="stream")
+    assert np.array_equal(np.concatenate(list(streamed.iter_blocks())), reference)
+    assert np.array_equal(sample_sketch(spec, mode="dense").materialize(), reference)
+
+
+def test_streamed_apply_holds_one_block_at_a_time():
+    spec = SketchSpec(b=3 * BLOCK_ROWS, d=2000, seed=5)
+    R = sample_sketch(spec, mode="stream")
+    block_bytes = BLOCK_ROWS * spec.d * 8
+    for apply, arg in ((R.sketch, np.ones(spec.d)), (R.desketch, np.ones(spec.b))):
+        tracemalloc.start()
+        try:
+            apply(arg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * block_bytes
 
 
 def test_entry_moments():
