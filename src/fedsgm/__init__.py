@@ -11,7 +11,6 @@ from .accountant import (  # noqa: F401
     calibrate_baseline_sigma,
     calibrate_sgm_sigma,
     f_alpha,
-    ma_noise_bound,
     rdp_bound_validity,
     rdp_to_dp,
     renyi_divergence_sgm,
@@ -43,7 +42,6 @@ from .mechanism import (  # noqa: F401
 from .optim import (  # noqa: F401
     AdamState,
     AmsGradState,
-    GdConfig,
     adam_step,
     amsgrad_step,
     gd_step,
@@ -52,10 +50,8 @@ from .sketch import (  # noqa: F401
     IdentityCompressor,
     SketchMatrix,
     SketchSpec,
-    desketch,
     identity_compressor,
     sample_sketch,
-    sketch,
 )
 from .tasks import (  # noqa: F401
     Partition,
@@ -70,7 +66,6 @@ from .tasks import (  # noqa: F401
     power_law_spectrum,
 )
 from .fedsim import (  # noqa: F401
-    CentralConfig,
     ClientData,
     FedConfig,
     FederationResult,
@@ -79,7 +74,6 @@ from .fedsim import (  # noqa: F401
     client_local_update,
     client_privatize,
     client_sampler,
-    run_central_sgm,
     run_federation,
     server_round,
     write_manifest,

@@ -305,30 +305,21 @@ class PipelineTrace:
         return self.stages[-1].delta
 
 
-def sgm_pipeline(
-    params: AccountantParams, delta: float, slack_fraction: float = 0.5
-) -> PipelineTrace:
+def sgm_pipeline(params: AccountantParams, delta: float) -> PipelineTrace:
     """Full accounting pipeline with the delta split baked in.
 
-    The total delta is split into a composition slack delta' =
-    slack_fraction * delta and a per-release delta0 =
-    (1 - slack_fraction) * delta / (q T), so the final ledger line lands on
-    (eps_total, delta) exactly: q T delta0 + delta' = delta.  The default
-    even split gives delta0 = delta/(2 q T), delta' = delta/2; the fraction
-    is exposed only for sensitivity studies.
+    The total delta is split evenly into a composition slack delta' = delta/2
+    and a per-release delta0 = delta/(2 q T), so the final ledger line lands
+    on (eps_total, delta) exactly: q T delta0 + delta' = delta.
     """
     if not 0.0 < delta < 1.0:
         raise ConfigurationError(f"delta must be in (0,1), got {delta}")
-    if not 0.0 < slack_fraction < 1.0:
-        raise ConfigurationError(
-            f"slack_fraction must be in (0,1), got {slack_fraction}"
-        )
-    delta0 = (1.0 - slack_fraction) * delta / (params.q * params.T)
+    delta0 = 0.5 * delta / (params.q * params.T)
     if not delta0 < 1.0:
         raise ConfigurationError(
             f"per-release delta0 = {delta0:.3g} >= 1; delta too large for (q, T)"
         )
-    delta_slack = slack_fraction * delta
+    delta_slack = 0.5 * delta
     alpha_star = sgm_optimal_alpha(params.tau, params.b, params.sigma_g, delta0)
     released = sgm_step_dp(params.tau, params.b, params.sigma_g, delta0)
     sampled = subsample_dp(released, params.q)
@@ -343,11 +334,9 @@ def sgm_pipeline(
     )
 
 
-def sgm_epsilon(
-    params: AccountantParams, delta: float, slack_fraction: float = 0.5
-) -> float:
+def sgm_epsilon(params: AccountantParams, delta: float) -> float:
     """Total (eps, delta)-DP epsilon of T subsampled mechanism rounds."""
-    return sgm_pipeline(params, delta, slack_fraction).epsilon
+    return sgm_pipeline(params, delta).epsilon
 
 
 # ---------------------------------------------------------------------------
@@ -491,36 +480,3 @@ def calibrate_baseline_sigma(
         else:
             lo = mid
     return hi
-
-
-# ---------------------------------------------------------------------------
-# Qualitative moments-accountant style bound
-# ---------------------------------------------------------------------------
-
-
-def ma_noise_bound(
-    tau: float,
-    b: int,
-    m: int,
-    T: int,
-    n: int,
-    eps: float,
-    delta: float,
-    c2: float = 1.0,
-) -> float:
-    """Noise scale sufficient for (eps, delta)-DP per the moments-style bound.
-
-    sigma_g >= c2 * tau * sqrt((1 + log^1.5(2 m T / delta)/sqrt(b))
-                               * m * T * log(2/delta)) / (n * eps)
-
-    The constant c2 is not pinned by the analysis; with the default c2 = 1
-    the output is a qualitative scaling, not a calibrated guarantee — prefer
-    `sgm_epsilon` / `calibrate_sgm_sigma` for deployable numbers.
-    """
-    if min(tau, eps) <= 0 or min(b, m, T, n) < 1 or not 0 < delta < 1:
-        raise ConfigurationError("ma_noise_bound: parameters out of range")
-    log_inner = math.log(2.0 * m * T / delta)
-    if log_inner <= 0:
-        raise ConfigurationError("2mT/delta must exceed 1")
-    boost = 1.0 + log_inner**1.5 / math.sqrt(b)
-    return c2 * tau * math.sqrt(boost * m * T * math.log(2.0 / delta)) / (n * eps)

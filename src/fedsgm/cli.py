@@ -28,6 +28,8 @@ from .accountant import (
     baseline_gm_epsilon,
     calibrate_baseline_sigma,
     calibrate_sgm_sigma,
+    rdp_bound_validity,
+    sgm_optimal_alpha,
     sgm_pipeline,
 )
 from .config import (
@@ -45,6 +47,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .fedsim import run_federation, write_manifest, write_round_csv
+from .mechanism import sensitivity_ratio
 from .tasks import estimate_G_and_sigma_s, intrinsic_dimension
 
 SWEEP_SCHEMA = "# fed-sgm sweep csv v1"
@@ -354,6 +357,17 @@ def cmd_diagnose(config_path, overrides=()) -> int:
         f"{'clipping ACTIVE' if clip_active else 'clipping inactive'}"
     )
     print(f"optimizer: {opt_kind} (sigma_g = {sigma:.6g})")
+    delta0 = cfg["accountant"]["delta"] / (2.0 * N / fed["clients"] * T)
+    print(f"accounting regime at delta0 = delta/(2qT) = {delta0:.4g}:")
+    if sigma == 0.0:
+        print("  r, alpha*, alpha*^2 r: n/a (sigma_g = 0, no privacy)")
+    else:
+        r = sensitivity_ratio(tau, b, sigma)
+        alpha = sgm_optimal_alpha(tau, b, sigma, delta0)
+        verdict = "valid" if rdp_bound_validity(alpha, tau, b, sigma) else "not valid"
+        print(f"  r = 2 tau^2/(b sigma_g^2) = {r:.4g}")
+        print(f"  alpha* = {alpha:.4g}, alpha*^2 r = {alpha * alpha * r:.4g}")
+        print(f"  rdp_bound_validity at alpha*: {verdict}")
     print("predicted error-term magnitudes (order-of-magnitude, constants and log factors dropped):")
     print(f"  E_c = {e_c:.6g}")
     print(f"  E_g = {e_g:.6g}")

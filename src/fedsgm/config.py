@@ -94,22 +94,20 @@ def _coerce(path: str, spec: _Field, value):
     elif spec.typ == "int":
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigurationError(f"{path}: expected integer, got {value!r}")
-    elif spec.typ == "number":
+    elif spec.typ == "sigma" and isinstance(value, str):
+        if value != "calibrate":
+            raise ConfigurationError(
+                f"{path}: expected a number or the string \"calibrate\", got {value!r}"
+            )
+    elif spec.typ in ("number", "sigma"):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigurationError(f"{path}: expected number, got {value!r}")
         value = float(value)
         if math.isnan(value):
             raise ConfigurationError(f"{path}: NaN is not a valid value")
-    elif spec.typ == "sigma":
-        if isinstance(value, str):
-            if value != "calibrate":
-                raise ConfigurationError(
-                    f"{path}: expected a number or the string \"calibrate\", got {value!r}"
-                )
-        elif isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigurationError(f"{path}: expected number or \"calibrate\", got {value!r}")
-        else:
-            value = float(value)
+        # tau = inf is the documented way to turn clipping off
+        if math.isinf(value) and path != "mechanism.tau":
+            raise ConfigurationError(f"{path} must be finite, got {value!r}")
     if spec.choices is not None and value not in spec.choices:
         raise ConfigurationError(f"{path}: {value!r} not in {spec.choices}")
     return value

@@ -11,9 +11,7 @@ b-dimensional `PrivatizedUpdate`s and `server_round` rejects anything whose
 shape disagrees with the round's compressor.
 
 Every source of randomness is a Philox substream keyed by role, round, and
-client, so runs are reproducible bit for bit regardless of the thread count
-used for the client loop (capped by the FED_SGM_THREADS environment
-variable).
+client, so runs are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -22,8 +20,7 @@ import json
 import os
 import tempfile
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -41,7 +38,6 @@ CSV_COLUMNS = ("round", "train_loss", "grad_norm_sq", "test_metric", "clip_rate"
 
 _SAMPLER_TAG = 0xC11E
 _LOCAL_TAG = 0x10CA
-_CENTRAL_TAG = 0xCE27
 
 _OPTIMIZERS = ("gd", "amsgrad", "adam")
 
@@ -130,16 +126,12 @@ class RoundRecord:
     epsilon_spent: float
 
 
-class FederationResult(list):
-    """The per-round records (a plain list of RoundRecord) plus the final iterate."""
+@dataclass(frozen=True)
+class FederationResult:
+    """The per-round records plus the final iterate."""
 
-    def __init__(self, records, theta: np.ndarray):
-        super().__init__(records)
-        self.theta = theta
-
-    @property
-    def records(self) -> list:
-        return list(self)
+    records: list
+    theta: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -214,7 +206,7 @@ def client_privatize(
     rng: np.random.Generator,
     client_id: int = -1,
 ) -> PrivatizedUpdate:
-    """Clip the step-size-normalized delta, sketch it, add noise, restore scale.
+    """Clip the delta over the local step size, sketch it, add noise, restore scale.
 
     payload = eta_local * (R @ clip(delta/eta_local, tau) + xi).
     """
@@ -222,9 +214,9 @@ def client_privatize(
         raise DimensionMismatchError(
             f"compressor emits {compressor.b}-dim payloads but mechanism.b = {mech.b}"
         )
-    normalized = np.asarray(delta, dtype=np.float64) / eta_local
-    clipped_flag = bool(np.linalg.norm(normalized) > mech.tau)
-    payload = eta_local * sgm_apply(clip(normalized, mech.tau), compressor, mech.sigma_g, rng)
+    scaled = np.asarray(delta, dtype=np.float64) / eta_local
+    clipped_flag = bool(np.linalg.norm(scaled) > mech.tau)
+    payload = eta_local * sgm_apply(clip(scaled, mech.tau), compressor, mech.sigma_g, rng)
     return PrivatizedUpdate(client_id=client_id, payload=payload, clipped=clipped_flag)
 
 
@@ -284,17 +276,6 @@ def _epsilon_spent(cfg: FedConfig, d: int, rounds_done: int) -> float:
         return float("inf")
 
 
-def _max_workers() -> int:
-    raw = os.environ.get("FED_SGM_THREADS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise ConfigurationError(f"FED_SGM_THREADS must be an integer, got {raw!r}")
-    if workers < 1:
-        raise ConfigurationError(f"FED_SGM_THREADS must be >= 1, got {workers}")
-    return workers
-
-
 # ---------------------------------------------------------------------------
 # Drivers
 # ---------------------------------------------------------------------------
@@ -323,14 +304,14 @@ def run_federation(
         )
     theta = task.theta0.astype(np.float64).copy()
     server_state = init_server_state(cfg, d)
-    workers = _max_workers()
     records = []
 
     for t in range(cfg.rounds):
         selected = client_sampler(cfg.clients, cfg.clients_per_round, t, cfg.master_seed)
         compressor = round_compressor(cfg, d, t)
 
-        def one_client(c: int) -> PrivatizedUpdate:
+        updates = []
+        for c in selected.tolist():
             delta = client_local_update(
                 theta,
                 ClientData(task, partition.client_indices(c)),
@@ -339,125 +320,38 @@ def run_federation(
                 local_stream(cfg.master_seed, c, t),
                 batch_size=cfg.batch_size,
             )
-            return client_privatize(
-                delta,
-                cfg.eta_local,
-                cfg.mechanism,
-                compressor,
-                noise_stream(cfg.mechanism.noise_seed, c, t),
-                client_id=c,
+            updates.append(
+                client_privatize(
+                    delta,
+                    cfg.eta_local,
+                    cfg.mechanism,
+                    compressor,
+                    noise_stream(cfg.mechanism.noise_seed, c, t),
+                    client_id=c,
+                )
             )
-
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                updates = list(pool.map(one_client, selected.tolist()))
-        else:
-            updates = [one_client(c) for c in selected.tolist()]
 
         theta, server_state = server_round(theta, updates, compressor, server_state)
 
         g = task.grad(theta)
+        grad_norm_sq = float(g @ g)
         train_loss, test_metric = task.evaluate(theta)
+        if not (
+            np.isfinite(theta).all() and np.isfinite([train_loss, grad_norm_sq, test_metric]).all()
+        ):
+            raise ConfigurationError(
+                f"the run diverged in round {t}: the iterate or its metrics are non-finite; "
+                f"lower the step sizes (eta_local = {cfg.eta_local}, eta_global = {cfg.eta_global})"
+            )
         records.append(
             RoundRecord(
                 round=t,
                 selected_clients=tuple(int(c) for c in selected),
                 train_loss=train_loss,
-                grad_norm_sq=float(g @ g),
+                grad_norm_sq=grad_norm_sq,
                 test_metric=test_metric,
                 clip_activation_rate=float(np.mean([u.clipped for u in updates])),
                 epsilon_spent=_epsilon_spent(cfg, d, t + 1),
-            )
-        )
-    return FederationResult(records, theta)
-
-
-@dataclass(frozen=True)
-class CentralConfig:
-    """Centralized (single-curator) variant: per-example clipping per step."""
-
-    steps: int
-    batch_size: int
-    eta: float
-    mechanism: MechanismConfig
-    sketch_b: Optional[int] = None
-    delta: float = 1e-5
-    master_seed: int = 0
-
-    def __post_init__(self):
-        if self.steps < 1 or self.batch_size < 1:
-            raise ConfigurationError("steps and batch_size must be >= 1")
-        if self.eta <= 0:
-            raise ConfigurationError("eta must be positive")
-
-
-def run_central_sgm(cfg: CentralConfig, task: Task) -> FederationResult:
-    """Centralized sketched DP-SGD.
-
-    Each step: sample a batch, clip per-example gradients, sketch the sum,
-    add one noise term per example, and descend along the desketched mean.
-    The per-example noise terms are what the accounting's aggregation count
-    m refers to.
-    """
-    if cfg.batch_size > task.n:
-        raise ConfigurationError(f"batch_size {cfg.batch_size} exceeds n = {task.n}")
-    d = task.d
-    expected_b = cfg.sketch_b if cfg.sketch_b is not None else d
-    if cfg.mechanism.b != expected_b:
-        raise ConfigurationError(
-            f"mechanism.b = {cfg.mechanism.b} but sketched space is {expected_b}-dimensional"
-        )
-    m = cfg.batch_size
-    theta = task.theta0.astype(np.float64).copy()
-    batch_rng = np.random.Generator(
-        np.random.Philox(np.random.SeedSequence((cfg.master_seed, _CENTRAL_TAG)))
-    )
-    records = []
-    for t in range(cfg.steps):
-        batch = batch_rng.choice(task.n, size=m, replace=False)
-        compressor = (
-            identity_compressor(d)
-            if cfg.sketch_b is None
-            else sample_sketch(SketchSpec(b=cfg.sketch_b, d=d, seed=(cfg.master_seed, t)))
-        )
-        grads = task.per_example_grads(theta, batch)
-        clipped = np.stack([clip(g, cfg.mechanism.tau) for g in grads])
-        n_clipped = int(
-            np.sum(np.linalg.norm(grads, axis=1) > cfg.mechanism.tau)
-        )
-        gamma = clipped.sum(axis=0)
-        rng = noise_stream(cfg.mechanism.noise_seed, 0, t)
-        if cfg.mechanism.sigma_g > 0.0:
-            xi = cfg.mechanism.sigma_g * rng.standard_normal((m, compressor.b)).sum(axis=0)
-        else:
-            xi = np.zeros(compressor.b)
-        y = compressor.sketch(gamma) + xi
-        theta = theta - (cfg.eta / m) * compressor.desketch(y)
-
-        g = task.grad(theta)
-        try:
-            eps = sgm_epsilon(
-                AccountantParams(
-                    q=m / task.n,
-                    T=t + 1,
-                    tau=cfg.mechanism.tau,
-                    b=expected_b,
-                    sigma_g=cfg.mechanism.sigma_g,
-                ),
-                cfg.delta,
-            )
-        except (ParameterRegimeError, ConfigurationError):
-            eps = float("inf")
-        train_loss, test_metric = task.evaluate(theta)
-        records.append(
-            RoundRecord(
-                round=t,
-                selected_clients=tuple(int(i) for i in np.sort(batch)),
-                train_loss=train_loss,
-                grad_norm_sq=float(g @ g),
-                test_metric=test_metric,
-                clip_activation_rate=n_clipped / m,
-                epsilon_spent=eps,
             )
         )
     return FederationResult(records, theta)

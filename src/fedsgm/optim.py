@@ -20,20 +20,8 @@ import numpy as np
 from .errors import ConfigurationError, DimensionMismatchError
 
 
-@dataclass(frozen=True)
-class GdConfig:
-    """Plain global step: theta <- theta - eta_global * update."""
-
-    eta_global: float
-
-    def __post_init__(self):
-        if not self.eta_global > 0.0:
-            raise ConfigurationError(f"eta_global must be positive, got {self.eta_global}")
-
-
-def gd_step(theta: np.ndarray, update: np.ndarray, cfg) -> np.ndarray:
-    """theta - eta_global * update; cfg is a GdConfig or a bare step size."""
-    eta = cfg.eta_global if isinstance(cfg, GdConfig) else float(cfg)
+def gd_step(theta: np.ndarray, update: np.ndarray, eta: float) -> np.ndarray:
+    """theta - eta * update."""
     theta = np.asarray(theta, dtype=np.float64)
     update = np.asarray(update, dtype=np.float64)
     if theta.shape != update.shape:
@@ -52,30 +40,19 @@ def _check_betas(beta1: float, beta2: float):
 
 @dataclass(frozen=True)
 class AmsGradState:
-    """Moment estimates for AMSGrad.
-
-    v is the running elementwise maximum actually used in the step; v_hat is
-    the plain second-moment EMA it is the maximum of (kept for inspection,
-    defaults to v when not given).  normalize=False switches to a raw momentum
-    step theta - eta*m (the second moment is still tracked); with
-    beta1 = beta2 = 0 that reduces exactly to gd_step, which the tests use to
-    check the plumbing.
-    """
+    """Moment estimates for AMSGrad; v is the running elementwise maximum of
+    the second-moment EMA, which is what the step divides by."""
 
     m: np.ndarray
     v: np.ndarray
-    v_hat: np.ndarray = None
     beta1: float = 0.9
     beta2: float = 0.99
     eps: float = 1e-8
-    normalize: bool = True
 
     def __post_init__(self):
         _check_betas(self.beta1, self.beta2)
         if self.eps <= 0.0:
             raise ConfigurationError(f"eps must be positive, got {self.eps}")
-        if self.v_hat is None:
-            object.__setattr__(self, "v_hat", np.array(self.v, dtype=np.float64, copy=True))
 
     @classmethod
     def init(cls, d: int, **hyper) -> "AmsGradState":
@@ -91,7 +68,6 @@ class AdamState:
     beta1: float = 0.9
     beta2: float = 0.99
     eps: float = 1e-8
-    normalize: bool = True
 
     def __post_init__(self):
         _check_betas(self.beta1, self.beta2)
@@ -120,13 +96,9 @@ def amsgrad_step(
             f"state {state.m.shape}"
         )
     m_t = state.beta1 * state.m + (1.0 - state.beta1) * update
-    v_hat_t = state.beta2 * state.v + (1.0 - state.beta2) * update * update
-    v_t = np.maximum(v_hat_t, state.v)
-    if state.normalize:
-        theta_t = theta - eta * m_t / (np.sqrt(v_t) + state.eps)
-    else:
-        theta_t = theta - eta * m_t
-    return theta_t, replace(state, m=m_t, v=v_t, v_hat=v_hat_t)
+    v_t = np.maximum(state.beta2 * state.v + (1.0 - state.beta2) * update * update, state.v)
+    theta_t = theta - eta * m_t / (np.sqrt(v_t) + state.eps)
+    return theta_t, replace(state, m=m_t, v=v_t)
 
 
 def adam_step(
@@ -142,8 +114,5 @@ def adam_step(
         )
     m_t = state.beta1 * state.m + (1.0 - state.beta1) * update
     v_t = state.beta2 * state.v + (1.0 - state.beta2) * update * update
-    if state.normalize:
-        theta_t = theta - eta * m_t / (np.sqrt(v_t) + state.eps)
-    else:
-        theta_t = theta - eta * m_t
+    theta_t = theta - eta * m_t / (np.sqrt(v_t) + state.eps)
     return theta_t, replace(state, m=m_t, v=v_t)

@@ -106,11 +106,6 @@ class SketchMatrix:
     def d(self) -> int:
         return self.spec.d
 
-    @property
-    def compression_ratio(self) -> float:
-        """Input dimension over sketch dimension (>= 1 when compressing)."""
-        return self.spec.d / self.spec.b
-
     def num_blocks(self) -> int:
         return -(-self.spec.b // BLOCK_ROWS)
 
@@ -171,10 +166,6 @@ class IdentityCompressor:
         self.b = d
         self.d = d
 
-    @property
-    def compression_ratio(self) -> float:
-        return 1.0
-
     def sketch(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.d,):
@@ -191,14 +182,6 @@ Compressor = Union[SketchMatrix, IdentityCompressor]
 def sample_sketch(spec: SketchSpec, mode: str = "auto") -> SketchMatrix:
     """Realize the sketch described by `spec`."""
     return SketchMatrix(spec, mode=mode)
-
-
-def sketch(R: Compressor, x: np.ndarray) -> np.ndarray:
-    return R.sketch(x)
-
-
-def desketch(R: Compressor, y: np.ndarray) -> np.ndarray:
-    return R.desketch(y)
 
 
 def identity_compressor(d: int) -> IdentityCompressor:

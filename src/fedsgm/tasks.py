@@ -7,16 +7,14 @@ Two task families cover the experiments at desk scale:
   minima, and
 * synthetic binary logistic regression with IID or label-skewed partitions.
 
-A Task exposes mean loss/gradient over arbitrary sample subsets, per-example
-gradients (for centralized per-example clipping), and the full Hessian when
-the dimension is small enough to afford it.
+A Task exposes mean loss/gradient over arbitrary sample subsets and the full
+Hessian when the dimension is small enough to afford it.
 """
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -57,9 +55,8 @@ class Task:
     """A differentiable objective over n samples.
 
     loss/grad take an optional index array and average over it (all samples
-    when omitted).  per_example_grads returns the stacked un-averaged
-    gradients for the given indices.  hessian is the full-data Hessian at
-    theta, or None when unavailable.
+    when omitted).  hessian is the full-data Hessian at theta, or None when
+    unavailable.
     """
 
     name: str
@@ -67,7 +64,6 @@ class Task:
     n: int
     loss: Callable
     grad: Callable
-    per_example_grads: Callable
     hessian: Optional[Callable]
     theta0: np.ndarray
     minimum_value: float = math.nan
@@ -190,16 +186,12 @@ def make_federated_quadratic(
         c = mean_center if idx is None else centers[np.asarray(idx)].mean(axis=0)
         return H @ (theta - c)
 
-    def per_example_grads(theta, idx):
-        return (theta - centers[np.asarray(idx)]) @ H
-
     task = Task(
         name="quadratic",
         d=d,
         n=clients,
         loss=loss,
         grad=grad,
-        per_example_grads=per_example_grads,
         hessian=lambda theta: H,
         theta0=np.zeros(d),
         minimum_value=min_val if lam.min() >= 0.0 else math.nan,
@@ -223,7 +215,7 @@ def _sigmoid(z):
     return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
-def _logreg_task(X: np.ndarray, y: np.ndarray, X_test, y_test, name="logreg") -> Task:
+def _logreg_task(X: np.ndarray, y: np.ndarray, X_test, y_test) -> Task:
     n, d = X.shape
     if set(np.unique(y)) - {-1.0, 1.0}:
         raise ConfigurationError("labels must be in {-1, +1}")
@@ -237,11 +229,6 @@ def _logreg_task(X: np.ndarray, y: np.ndarray, X_test, y_test, name="logreg") ->
         coef = -yi * _sigmoid(-yi * (Xi @ theta))
         return Xi.T @ coef / len(yi)
 
-    def per_example_grads(theta, idx):
-        Xi, yi = X[np.asarray(idx)], y[np.asarray(idx)]
-        coef = -yi * _sigmoid(-yi * (Xi @ theta))
-        return Xi * coef[:, None]
-
     def hessian(theta):
         if d > _HESSIAN_DIM_LIMIT:
             raise ResourceLimitError(f"hessian unavailable for d = {d} > {_HESSIAN_DIM_LIMIT}")
@@ -253,12 +240,11 @@ def _logreg_task(X: np.ndarray, y: np.ndarray, X_test, y_test, name="logreg") ->
         return float(np.mean(np.sign(X_test @ theta) == y_test))
 
     return Task(
-        name=name,
+        name="logreg",
         d=d,
         n=n,
         loss=loss,
         grad=grad,
-        per_example_grads=per_example_grads,
         hessian=hessian,
         theta0=np.zeros(d),
         test_metric=test_accuracy,
@@ -368,49 +354,3 @@ def estimate_G_and_sigma_s(
     a_q = float(np.quantile(devs, quantile)) if devs else 0.0
     sigma_s = a_q / math.sqrt(math.log(2.0 / (1.0 - quantile)))
     return G, sigma_s
-
-
-# ---------------------------------------------------------------------------
-# Dataset snapshots (replayable column files)
-# ---------------------------------------------------------------------------
-
-
-def save_dataset(path, X: np.ndarray, y: np.ndarray, partition: Partition):
-    """Write samples plus client assignment as one CSV row per sample."""
-    X = np.asarray(X, dtype=np.float64)
-    owner = np.empty(len(y), dtype=int)
-    for c in range(partition.num_clients):
-        owner[partition.client_indices(c)] = c
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow([f"x{j}" for j in range(X.shape[1])] + ["y", "client"])
-        for i in range(X.shape[0]):
-            w.writerow([repr(float(v)) for v in X[i]] + [repr(float(y[i])), int(owner[i])])
-
-
-def load_dataset(path) -> tuple[np.ndarray, np.ndarray, Partition]:
-    """Inverse of save_dataset; round-trips bit-exactly (repr serialization)."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    header, data = rows[0], rows[1:]
-    d = len(header) - 2
-    if header[:d] != [f"x{j}" for j in range(d)] or header[d:] != ["y", "client"]:
-        raise ConfigurationError(f"unrecognized dataset header in {path}")
-    X = np.array([[float(v) for v in r[:d]] for r in data])
-    y = np.array([float(r[d]) for r in data])
-    owner = np.array([int(r[d + 1]) for r in data])
-    shards = tuple(np.flatnonzero(owner == c) for c in range(owner.max() + 1))
-    return X, y, Partition(shards, len(y))
-
-
-def task_from_snapshot(path, test_fraction: float = 0.2, seed: int = 0):
-    """Rebuild a logistic-regression task from a saved snapshot.
-
-    A deterministic slice of the snapshot is held out for the accuracy metric
-    so replays are self-contained."""
-    X, y, part = load_dataset(path)
-    # snapshot data stays the training set; synthesize a held-out view
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, _TASK_TAG, 6))))
-    n_test = max(1, int(test_fraction * len(y)))
-    take = rng.choice(len(y), size=n_test, replace=False)
-    return _logreg_task(X, y, X[take], y[take], name="logreg-snapshot"), part

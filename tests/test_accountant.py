@@ -25,7 +25,6 @@ from fedsgm import (
     calibrate_baseline_sigma,
     calibrate_sgm_sigma,
     f_alpha,
-    ma_noise_bound,
     rdp_to_dp,
     renyi_divergence_sgm,
     sgm_epsilon,
@@ -378,16 +377,6 @@ def test_pipeline_delta_bookkeeping_exact():
     assert trace.alpha_star == pytest.approx(24.751292460134582, rel=1e-10)
 
 
-def test_pipeline_custom_slack_fraction():
-    # More slack for composition -> smaller delta' ... different epsilon, but
-    # the ledger must still sum to the target delta.
-    trace = sgm_pipeline(vision_params(0.1013), 1e-5, slack_fraction=0.25)
-    release, sampled, composed = trace.stages
-    assert T_VISION * sampled.delta + 0.25 * 1e-5 == pytest.approx(1e-5, rel=1e-12)
-    with pytest.raises(ConfigurationError):
-        sgm_pipeline(vision_params(0.1013), 1e-5, slack_fraction=1.0)
-
-
 def test_pipeline_monotonicity():
     base = sgm_epsilon(vision_params(0.15), 1e-5)
     assert sgm_epsilon(vision_params(0.20), 1e-5) < base
@@ -443,24 +432,6 @@ def test_calibrated_sigma_decreases_with_b():
 def test_calibrate_infeasible_target():
     with pytest.raises(CalibrationError):
         calibrate_sgm_sigma(DpPoint(0.0, 1e-5), q=Q_VISION, T=T_VISION, tau=1.0, b=B_VISION)
-
-
-# ---------------------------------------------------------------------------
-# qualitative lower-bound evaluator
-
-
-def test_ma_noise_bound_b_limit():
-    kwargs = dict(c2=1.0, tau=1.0, m=4, T=500, n=625, eps=1.6, delta=1e-5)
-    classical = 1.0 * math.sqrt(4 * 500 * math.log(2 / 1e-5)) / (625 * 1.6)
-    assert ma_noise_bound(b=10**12, **kwargs) == pytest.approx(classical, rel=1e-3)
-
-
-def test_ma_noise_bound_homogeneity_and_monotone_b():
-    base = ma_noise_bound(c2=1.0, tau=1.0, m=4, T=500, b=400_000, n=625, eps=1.6, delta=1e-5)
-    assert ma_noise_bound(c2=1.0, tau=2.0, m=4, T=500, b=400_000, n=625, eps=1.6, delta=1e-5) == pytest.approx(2 * base, rel=1e-12)
-    assert ma_noise_bound(c2=1.0, tau=1.0, m=4, T=500, b=400_000, n=625, eps=0.8, delta=1e-5) == pytest.approx(2 * base, rel=1e-12)
-    bs = [ma_noise_bound(c2=1.0, tau=1.0, m=4, T=500, b=b, n=625, eps=1.6, delta=1e-5) for b in (10_000, 100_000, 1_000_000)]
-    assert bs[0] > bs[1] > bs[2]
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,18 @@ def test_nan_rejected():
     raw = small_config(mechanism={"tau": float("nan")})
     with pytest.raises(ConfigurationError, match="NaN"):
         validate_config(raw)
+    # infinities are rejected too, naming the field ...
+    for section, key in (
+        ("task", "center_scale"),
+        ("task", "heterogeneity"),
+        ("optimizer", "eps"),
+        ("accountant", "delta"),
+        ("mechanism", "sigma_g"),
+    ):
+        with pytest.raises(ConfigurationError, match=f"{section}.{key} must be finite"):
+            validate_config(small_config(**{section: {key: math.inf}}))
+    # ... except tau, where inf is the documented "clipping off"
+    assert validate_config(small_config(mechanism={"tau": math.inf}))["mechanism"]["tau"] == math.inf
 
 
 def test_bool_is_not_a_number():
@@ -432,6 +444,30 @@ def test_simulate_non_finite_step_size_exits_1(tmp_path, capsys, name):
     assert not list(tmp_path.rglob("*.csv"))
 
 
+def test_simulate_non_finite_iterate_exits_1(tmp_path, capsys):
+    quadratic = str(REPO_ROOT / "configs" / "quadratic.json")
+    rc = main(["simulate", quadratic, "--override", "federation.eta_global=1e200", "--out-dir", str(tmp_path)])
+    assert rc == 1
+    assert re.search(r"diverged in round \d+", capsys.readouterr().err)
+    assert not list(tmp_path.iterdir())
+    # large but finite growth is not an error
+    rc = main(["simulate", quadratic, "--override", "federation.eta_global=1e6", "--out-dir", str(tmp_path)])
+    capsys.readouterr()
+    assert rc == 0
+
+
+def test_simulate_tau_inf_turns_clipping_off(tmp_path, capsys):
+    logreg = str(REPO_ROOT / "configs" / "logreg.json")
+    with pytest.warns(UserWarning, match="epsilon = inf"):
+        rc = main(["simulate", logreg, "--override", "mechanism.tau=inf", "--out-dir", str(tmp_path)])
+    capsys.readouterr()
+    assert rc == 0
+    rows = (tmp_path / "logreg.csv").read_text().splitlines()[2:]
+    assert all(row.split(",")[4] == "0.0" for row in rows)  # clip rate
+    manifest = json.loads((tmp_path / "logreg-manifest.json").read_text())
+    assert manifest["accountant"]["epsilon_total"] == "inf"
+
+
 def test_simulate_missing_config_exits_1(capsys):
     rc = main(["simulate", "/nonexistent/run.json"])
     assert rc == 1
@@ -563,3 +599,18 @@ def test_diagnose_huge_dimension_exits_2(tmp_path, capsys):
     rc = main(["diagnose", path])
     assert rc == 2
     assert "infeasible" in capsys.readouterr().err
+
+
+def test_diagnose_reports_bound_validity(capsys):
+    quadratic = str(REPO_ROOT / "configs" / "quadratic.json")
+    assert main(["diagnose", quadratic]) == 0
+    out = capsys.readouterr().out
+    assert "r = 2 tau^2/(b sigma_g^2) = 0.01619" in out
+    assert "alpha* = 122.3, alpha*^2 r = 242.2" in out
+    assert "rdp_bound_validity at alpha*: not valid" in out
+    # the vision reference point (b = 4e5, sigma_g = 0.1025) sits inside the region
+    overrides = ["--override", "sketch.b=400000", "--override", "mechanism.sigma_g=0.1025"]
+    assert main(["diagnose", quadratic, *overrides]) == 0
+    assert "rdp_bound_validity at alpha*: valid" in capsys.readouterr().out
+    assert main(["diagnose", quadratic, "--override", "mechanism.sigma_g=0"]) == 0
+    assert "n/a (sigma_g = 0" in capsys.readouterr().out

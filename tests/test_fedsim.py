@@ -12,7 +12,6 @@ import pytest
 
 from fedsgm import (
     AccountantParams,
-    CentralConfig,
     ClientData,
     FedConfig,
     MechanismConfig,
@@ -22,10 +21,8 @@ from fedsgm import (
     client_privatize,
     client_sampler,
     identity_compressor,
-    iid_partition,
     make_federated_quadratic,
     make_logreg,
-    run_central_sgm,
     run_federation,
     sample_sketch,
     server_round,
@@ -33,7 +30,6 @@ from fedsgm import (
 )
 from fedsgm.errors import ConfigurationError, DimensionMismatchError
 from fedsgm.fedsim import (
-    _CENTRAL_TAG,
     PrivatizedUpdate,
     init_server_state,
     local_stream,
@@ -53,7 +49,6 @@ def diag_quadratic_task():
         n=1,
         loss=lambda theta, idx=None: float(0.5 * theta @ H @ theta),
         grad=lambda theta, idx=None: H @ theta,
-        per_example_grads=lambda theta, idx: np.tile(H @ theta, (len(idx), 1)),
         hessian=lambda theta: H,
         theta0=np.zeros(2),
         minimum_value=0.0,
@@ -299,7 +294,7 @@ def test_fedavg_equivalence():
         losses.append(task.loss(theta))
 
     assert np.allclose(result.theta, theta, rtol=1e-12, atol=1e-14)
-    for rec, ref_loss in zip(result, losses):
+    for rec, ref_loss in zip(result.records, losses):
         assert rec.train_loss == pytest.approx(ref_loss, rel=1e-12)
         assert rec.clip_activation_rate == 0.0
         assert math.isinf(rec.epsilon_spent)
@@ -329,7 +324,7 @@ def test_sketched_quadratic_converges():
         result = run_federation(cfg, task, part)
     g0 = task.grad(task.theta0)
     initial = float(g0 @ g0)
-    assert result[-1].grad_norm_sq <= 1e-3 * initial
+    assert result.records[-1].grad_norm_sq <= 1e-3 * initial
 
 
 def test_run_deterministic_in_seed():
@@ -342,8 +337,8 @@ def test_run_deterministic_in_seed():
     r1 = run_federation(cfg, task, part)
     r2 = run_federation(cfg, task, part)
     assert np.array_equal(r1.theta, r2.theta)
-    assert records_to_csv(r1) == records_to_csv(r2)
-    for a, b in zip(r1, r2):
+    assert records_to_csv(r1.records) == records_to_csv(r2.records)
+    for a, b in zip(r1.records, r2.records):
         assert a == b
     # a different master seed genuinely changes the run
     r3 = run_federation(
@@ -369,25 +364,8 @@ def test_default_test_metric_reuses_train_loss():
     )
     result = run_federation(cfg, task, part)
     assert calls == [None] * 5
-    assert all(r.test_metric == r.train_loss for r in result)
-    assert result[-1].train_loss == float(loss(result.theta))
-
-
-def test_thread_count_does_not_change_results(monkeypatch):
-    task, part = make_logreg(n=64, d=5, clients=8, seed=4)
-    cfg = small_fed_config(
-        clients=8,
-        clients_per_round=4,
-        rounds=3,
-        sketch_b=3,
-        mechanism=MechanismConfig(tau=1.0, sigma_g=1.0, b=3, noise_seed=6),
-    )
-    monkeypatch.setenv("FED_SGM_THREADS", "1")
-    serial = run_federation(cfg, task, part)
-    monkeypatch.setenv("FED_SGM_THREADS", "4")
-    threaded = run_federation(cfg, task, part)
-    assert np.array_equal(serial.theta, threaded.theta)
-    assert records_to_csv(serial) == records_to_csv(threaded)
+    assert all(r.test_metric == r.train_loss for r in result.records)
+    assert result.records[-1].train_loss == float(loss(result.theta))
 
 
 def test_epsilon_ledger_matches_accountant():
@@ -397,7 +375,7 @@ def test_epsilon_ledger_matches_accountant():
         clients=6, clients_per_round=2, rounds=5, mechanism=mech, sketch_b=None
     )
     result = run_federation(cfg, task, part)
-    eps = [r.epsilon_spent for r in result]
+    eps = [r.epsilon_spent for r in result.records]
     assert all(b >= a for a, b in zip(eps, eps[1:]))  # non-decreasing
     expected = sgm_epsilon(
         AccountantParams(q=2 / 6, T=5, tau=1.0, b=6, sigma_g=0.9), cfg.delta
@@ -412,8 +390,8 @@ def test_regime_violation_warns_and_continues():
     cfg = small_fed_config(clients=3, clients_per_round=2, rounds=2, mechanism=mech)
     with pytest.warns(UserWarning, match="epsilon = inf"):
         result = run_federation(cfg, task, part)
-    assert len(result) == 2
-    assert all(math.isinf(r.epsilon_spent) for r in result)
+    assert len(result.records) == 2
+    assert all(math.isinf(r.epsilon_spent) for r in result.records)
 
 
 def test_clip_rate_regimes():
@@ -444,8 +422,8 @@ def test_clip_rate_regimes():
             task,
             part,
         )
-    assert all(r.clip_activation_rate == 1.0 for r in tight)
-    assert all(r.clip_activation_rate == 0.0 for r in loose)
+    assert all(r.clip_activation_rate == 1.0 for r in tight.records)
+    assert all(r.clip_activation_rate == 0.0 for r in loose.records)
 
 
 def test_mechanism_b_must_match_payload_dim():
@@ -465,80 +443,6 @@ def test_partition_mismatch_rejected():
 
 
 # ---------------------------------------------------------------------------
-# centralized variant
-
-
-def test_central_matches_single_client_federation():
-    task, _ = make_federated_quadratic([2.0, 1.0, 0.5, 0.25], seed=10, center_scale=1.0)
-    mech = MechanismConfig(tau=1.0, sigma_g=1.5, b=2, noise_seed=4)
-    central = run_central_sgm(
-        CentralConfig(steps=6, batch_size=1, eta=0.05, mechanism=mech, sketch_b=2, master_seed=13),
-        task,
-    )
-    fed = run_federation(
-        FedConfig(
-            clients=1,
-            clients_per_round=1,
-            local_steps=1,
-            rounds=6,
-            eta_local=1.0,  # exact scaling: payload math identical to central
-            eta_global=0.05,
-            batch_size=1,
-            mechanism=mech,
-            sketch_b=2,
-            optimizer="gd",
-            master_seed=13,
-        ),
-        task,
-        iid_partition(1, 1),
-    )
-    assert np.allclose(central.theta, fed.theta, rtol=1e-12, atol=1e-14)
-    for a, b in zip(central, fed):
-        assert a.train_loss == pytest.approx(b.train_loss, rel=1e-12)
-
-
-def test_central_matches_plain_sgd():
-    # sigma_g = 0, identity compressor, tau = inf: plain minibatch SGD.
-    task, _ = make_logreg(n=40, d=5, clients=1, seed=11)
-    mech = MechanismConfig(tau=math.inf, sigma_g=0.0, b=5)
-    cfg = CentralConfig(steps=8, batch_size=4, eta=0.3, mechanism=mech, master_seed=21)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        out = run_central_sgm(cfg, task)
-
-    theta = task.theta0.copy()
-    batch_rng = np.random.Generator(
-        np.random.Philox(np.random.SeedSequence((21, _CENTRAL_TAG)))
-    )
-    for _ in range(8):
-        batch = batch_rng.choice(task.n, size=4, replace=False)
-        gs = task.per_example_grads(theta, batch)
-        theta = theta - (0.3 / 4) * gs.sum(axis=0)
-    assert np.allclose(out.theta, theta, rtol=1e-12, atol=1e-15)
-
-
-def test_central_sketch_aggregation_linearity():
-    # sketch(sum of clipped grads) == sum of per-example sketches, up to
-    # floating-point associativity; bitwise when the batch has one element.
-    task, _ = make_logreg(n=20, d=8, clients=1, seed=12)
-    R = sample_sketch(SketchSpec(b=4, d=8, seed=3))
-    theta = 0.3 * np.ones(8)
-    grads = task.per_example_grads(theta, np.arange(6))
-    agg_then_sketch = R.sketch(grads.sum(axis=0))
-    sketch_then_agg = np.sum([R.sketch(g) for g in grads], axis=0)
-    assert np.allclose(agg_then_sketch, sketch_then_agg, rtol=1e-12, atol=1e-14)
-    single = task.per_example_grads(theta, np.arange(1))
-    assert np.array_equal(R.sketch(single.sum(axis=0)), R.sketch(single[0]))
-
-
-def test_central_batch_size_bounds():
-    task, _ = make_logreg(n=10, d=4, clients=1, seed=13)
-    mech = MechanismConfig(tau=1.0, sigma_g=0.5, b=4)
-    with pytest.raises(ConfigurationError):
-        run_central_sgm(CentralConfig(steps=1, batch_size=11, eta=0.1, mechanism=mech), task)
-
-
-# ---------------------------------------------------------------------------
 # emission helpers
 
 
@@ -551,11 +455,11 @@ def test_records_csv_shape():
         mechanism=MechanismConfig(tau=1.0, sigma_g=1.0, b=4, noise_seed=9),
     )
     result = run_federation(cfg, task, part)
-    text = records_to_csv(result)
+    text = records_to_csv(result.records)
     lines = text.strip().split("\n")
     assert lines[0] == "# fed-sgm csv v1"
     assert lines[1] == "round,train_loss,grad_norm_sq,test_metric,clip_rate,epsilon_spent"
     assert len(lines) == 2 + cfg.rounds
     # full-precision floats round-trip
     first = lines[2].split(",")
-    assert float(first[1]) == result[0].train_loss
+    assert float(first[1]) == result.records[0].train_loss

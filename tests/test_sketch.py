@@ -11,12 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fedsgm import (
-    IdentityCompressor,
     SketchSpec,
-    desketch,
     identity_compressor,
     sample_sketch,
-    sketch,
 )
 from fedsgm.errors import DimensionMismatchError
 from fedsgm.sketch import BLOCK_ROWS, _block_seed_seq
@@ -176,13 +173,6 @@ def test_inner_product_concentration():
     assert violations / trials <= 0.25
 
 
-def test_compression_ratio():
-    # ratio = d / b, the compression factor; identity compresses nothing.
-    R = sample_sketch(SketchSpec(b=50, d=200, seed=0))
-    assert R.compression_ratio == pytest.approx(4.0)
-    assert identity_compressor(200).compression_ratio == 1.0
-
-
 def test_identity_compressor_roundtrip():
     comp = identity_compressor(6)
     x = np.arange(6.0)
@@ -191,15 +181,6 @@ def test_identity_compressor_roundtrip():
     assert comp.b == comp.d == 6
     with pytest.raises(DimensionMismatchError):
         comp.sketch(np.zeros(7))
-
-
-def test_module_level_helpers_dispatch():
-    R = sample_sketch(SketchSpec(b=3, d=9, seed=2))
-    x = np.linspace(-1, 1, 9)
-    assert np.array_equal(sketch(R, x), R.sketch(x))
-    assert np.array_equal(desketch(R, sketch(R, x)), R.desketch(R.sketch(x)))
-    ident = IdentityCompressor(9)
-    assert np.array_equal(sketch(ident, x), x)
 
 
 def test_spec_validation():

@@ -18,7 +18,6 @@ from fedsgm import (
     power_law_spectrum,
 )
 from fedsgm.errors import ConfigurationError
-from fedsgm.tasks import load_dataset, save_dataset, task_from_snapshot
 
 
 def finite_diff_grad_check(task, theta, directions=20, h=1e-6, rel_tol=1e-5, seed=0):
@@ -205,7 +204,6 @@ def test_intrinsic_dimension_requires_positive_top_eigenvalue():
         n=1,
         loss=lambda theta, idx=None: float(-0.5 * theta @ theta),
         grad=lambda theta, idx=None: -np.asarray(theta),
-        per_example_grads=lambda theta, idx: -np.tile(theta, (len(idx), 1)),
         hessian=lambda theta: -np.eye(3),
         theta0=np.zeros(3),
     )
@@ -224,7 +222,6 @@ def _zero_task(d=4, n=12):
         n=n,
         loss=lambda theta, idx=None: 0.0,
         grad=lambda theta, idx=None: np.zeros(d),
-        per_example_grads=lambda theta, idx: np.zeros((len(idx), d)),
         hessian=lambda theta: np.zeros((d, d)),
         theta0=np.zeros(d),
         minimum_value=0.0,
@@ -258,26 +255,3 @@ def test_estimate_quadratic_gradient_bound():
     max_theta = max(np.linalg.norm(t) for t in thetas)
     center_bound = scale + 0.5 * 4  # generous cap on the spread
     assert G <= lam.max() * (max_theta + center_bound)
-
-
-# ---------------------------------------------------------------------------
-# snapshots
-
-
-def test_dataset_snapshot_roundtrip(tmp_path):
-    rng = np.random.default_rng(11)
-    X = rng.standard_normal((30, 3))
-    y = np.sign(rng.standard_normal(30))
-    y[y == 0] = 1.0
-    part = iid_partition(30, 3, seed=12)
-    path = tmp_path / "snap.csv"
-    save_dataset(path, X, y, part)
-    X2, y2, part2 = load_dataset(path)
-    assert np.array_equal(X, X2)  # repr round-trip is bit-exact
-    assert np.array_equal(y, y2)
-    assert part2.num_clients == 3
-    for c in range(3):
-        assert np.array_equal(part.client_indices(c), part2.client_indices(c))
-    task, part3 = task_from_snapshot(path)
-    assert task.n == 30 and task.d == 3
-    finite_diff_grad_check(task, np.zeros(3), directions=5)
