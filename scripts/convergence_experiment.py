@@ -51,19 +51,19 @@ def main() -> int:
         "gd": FedConfig(
             eta_global=0.2,
             optimizer="gd",
-            mechanism=MechanismConfig(tau=1.0, sigma_g=sigma, b=args.b, noise_seed=5),
+            mechanism=MechanismConfig(tau=1.0, sigma_g=sigma, noise_seed=5),
             **base,
         ),
         "amsgrad": FedConfig(
             eta_global=0.005,
             optimizer="amsgrad",
-            mechanism=MechanismConfig(tau=1.0, sigma_g=sigma, b=args.b, noise_seed=5),
+            mechanism=MechanismConfig(tau=1.0, sigma_g=sigma, noise_seed=5),
             **base,
         ),
         "gd-nonprivate": FedConfig(
             eta_global=0.2,
             optimizer="gd",
-            mechanism=MechanismConfig(tau=1.0, sigma_g=0.0, b=args.b, noise_seed=5),
+            mechanism=MechanismConfig(tau=1.0, sigma_g=0.0, noise_seed=5),
             **base,
         ),
     }

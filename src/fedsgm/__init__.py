@@ -66,10 +66,8 @@ from .tasks import (  # noqa: F401
     power_law_spectrum,
 )
 from .fedsim import (  # noqa: F401
-    ClientData,
     FedConfig,
     FederationResult,
-    PrivatizedUpdate,
     RoundRecord,
     client_local_update,
     client_privatize,

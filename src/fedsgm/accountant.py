@@ -180,13 +180,17 @@ def sgm_optimal_alpha(tau: float, b: int, sigma_g: float, delta0: float) -> floa
     Minimizing h(alpha) = A alpha^2/(alpha-1) + log(1/delta0)/(alpha-1) with
     A = tau^4/(b sigma_g^4) gives alpha* = 1 + sqrt(1 + log(1/delta0)/A).
     tau = 0 has no finite optimizer (any order gives eps 0): returns inf.
+    Raises ParameterRegimeError outside the accounting regime r < 1.
     """
     if not 0.0 < delta0 < 1.0:
         raise ConfigurationError(f"delta0 must be in (0,1), got {delta0}")
     if tau == 0.0:
         return math.inf
-    if sigma_g <= 0.0:
-        raise ParameterRegimeError("sigma_g must be positive when tau > 0")
+    r = sensitivity_ratio(tau, b, sigma_g)
+    if r >= 1.0:
+        raise ParameterRegimeError(
+            f"2*tau^2/(b*sigma_g^2) = {r:.6g} >= 1; accounting regime violated"
+        )
     A = tau**4 / (b * sigma_g**4)
     return 1.0 + math.sqrt(1.0 + math.log(1.0 / delta0) / A)
 
@@ -202,13 +206,8 @@ def sgm_step_dp(tau: float, b: int, sigma_g: float, delta0: float) -> DpPoint:
         raise ConfigurationError(f"delta0 must be in (0,1), got {delta0}")
     if tau == 0.0:
         return DpPoint(0.0, delta0)
-    r = sensitivity_ratio(tau, b, sigma_g)
-    if r >= 1.0:
-        raise ParameterRegimeError(
-            f"2*tau^2/(b*sigma_g^2) = {r:.6g} >= 1; accounting regime violated"
-        )
-    A = tau**4 / (b * sigma_g**4)
     alpha_star = sgm_optimal_alpha(tau, b, sigma_g, delta0)
+    A = tau**4 / (b * sigma_g**4)
     return DpPoint(2.0 * A * alpha_star, delta0)
 
 

@@ -363,11 +363,15 @@ def cmd_diagnose(config_path, overrides=()) -> int:
         print("  r, alpha*, alpha*^2 r: n/a (sigma_g = 0, no privacy)")
     else:
         r = sensitivity_ratio(tau, b, sigma)
-        alpha = sgm_optimal_alpha(tau, b, sigma, delta0)
-        verdict = "valid" if rdp_bound_validity(alpha, tau, b, sigma) else "not valid"
         print(f"  r = 2 tau^2/(b sigma_g^2) = {r:.4g}")
-        print(f"  alpha* = {alpha:.4g}, alpha*^2 r = {alpha * alpha * r:.4g}")
-        print(f"  rdp_bound_validity at alpha*: {verdict}")
+        try:
+            alpha = sgm_optimal_alpha(tau, b, sigma, delta0)
+        except ParameterRegimeError:
+            print("  alpha*: n/a (r >= 1, outside the accounting regime)")
+        else:
+            verdict = "valid" if rdp_bound_validity(alpha, tau, b, sigma) else "not valid"
+            print(f"  alpha* = {alpha:.4g}, alpha*^2 r = {alpha * alpha * r:.4g}")
+            print(f"  rdp_bound_validity at alpha*: {verdict}")
     print("predicted error-term magnitudes (order-of-magnitude, constants and log factors dropped):")
     print(f"  E_c = {e_c:.6g}")
     print(f"  E_g = {e_g:.6g}")

@@ -277,7 +277,6 @@ def build_fed_config(cfg: dict, sigma_g: float) -> FedConfig:
         mechanism=MechanismConfig(
             tau=cfg["mechanism"]["tau"],
             sigma_g=sigma_g,
-            b=effective_sketch_dim(cfg),
             noise_seed=cfg["mechanism"]["noise_seed"],
         ),
         sketch_b=sk["b"] if sk["mode"] == "gaussian" else None,

@@ -1,14 +1,17 @@
 """Federated training with sketched, clipped, noised client updates.
 
 Round structure: the server broadcasts theta_t and a fresh sketch R_t; each
-selected client runs K local SGD steps, rescales its model delta by the local
-step size, clips it to tau, and ships the sketched+noised result.  The server
-averages the payloads in sketched space, lifts the mean through R_t^T, and
-feeds it to a pluggable optimizer (plain step, AMSGrad, or Adam).
+of the N selected clients runs K local SGD steps, rescales its model delta by
+the local step size, and clips it to tau.  R_t is linear, so the N clipped
+deltas go through it as one d x N matrix in a single sketch pass; each client
+then adds noise from its own (client, round) stream.  The result is an N x b
+payload matrix, one row per client in sorted client order.  The server
+averages its rows in sketched space, lifts the mean through R_t^T, and feeds
+it to a pluggable optimizer (plain step, AMSGrad, or Adam).  A streamed sketch
+is therefore generated twice per round: once to sketch, once to desketch.
 
-The server never sees a raw d-dimensional client delta: client payloads are
-b-dimensional `PrivatizedUpdate`s and `server_round` rejects anything whose
-shape disagrees with the round's compressor.
+The server never sees a raw d-dimensional client delta: `server_round`
+rejects a payload matrix whose rows are not b-dimensional.
 
 Every source of randomness is a Philox substream keyed by role, round, and
 client, so runs are reproducible bit for bit.
@@ -28,7 +31,7 @@ import numpy as np
 from . import __version__
 from .accountant import AccountantParams, sgm_epsilon
 from .errors import ConfigurationError, DimensionMismatchError, ParameterRegimeError
-from .mechanism import MechanismConfig, clip, noise_stream, sgm_apply
+from .mechanism import MechanismConfig, clip, noise_stream
 from .optim import AdamState, AmsGradState, adam_step, amsgrad_step, gd_step
 from .sketch import Compressor, SketchSpec, identity_compressor, sample_sketch
 from .tasks import Partition, Task, iid_partition
@@ -79,38 +82,12 @@ class FedConfig:
             )
         if self.sketch_b is not None and self.sketch_b < 1:
             raise ConfigurationError(f"sketch_b must be >= 1, got {self.sketch_b}")
-        if self.sketch_b is not None and self.mechanism.b != self.sketch_b:
-            raise ConfigurationError(
-                f"mechanism.b = {self.mechanism.b} disagrees with sketch_b = {self.sketch_b}"
-            )
         if not 0.0 < self.delta < 1.0:
             raise ConfigurationError(f"delta must be in (0,1), got {self.delta}")
 
     @property
     def q(self) -> float:
         return self.clients_per_round / self.clients
-
-
-@dataclass(frozen=True)
-class ClientData:
-    """One client's view of the task: the shared objective plus its own indices."""
-
-    task: Task
-    indices: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "indices", np.asarray(self.indices))
-        if len(self.indices) == 0:
-            raise ConfigurationError("empty client dataset")
-
-
-@dataclass(frozen=True)
-class PrivatizedUpdate:
-    """Sketched-space client payload; the only thing a client hands the server."""
-
-    client_id: int
-    payload: np.ndarray
-    clipped: bool
 
 
 @dataclass(frozen=True)
@@ -176,18 +153,18 @@ def local_stream(master_seed: int, client_id: int, round_idx: int) -> np.random.
 
 def client_local_update(
     theta: np.ndarray,
-    client_data: ClientData,
+    task: Task,
+    shard: np.ndarray,
     local_steps: int,
     eta_local: float,
     rng: np.random.Generator,
     batch_size: Optional[int] = None,
 ) -> np.ndarray:
-    """K steps of minibatch SGD from theta; returns delta = theta - theta_K.
+    """K steps of minibatch SGD on the client's sample indices `shard` from
+    theta; returns delta = theta - theta_K.
 
     batch_size = None means full-shard gradients.  The delta points along the
     accumulated (stochastic) gradient direction, so the server subtracts it."""
-    shard = client_data.indices
-    task = client_data.task
     theta_c = np.asarray(theta, dtype=np.float64).copy()
     for _ in range(local_steps):
         if batch_size is None or batch_size >= len(shard):
@@ -199,47 +176,50 @@ def client_local_update(
 
 
 def client_privatize(
-    delta: np.ndarray,
+    deltas: np.ndarray,
     eta_local: float,
     mech: MechanismConfig,
     compressor: Compressor,
-    rng: np.random.Generator,
-    client_id: int = -1,
-) -> PrivatizedUpdate:
-    """Clip the delta over the local step size, sketch it, add noise, restore scale.
+    rngs: list,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Clip each client's delta over the local step size, sketch all of them
+    in one pass, add each client's noise, restore scale.
 
-    payload = eta_local * (R @ clip(delta/eta_local, tau) + xi).
+    deltas is N x d, one row per client, and rngs holds the N clients' noise
+    streams in the same order.  Row i of the returned N x b payload matrix is
+    eta_local * (R @ clip(deltas[i]/eta_local, tau) + xi_i) with xi_i drawn
+    from rngs[i], as `sgm_apply` defines it for one vector; the N flags say
+    which rows were clipped.
     """
-    if compressor.b != mech.b:
-        raise DimensionMismatchError(
-            f"compressor emits {compressor.b}-dim payloads but mechanism.b = {mech.b}"
-        )
-    scaled = np.asarray(delta, dtype=np.float64) / eta_local
-    clipped_flag = bool(np.linalg.norm(scaled) > mech.tau)
-    payload = eta_local * sgm_apply(clip(scaled, mech.tau), compressor, mech.sigma_g, rng)
-    return PrivatizedUpdate(client_id=client_id, payload=payload, clipped=clipped_flag)
+    scaled = np.asarray(deltas, dtype=np.float64) / eta_local
+    clipped = np.array([np.linalg.norm(row) > mech.tau for row in scaled])
+    sketched = compressor.sketch(np.array([clip(row, mech.tau) for row in scaled]).T).T
+    if mech.sigma_g != 0.0:
+        noise = np.array([rng.standard_normal(compressor.b) for rng in rngs])
+        sketched = sketched + mech.sigma_g * noise
+    return eta_local * sketched, clipped
 
 
 def server_round(
     theta: np.ndarray,
-    updates: list,
+    payloads: np.ndarray,
     compressor: Compressor,
     server_state: ServerState,
 ) -> tuple[np.ndarray, ServerState]:
-    """Average payloads in sketched space, desketch, and step the optimizer.
+    """Average the N x b payload matrix's rows in sketched space, desketch the
+    mean, and step the optimizer.
 
-    Updates are summed in client-id order so the result is independent of
-    arrival order (bit for bit)."""
-    if not updates:
-        raise ConfigurationError("server_round needs at least one update")
-    ordered = sorted(updates, key=lambda u: u.client_id)
-    for u in ordered:
-        if u.payload.shape != (compressor.b,):
-            raise DimensionMismatchError(
-                f"client {u.client_id} payload has shape {u.payload.shape}; "
-                f"server accepts only sketched-space vectors of shape ({compressor.b},)"
-            )
-    mean_payload = np.mean(np.stack([u.payload for u in ordered]), axis=0)
+    Row i is the payload of the round's i-th selected client in sorted order,
+    so the mean is reproducible bit for bit."""
+    payloads = np.asarray(payloads, dtype=np.float64)
+    if payloads.ndim != 2 or payloads.shape[1] != compressor.b:
+        raise DimensionMismatchError(
+            f"payload matrix has shape {payloads.shape}; the server accepts only "
+            f"sketched-space rows, shape (N, {compressor.b})"
+        )
+    if len(payloads) == 0:
+        raise ConfigurationError("server_round needs at least one payload")
+    mean_payload = np.mean(payloads, axis=0)
     direction = compressor.desketch(mean_payload)
     eta_global = server_state.eta_global
     if server_state.kind == "gd":
@@ -297,45 +277,36 @@ def run_federation(
     if partition.n != task.n:
         raise ConfigurationError("partition and task disagree on the sample count")
     d = task.d
-    expected_b = cfg.sketch_b if cfg.sketch_b is not None else d
-    if cfg.mechanism.b != expected_b:
-        raise ConfigurationError(
-            f"mechanism.b = {cfg.mechanism.b} but payloads are {expected_b}-dimensional"
-        )
     theta = task.theta0.astype(np.float64).copy()
     server_state = init_server_state(cfg, d)
     records = []
 
     for t in range(cfg.rounds):
         selected = client_sampler(cfg.clients, cfg.clients_per_round, t, cfg.master_seed)
+        clients = selected.tolist()
         compressor = round_compressor(cfg, d, t)
 
-        updates = []
-        for c in selected.tolist():
-            delta = client_local_update(
+        deltas = np.array([
+            client_local_update(
                 theta,
-                ClientData(task, partition.client_indices(c)),
+                task,
+                partition.client_indices(c),
                 cfg.local_steps,
                 cfg.eta_local,
                 local_stream(cfg.master_seed, c, t),
                 batch_size=cfg.batch_size,
             )
-            updates.append(
-                client_privatize(
-                    delta,
-                    cfg.eta_local,
-                    cfg.mechanism,
-                    compressor,
-                    noise_stream(cfg.mechanism.noise_seed, c, t),
-                    client_id=c,
-                )
-            )
+            for c in clients
+        ])
+        rngs = [noise_stream(cfg.mechanism.noise_seed, c, t) for c in clients]
+        payloads, clipped = client_privatize(deltas, cfg.eta_local, cfg.mechanism, compressor, rngs)
+        theta, server_state = server_round(theta, payloads, compressor, server_state)
 
-        theta, server_state = server_round(theta, updates, compressor, server_state)
-
-        g = task.grad(theta)
-        grad_norm_sq = float(g @ g)
-        train_loss, test_metric = task.evaluate(theta)
+        # a diverging run overflows here; the check below reports it
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = task.grad(theta)
+            grad_norm_sq = float(g @ g)
+            train_loss, test_metric = task.evaluate(theta)
         if not (
             np.isfinite(theta).all() and np.isfinite([train_loss, grad_norm_sq, test_metric]).all()
         ):
@@ -346,11 +317,11 @@ def run_federation(
         records.append(
             RoundRecord(
                 round=t,
-                selected_clients=tuple(int(c) for c in selected),
+                selected_clients=tuple(clients),
                 train_loss=train_loss,
                 grad_norm_sq=grad_norm_sq,
                 test_metric=test_metric,
-                clip_activation_rate=float(np.mean([u.clipped for u in updates])),
+                clip_activation_rate=float(np.mean(clipped)),
                 epsilon_spent=_epsilon_spent(cfg, d, t + 1),
             )
         )

@@ -25,15 +25,13 @@ class MechanismConfig:
     """Per-update privatization parameters.
 
     tau: clip threshold on the update norm (math.inf disables clipping).
-    sigma_g: std of the additive Gaussian noise in sketched space.
-    b: dimension of the sketched space the noise lives in (equals the ambient
-       dimension when no sketch is used).
+    sigma_g: std of the additive Gaussian noise in sketched space (its
+       dimension b is the compressor's).
     noise_seed: root seed for all noise substreams.
     """
 
     tau: float
     sigma_g: float
-    b: int
     noise_seed: int = 0
 
     def __post_init__(self):
@@ -41,13 +39,6 @@ class MechanismConfig:
             raise ConfigurationError(f"tau must be positive, got {self.tau}")
         if not (self.sigma_g >= 0) or math.isinf(self.sigma_g):
             raise ConfigurationError(f"sigma_g must be finite >= 0, got {self.sigma_g}")
-        if (
-            isinstance(self.b, bool)
-            or not isinstance(self.b, (int, np.integer))
-            or self.b < 1
-        ):
-            raise ConfigurationError(f"b must be a positive integer, got {self.b!r}")
-        object.__setattr__(self, "b", int(self.b))
 
 
 def clip(v: np.ndarray, tau: float) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Gaussian sketching operators.
 
 A sketch is a b x d random matrix R with iid N(0, 1/b) entries.  Applying R
-compresses a d-dimensional vector to b dimensions; applying R^T lifts it back.
+compresses a d-dimensional vector, or each column of a d x N matrix in one
+pass, to b dimensions; applying R^T lifts a b-vector back.
 R^T R has identity expectation, so desketch(sketch(x)) is an unbiased (noisy)
 estimate of x.
 
@@ -74,6 +75,14 @@ def _gen_block(spec: SketchSpec, block: int) -> np.ndarray:
     return np.multiply(out, spec.b ** -0.5, out=out)
 
 
+def _columns(x: np.ndarray, d: int) -> np.ndarray:
+    """x as float64, checked to be a d-vector or a (d, N) matrix of column vectors."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim not in (1, 2) or x.shape[0] != d:
+        raise DimensionMismatchError(f"expected shape ({d},) or ({d}, N), got {x.shape}")
+    return x
+
+
 class SketchMatrix:
     """A realized Gaussian sketch.
 
@@ -125,12 +134,8 @@ class SketchMatrix:
         return np.concatenate(list(self.iter_blocks()), axis=0)
 
     def sketch(self, x: np.ndarray) -> np.ndarray:
-        """R @ x: compress a d-vector to b dimensions."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.spec.d,):
-            raise DimensionMismatchError(
-                f"expected shape ({self.spec.d},), got {x.shape}"
-            )
+        """R @ x: compress a d-vector, or each column of a (d, N) matrix, to b dimensions."""
+        x = _columns(x, self.spec.d)
         if self._dense is not None:
             return self._dense @ x
         parts = []
@@ -167,10 +172,7 @@ class IdentityCompressor:
         self.d = d
 
     def sketch(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.d,):
-            raise DimensionMismatchError(f"expected shape ({self.d},), got {x.shape}")
-        return x.copy()
+        return _columns(x, self.d).copy()
 
     def desketch(self, y: np.ndarray) -> np.ndarray:
         return self.sketch(y)

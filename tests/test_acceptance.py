@@ -234,7 +234,7 @@ def test_matches_plain_fedavg_when_privacy_disabled():
             eta_local=eta_l,
             eta_global=eta_g,
             batch_size=1,
-            mechanism=MechanismConfig(tau=math.inf, sigma_g=0.0, b=d),
+            mechanism=MechanismConfig(tau=math.inf, sigma_g=0.0),
             sketch_b=None,
             optimizer="gd",
             master_seed=seed % 1000,
@@ -273,7 +273,7 @@ def test_private_convergence_gd_and_amsgrad():
         rounds=300,
         eta_local=0.04,
         batch_size=1,
-        mechanism=MechanismConfig(tau=1.0, sigma_g=sigma, b=50, noise_seed=5),
+        mechanism=MechanismConfig(tau=1.0, sigma_g=sigma, noise_seed=5),
         sketch_b=50,
         master_seed=17,
     )

@@ -271,6 +271,15 @@ def test_optimal_alpha_pinned():
     assert alpha == pytest.approx(24.751292460134582, rel=1e-12)
 
 
+def test_optimal_alpha_refuses_outside_regime():
+    # r = 2 tau^2/(b sigma^2) >= 1 has no licensed order, as in sgm_step_dp;
+    # tau = inf used to collapse the closed form to alpha* = 2
+    for tau, b, sigma in ((math.inf, 10, 0.7), (1.0, 2, 1.0), (1.0, 6, 0.3)):
+        with pytest.raises(ParameterRegimeError, match="accounting regime violated"):
+            sgm_optimal_alpha(tau, b, sigma, 1e-6)
+    assert math.isfinite(sgm_optimal_alpha(1.0, 3, 1.0, 1e-6))  # r = 2/3
+
+
 def test_step_dp_pinned():
     out = sgm_step_dp(1.0, B_VISION, 0.1013, 1.5625e-6)
     assert out.epsilon == pytest.approx(1.175249580107307, rel=1e-12)

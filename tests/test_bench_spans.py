@@ -1,0 +1,71 @@
+"""The benchmark's per-layer trace (perfbench/spans.py) still fits the package.
+
+spans.py wraps fedsgm's functions by module attribute.  A refactor that
+renames or stops calling one of them would otherwise break `--trace 1` runs
+of the benchmark without failing any test here.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+# Runs a small simulate under the installed tracer and prints its call counts.
+SCRIPT = """
+import json, sys
+from spans import Tracer
+tracer = Tracer()
+tracer.install()
+from fedsgm.cli import main
+code = main(["simulate", sys.argv[1], "--out-dir", sys.argv[2]])
+print(json.dumps({"code": code, "calls": tracer.calls, "rows": tracer.sketch_rows}))
+"""
+
+# Every round of a sketched run passes through each of these spans.
+ROUND_SPANS = (
+    "fedsim.loop",
+    "fedsim.streams",
+    "fedsim.local_update",
+    "mechanism.privatize",
+    "sketch.generate",
+    "sketch.apply",
+    "sketch.desketch",
+    "fedsim.server",
+    "optim.step",
+    "accountant.round_epsilon",
+    "tasks.build",
+    "tasks.client_grad",
+    "tasks.eval",
+)
+
+
+def test_tracer_installs_and_sees_every_layer(tmp_path):
+    config = {
+        "task": {"kind": "logreg", "d": 8, "n": 80},
+        "federation": {"clients": 4, "clients_per_round": 2, "local_steps": 2, "rounds": 3,
+                       "eta_local": 0.5, "eta_global": 0.1, "batch_size": 5},
+        "mechanism": {"tau": 1.0, "sigma_g": 2.0},
+        "sketch": {"mode": "gaussian", "b": 4},
+        "optimizer": {"kind": "amsgrad"},
+        "accountant": {"delta": 1e-5},
+    }
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(REPO_ROOT / "perfbench"), str(REPO_ROOT / "src")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT, str(path), str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr  # an AttributeError names the missing attribute
+    report = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert report["code"] == 0
+    calls = report["calls"]
+    missing = [name for name in ROUND_SPANS if calls.get(name, 0) == 0]
+    assert missing == [], calls
+    assert calls["fedsim.loop"] == 1
+    assert calls["sketch.generate"] == calls["sketch.apply"] == calls["sketch.desketch"] == 3
+    assert report["rows"] == 3 * 4  # the dense sketch is generated once per round

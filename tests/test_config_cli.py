@@ -10,6 +10,7 @@ import json
 import math
 import re
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -446,9 +447,13 @@ def test_simulate_non_finite_step_size_exits_1(tmp_path, capsys, name):
 
 def test_simulate_non_finite_iterate_exits_1(tmp_path, capsys):
     quadratic = str(REPO_ROOT / "configs" / "quadratic.json")
-    rc = main(["simulate", quadratic, "--override", "federation.eta_global=1e200", "--out-dir", str(tmp_path)])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["simulate", quadratic, "--override", "federation.eta_global=1e200", "--out-dir", str(tmp_path)])
     assert rc == 1
-    assert re.search(r"diverged in round \d+", capsys.readouterr().err)
+    assert [str(w.message) for w in caught] == []  # no numpy overflow warning
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and re.match(r"error: the run diverged in round \d+", err[0])
     assert not list(tmp_path.iterdir())
     # large but finite growth is not an error
     rc = main(["simulate", quadratic, "--override", "federation.eta_global=1e6", "--out-dir", str(tmp_path)])
@@ -614,3 +619,13 @@ def test_diagnose_reports_bound_validity(capsys):
     assert "rdp_bound_validity at alpha*: valid" in capsys.readouterr().out
     assert main(["diagnose", quadratic, "--override", "mechanism.sigma_g=0"]) == 0
     assert "n/a (sigma_g = 0" in capsys.readouterr().out
+
+
+def test_diagnose_outside_accounting_regime(capsys):
+    # tau = inf gives r = inf: no order alpha* exists, and diagnose says so
+    logreg = str(REPO_ROOT / "configs" / "logreg.json")
+    assert main(["diagnose", logreg, "--override", "mechanism.tau=inf"]) == 0
+    out = capsys.readouterr().out
+    assert "r = 2 tau^2/(b sigma_g^2) = inf" in out
+    assert "alpha*: n/a (r >= 1, outside the accounting regime)" in out
+    assert "rdp_bound_validity" not in out

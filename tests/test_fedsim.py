@@ -12,7 +12,6 @@ import pytest
 
 from fedsgm import (
     AccountantParams,
-    ClientData,
     FedConfig,
     MechanismConfig,
     SketchSpec,
@@ -20,17 +19,19 @@ from fedsgm import (
     client_local_update,
     client_privatize,
     client_sampler,
+    clip,
     identity_compressor,
     make_federated_quadratic,
     make_logreg,
     run_federation,
     sample_sketch,
     server_round,
+    sgm_apply,
     sgm_epsilon,
 )
+from fedsgm import sketch as sketch_module
 from fedsgm.errors import ConfigurationError, DimensionMismatchError
 from fedsgm.fedsim import (
-    PrivatizedUpdate,
     init_server_state,
     local_stream,
     records_to_csv,
@@ -64,7 +65,7 @@ def small_fed_config(**over):
         eta_local=0.1,
         eta_global=0.5,
         batch_size=4,
-        mechanism=MechanismConfig(tau=1.0, sigma_g=0.8, b=6, noise_seed=1),
+        mechanism=MechanismConfig(tau=1.0, sigma_g=0.8, noise_seed=1),
         sketch_b=None,
         optimizer="gd",
         master_seed=7,
@@ -90,14 +91,6 @@ def test_fed_config_validation():
                 small_fed_config(**{name: value})
     with pytest.raises(ConfigurationError):
         small_fed_config(optimizer="lbfgs")
-    with pytest.raises(ConfigurationError):
-        # sketch_b and mechanism.b must agree
-        small_fed_config(sketch_b=5, mechanism=MechanismConfig(tau=1.0, sigma_g=0.5, b=6))
-
-
-def test_client_data_rejects_empty_shard():
-    with pytest.raises(ConfigurationError):
-        ClientData(diag_quadratic_task(), np.array([], dtype=int))
 
 
 # ---------------------------------------------------------------------------
@@ -106,19 +99,19 @@ def test_client_data_rejects_empty_shard():
 
 def test_local_update_single_step_is_scaled_gradient():
     task = diag_quadratic_task()
-    data = ClientData(task, np.array([0]))
     rng = local_stream(0, 0, 0)
     # from the origin the identity is exact
-    delta0 = client_local_update(np.zeros(2), data, 1, 0.1, rng)
+    delta0 = client_local_update(np.zeros(2), task, np.array([0]), 1, 0.1, rng)
     assert np.array_equal(delta0, 0.1 * task.grad(np.zeros(2)))
     theta = np.array([1.0, 1.0])
-    delta = client_local_update(theta, data, 1, 0.1, rng)
+    delta = client_local_update(theta, task, np.array([0]), 1, 0.1, rng)
     assert np.allclose(delta, 0.1 * task.grad(theta), rtol=1e-12, atol=1e-15)
 
 
 def test_local_update_zero_step_size():
-    data = ClientData(diag_quadratic_task(), np.array([0]))
-    delta = client_local_update(np.array([1.0, 1.0]), data, 3, 0.0, local_stream(0, 0, 0))
+    delta = client_local_update(
+        np.array([1.0, 1.0]), diag_quadratic_task(), np.array([0]), 3, 0.0, local_stream(0, 0, 0)
+    )
     assert np.array_equal(delta, np.zeros(2))
 
 
@@ -126,18 +119,19 @@ def test_local_update_two_step_hand_trace():
     # A = diag(1, 2), theta0 = (1, 1), eta = 0.1, K = 2, full batch:
     # step 1: theta = (0.9, 0.8); step 2: theta = (0.81, 0.64)
     # delta = (0.19, 0.36), traced by hand.
-    data = ClientData(diag_quadratic_task(), np.array([0]))
-    delta = client_local_update(np.array([1.0, 1.0]), data, 2, 0.1, local_stream(0, 0, 0))
+    delta = client_local_update(
+        np.array([1.0, 1.0]), diag_quadratic_task(), np.array([0]), 2, 0.1, local_stream(0, 0, 0)
+    )
     assert np.allclose(delta, [0.19, 0.36], rtol=1e-12, atol=0)
 
 
 def test_local_update_minibatch_deterministic():
     task, part = make_logreg(n=40, d=5, clients=2, seed=1)
-    data = ClientData(task, part.client_indices(0))
+    shard = part.client_indices(0)
     theta = np.full(5, 0.3)
-    d1 = client_local_update(theta, data, 4, 0.05, local_stream(9, 0, 2), batch_size=5)
-    d2 = client_local_update(theta, data, 4, 0.05, local_stream(9, 0, 2), batch_size=5)
-    d3 = client_local_update(theta, data, 4, 0.05, local_stream(9, 0, 3), batch_size=5)
+    d1 = client_local_update(theta, task, shard, 4, 0.05, local_stream(9, 0, 2), batch_size=5)
+    d2 = client_local_update(theta, task, shard, 4, 0.05, local_stream(9, 0, 2), batch_size=5)
+    d3 = client_local_update(theta, task, shard, 4, 0.05, local_stream(9, 0, 3), batch_size=5)
     assert np.array_equal(d1, d2)
     assert not np.array_equal(d1, d3)
 
@@ -147,42 +141,96 @@ def test_local_update_minibatch_deterministic():
 
 
 def test_privatize_noiseless_identity_within_threshold():
-    mech = MechanismConfig(tau=10.0, sigma_g=0.0, b=3)
-    delta = np.array([0.25, -0.5, 0.125])  # binary fractions: /0.5 is exact
-    out = client_privatize(delta, 0.5, mech, identity_compressor(3), None, client_id=0)
-    assert np.array_equal(out.payload, delta)
-    assert out.clipped is False
+    mech = MechanismConfig(tau=10.0, sigma_g=0.0)
+    deltas = np.array([[0.25, -0.5, 0.125], [0.5, 0.0, -0.25]])  # binary fractions: /0.5 is exact
+    payloads, clipped = client_privatize(deltas, 0.5, mech, identity_compressor(3), [None, None])
+    assert np.array_equal(payloads, deltas)
+    assert clipped.tolist() == [False, False]
 
 
 def test_privatize_clip_saturation_norm():
-    mech = MechanismConfig(tau=1.0, sigma_g=0.0, b=4)
+    mech = MechanismConfig(tau=1.0, sigma_g=0.0)
     eta = 0.5
-    delta = eta * np.array([2.0, 0.0, 0.0, 0.0])  # normalized norm = 2 tau
-    out = client_privatize(delta, eta, mech, identity_compressor(4), None)
-    assert out.clipped is True
-    assert np.linalg.norm(out.payload) == eta * mech.tau
+    deltas = eta * np.array([[2.0, 0.0, 0.0, 0.0], [0.0, 0.0, 3.0, 0.0]])  # normalized norms 2, 3 tau
+    payloads, clipped = client_privatize(deltas, eta, mech, identity_compressor(4), [None, None])
+    assert clipped.tolist() == [True, True]
+    assert np.linalg.norm(payloads, axis=1).tolist() == [eta * mech.tau] * 2
 
 
 def test_privatize_clip_flag_boundary():
-    mech = MechanismConfig(tau=1.0, sigma_g=0.0, b=2)
-    inside = client_privatize(np.array([0.3, 0.4]), 1.0, mech, identity_compressor(2), None)
-    outside = client_privatize(np.array([3.0, 4.0]), 1.0, mech, identity_compressor(2), None)
-    assert inside.clipped is False
-    assert outside.clipped is True
+    mech = MechanismConfig(tau=1.0, sigma_g=0.0)
+    deltas = np.array([[0.3, 0.4], [3.0, 4.0]])
+    _, clipped = client_privatize(deltas, 1.0, mech, identity_compressor(2), [None, None])
+    assert clipped.tolist() == [False, True]
 
 
 def test_privatize_dimension_mismatch():
-    mech = MechanismConfig(tau=1.0, sigma_g=0.0, b=8)
+    mech = MechanismConfig(tau=1.0, sigma_g=0.0)
     R = sample_sketch(SketchSpec(b=4, d=16, seed=0))
     with pytest.raises(DimensionMismatchError):
-        client_privatize(np.zeros(16), 1.0, mech, R, None)
+        client_privatize(np.zeros((2, 8)), 1.0, mech, R, [None, None])
 
 
 def test_privatize_payload_lives_in_sketched_space():
-    mech = MechanismConfig(tau=1.0, sigma_g=0.5, b=4, noise_seed=2)
+    mech = MechanismConfig(tau=1.0, sigma_g=0.5, noise_seed=2)
     R = sample_sketch(SketchSpec(b=4, d=16, seed=0))
-    out = client_privatize(np.ones(16), 1.0, mech, R, noise_stream(2, 0, 0))
-    assert out.payload.shape == (4,)
+    rngs = [noise_stream(2, c, 0) for c in range(3)]
+    payloads, clipped = client_privatize(np.ones((3, 16)), 1.0, mech, R, rngs)
+    assert payloads.shape == (3, 4)
+    assert clipped.shape == (3,)
+
+
+@pytest.mark.parametrize("mode", ["dense", "stream", "identity"])
+def test_privatize_matrix_matches_per_client_reference(mode):
+    # one sketch pass over the d x N matrix equals clip + sgm_apply per client
+    d, n_clients, eta, seed = 700, 5, 0.25, 4
+    mech = MechanismConfig(tau=1.0, sigma_g=0.7, noise_seed=seed)
+    if mode == "identity":
+        R = identity_compressor(d)
+    else:  # b > BLOCK_ROWS, so a streamed sketch spans two blocks
+        R = sketch_module.SketchMatrix(SketchSpec(b=600, d=d, seed=3), mode=mode)
+    deltas = np.random.default_rng(1).standard_normal((n_clients, d)) * eta / 40
+    deltas[1] *= 100  # clipped
+    deltas[3] = 0.0  # a zero row is a fixed point of clip
+
+    def streams():
+        return [noise_stream(seed, c, 2) for c in range(n_clients)]
+
+    payloads, clipped = client_privatize(deltas, eta, mech, R, streams())
+    assert payloads.shape == (n_clients, R.b)
+    for i, rng in enumerate(streams()):
+        scaled = deltas[i] / eta
+        ref = eta * sgm_apply(clip(scaled, mech.tau), R, mech.sigma_g, rng)
+        assert np.linalg.norm(payloads[i] - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert clipped[i] == (np.linalg.norm(scaled) > mech.tau)
+    assert clipped.tolist() == [False, True, False, False, False]
+    # the noise bits: R @ 0 is exactly 0, so zero deltas leave only eta * sigma_g * xi
+    zero, _ = client_privatize(np.zeros((n_clients, d)), eta, mech, R, streams())
+    for i, rng in enumerate(streams()):
+        assert np.array_equal(zero[i], eta * sgm_apply(np.zeros(d), R, mech.sigma_g, rng))
+
+
+def test_streamed_round_generates_the_sketch_twice(monkeypatch):
+    # one sketch pass and one desketch pass per round: 2 b generated rows,
+    # where one sketch call per client would generate (N + 1) b
+    monkeypatch.setattr(sketch_module, "DENSE_MAX_ENTRIES", 1)
+    rows = []
+    iter_blocks = sketch_module.SketchMatrix.iter_blocks
+
+    def counted_blocks(matrix):
+        assert matrix.mode == "stream"
+        for block in iter_blocks(matrix):
+            rows.append(block.shape[0])
+            yield block
+
+    monkeypatch.setattr(sketch_module.SketchMatrix, "iter_blocks", counted_blocks)
+    task, part = make_logreg(n=60, d=40, clients=6, seed=3)
+    cfg = small_fed_config(
+        clients=6, clients_per_round=4, rounds=1, sketch_b=600,
+        mechanism=MechanismConfig(tau=1.0, sigma_g=1.0, noise_seed=5),
+    )
+    run_federation(cfg, task, part)
+    assert sum(rows) == 2 * 600
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +241,7 @@ def test_server_round_zero_updates_leave_theta():
     cfg = small_fed_config()
     state = init_server_state(cfg, 6)
     theta = np.arange(6.0)
-    ups = [PrivatizedUpdate(c, np.zeros(6), False) for c in range(2)]
-    theta2, _ = server_round(theta, ups, identity_compressor(6), state)
+    theta2, _ = server_round(theta, np.zeros((2, 6)), identity_compressor(6), state)
     assert np.array_equal(theta2, theta)
 
 
@@ -202,31 +249,20 @@ def test_server_round_single_update_identity_aggregation():
     cfg = small_fed_config()
     state = init_server_state(cfg, 6)
     payload = np.linspace(-1, 1, 6)
-    theta2, _ = server_round(np.zeros(6), [PrivatizedUpdate(0, payload, False)], identity_compressor(6), state)
+    theta2, _ = server_round(np.zeros(6), payload[None, :], identity_compressor(6), state)
     assert np.allclose(theta2, -cfg.eta_global * payload, rtol=1e-15, atol=0)
 
 
-def test_server_round_order_independent():
-    state = init_server_state(small_fed_config(), 5)
-    rng = np.random.default_rng(3)
-    ups = [PrivatizedUpdate(c, rng.standard_normal(5), False) for c in range(6)]
-    theta = rng.standard_normal(5)
-    ref, _ = server_round(theta, ups, identity_compressor(5), state)
-    for perm_seed in range(4):
-        shuffled = list(np.random.default_rng(perm_seed).permutation(ups))
-        got, _ = server_round(theta, shuffled, identity_compressor(5), state)
-        assert np.array_equal(got, ref)  # bit-identical
-
-
 def test_server_round_rejects_raw_updates():
-    # the type boundary: a d-dimensional (unsketched) vector must not pass
-    state = init_server_state(small_fed_config(sketch_b=3, mechanism=MechanismConfig(tau=1.0, sigma_g=0.5, b=3)), 3)
+    # the type boundary: d-dimensional (unsketched) rows must not pass
+    state = init_server_state(small_fed_config(sketch_b=3), 3)
     R = sample_sketch(SketchSpec(b=3, d=12, seed=1))
-    raw = PrivatizedUpdate(0, np.zeros(12), False)
     with pytest.raises(DimensionMismatchError):
-        server_round(np.zeros(12), [raw], R, state)
+        server_round(np.zeros(12), np.zeros((1, 12)), R, state)
+    with pytest.raises(DimensionMismatchError):
+        server_round(np.zeros(12), np.zeros(3), R, state)  # a vector, not an N x b matrix
     with pytest.raises(ConfigurationError):
-        server_round(np.zeros(12), [], R, state)
+        server_round(np.zeros(12), np.zeros((0, 3)), R, state)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +313,7 @@ def test_fedavg_equivalence():
         eta_local=0.2,
         eta_global=0.7,
         batch_size=10,
-        mechanism=MechanismConfig(tau=math.inf, sigma_g=0.0, b=4),
+        mechanism=MechanismConfig(tau=math.inf, sigma_g=0.0),
         sketch_b=None,
         optimizer="gd",
         master_seed=3,
@@ -314,7 +350,7 @@ def test_sketched_quadratic_converges():
         eta_local=0.1,
         eta_global=0.5,
         batch_size=10,
-        mechanism=MechanismConfig(tau=NO_CLIP, sigma_g=0.0, b=10),
+        mechanism=MechanismConfig(tau=NO_CLIP, sigma_g=0.0),
         sketch_b=10,
         optimizer="gd",
         master_seed=11,
@@ -332,7 +368,7 @@ def test_run_deterministic_in_seed():
     cfg = small_fed_config(
         rounds=4,
         sketch_b=3,
-        mechanism=MechanismConfig(tau=1.0, sigma_g=1.2, b=3, noise_seed=5),
+        mechanism=MechanismConfig(tau=1.0, sigma_g=1.2, noise_seed=5),
     )
     r1 = run_federation(cfg, task, part)
     r2 = run_federation(cfg, task, part)
@@ -360,7 +396,7 @@ def test_default_test_metric_reuses_train_loss():
 
     task.loss = counted_loss
     cfg = small_fed_config(
-        rounds=5, sketch_b=2, mechanism=MechanismConfig(tau=1.0, sigma_g=1.2, b=2, noise_seed=5)
+        rounds=5, sketch_b=2, mechanism=MechanismConfig(tau=1.0, sigma_g=1.2, noise_seed=5)
     )
     result = run_federation(cfg, task, part)
     assert calls == [None] * 5
@@ -370,7 +406,7 @@ def test_default_test_metric_reuses_train_loss():
 
 def test_epsilon_ledger_matches_accountant():
     task, part = make_logreg(n=60, d=6, clients=6, seed=5)
-    mech = MechanismConfig(tau=1.0, sigma_g=0.9, b=6, noise_seed=2)
+    mech = MechanismConfig(tau=1.0, sigma_g=0.9, noise_seed=2)
     cfg = small_fed_config(
         clients=6, clients_per_round=2, rounds=5, mechanism=mech, sketch_b=None
     )
@@ -386,7 +422,7 @@ def test_epsilon_ledger_matches_accountant():
 def test_regime_violation_warns_and_continues():
     task, part = make_logreg(n=30, d=6, clients=3, seed=6)
     # r = 2 tau^2/(b sigma^2) = 2/(6*0.09) = 3.7 >= 1: accounting impossible
-    mech = MechanismConfig(tau=1.0, sigma_g=0.3, b=6, noise_seed=2)
+    mech = MechanismConfig(tau=1.0, sigma_g=0.3, noise_seed=2)
     cfg = small_fed_config(clients=3, clients_per_round=2, rounds=2, mechanism=mech)
     with pytest.warns(UserWarning, match="epsilon = inf"):
         result = run_federation(cfg, task, part)
@@ -413,26 +449,17 @@ def test_clip_rate_regimes():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         tight = run_federation(
-            FedConfig(mechanism=MechanismConfig(tau=1e-9, sigma_g=0.0, b=2), **base),
+            FedConfig(mechanism=MechanismConfig(tau=1e-9, sigma_g=0.0), **base),
             task,
             part,
         )
         loose = run_federation(
-            FedConfig(mechanism=MechanismConfig(tau=NO_CLIP, sigma_g=0.0, b=2), **base),
+            FedConfig(mechanism=MechanismConfig(tau=NO_CLIP, sigma_g=0.0), **base),
             task,
             part,
         )
     assert all(r.clip_activation_rate == 1.0 for r in tight.records)
     assert all(r.clip_activation_rate == 0.0 for r in loose.records)
-
-
-def test_mechanism_b_must_match_payload_dim():
-    task, part = make_logreg(n=30, d=6, clients=3, seed=8)
-    cfg = small_fed_config(
-        clients=3, clients_per_round=2, mechanism=MechanismConfig(tau=1.0, sigma_g=0.5, b=4)
-    )  # identity mode: payloads are d=6-dimensional, mechanism says 4
-    with pytest.raises(ConfigurationError):
-        run_federation(cfg, task, part)
 
 
 def test_partition_mismatch_rejected():
@@ -452,7 +479,7 @@ def test_records_csv_shape():
         clients=3,
         clients_per_round=2,
         rounds=2,
-        mechanism=MechanismConfig(tau=1.0, sigma_g=1.0, b=4, noise_seed=9),
+        mechanism=MechanismConfig(tau=1.0, sigma_g=1.0, noise_seed=9),
     )
     result = run_federation(cfg, task, part)
     text = records_to_csv(result.records)

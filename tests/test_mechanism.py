@@ -24,22 +24,24 @@ from fedsgm.mechanism import noise_stream, sensitivity_ratio
 
 
 def test_config_validation():
-    cfg = MechanismConfig(tau=1.0, sigma_g=0.5, b=128, noise_seed=3)
-    assert cfg.tau == 1.0 and cfg.b == 128
+    cfg = MechanismConfig(tau=1.0, sigma_g=0.5, noise_seed=3)
+    assert cfg.tau == 1.0 and cfg.sigma_g == 0.5
     with pytest.raises(ConfigurationError):
-        MechanismConfig(tau=0.0, sigma_g=0.5, b=128)
+        MechanismConfig(tau=0.0, sigma_g=0.5)
     with pytest.raises(ConfigurationError):
-        MechanismConfig(tau=-1.0, sigma_g=0.5, b=128)
+        MechanismConfig(tau=-1.0, sigma_g=0.5)
     with pytest.raises(ConfigurationError):
-        MechanismConfig(tau=1.0, sigma_g=-0.1, b=128)
+        MechanismConfig(tau=1.0, sigma_g=-0.1)
     with pytest.raises(ConfigurationError):
-        MechanismConfig(tau=1.0, sigma_g=0.5, b=0)
+        MechanismConfig(tau=1.0, sigma_g=math.inf)
 
 
 def test_config_accepts_numpy_ints_and_zero_noise():
-    cfg = MechanismConfig(tau=1.0, sigma_g=0.0, b=np.int64(16))
-    assert isinstance(cfg.b, int)
+    cfg = MechanismConfig(tau=1.0, sigma_g=0.0, noise_seed=np.int64(16))
     assert cfg.sigma_g == 0.0  # non-private ablation mode is legal here
+    # a numpy-int seed keys the same noise stream as the Python int
+    drawn = noise_stream(cfg.noise_seed, 2, 3).standard_normal(4)
+    assert np.array_equal(drawn, noise_stream(16, 2, 3).standard_normal(4))
 
 
 # ---------------------------------------------------------------------------

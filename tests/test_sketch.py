@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fedsgm import (
+    SketchMatrix,
     SketchSpec,
     identity_compressor,
     sample_sketch,
@@ -93,6 +94,19 @@ def test_isometry_in_expectation():
     assert abs(np.mean(norms) - 1.0) < 3 * se
 
 
+@pytest.mark.parametrize("mode", ["dense", "stream"])
+def test_sketch_columns_match_vector_sketches(mode):
+    # a (d, N) matrix is sketched column by column, in one pass over R
+    R = SketchMatrix(SketchSpec(b=600, d=30, seed=5), mode=mode)
+    X = np.random.default_rng(2).standard_normal((30, 4))
+    Y = R.sketch(X)
+    assert Y.shape == (600, 4)
+    for j in range(4):
+        ref = R.sketch(X[:, j])
+        assert np.linalg.norm(Y[:, j] - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert np.array_equal(identity_compressor(30).sketch(X), X)
+
+
 def test_sketch_zero_vector():
     R = sample_sketch(SketchSpec(b=8, d=32, seed=1))
     assert np.array_equal(R.sketch(np.zeros(32)), np.zeros(8))
@@ -130,6 +144,9 @@ def test_sketch_dimension_mismatch():
         R.sketch(np.zeros(11))
     with pytest.raises(DimensionMismatchError):
         R.desketch(np.zeros(5))
+    for bad in (np.zeros((11, 3)), np.zeros((10, 3, 2)), np.zeros(())):
+        with pytest.raises(DimensionMismatchError):
+            R.sketch(bad)
 
 
 def test_desketch_zero():

@@ -54,6 +54,11 @@ def test_partition_rejects_gaps_and_overlaps():
         Partition((np.array([0]), np.array([2])), 3)  # gap
 
 
+def test_partition_rejects_empty_shard():
+    with pytest.raises(ConfigurationError, match="client 1 has an empty shard"):
+        Partition((np.array([0, 1]), np.array([], dtype=int)), 2)
+
+
 def test_label_skew_partition_valid_and_skewed():
     labels = np.repeat([-1.0, 1.0], 100)
     part = label_skew_partition(labels, 8, concentration=0.1, seed=3)
