@@ -56,7 +56,9 @@ class Task:
 
     loss/grad take an optional index array and average over it (all samples
     when omitted).  hessian is the full-data Hessian at theta, or None when
-    unavailable.
+    unavailable.  The logistic task keeps its last full-data margin X @ theta
+    in a one-slot cache keyed by theta's values, so full-data grad, loss and
+    hessian at one iterate share a single pass over X.
     """
 
     name: str
@@ -175,12 +177,18 @@ def make_federated_quadratic(
         centers = np.tile(base, (clients, 1))
 
     mean_center = centers.mean(axis=0)
-    resid = centers - mean_center
-    min_val = float(0.5 * np.mean(np.einsum("id,de,ie->i", resid, H, resid)))
+
+    def half_mean_quad_form(diffs):
+        # row-wise diffs_i^T H diffs_i; two einsum operands, since numpy runs
+        # a three-operand einsum as a naive loop
+        return float(0.5 * np.mean(np.einsum("id,id->i", diffs @ H, diffs)))
+
+    min_val = half_mean_quad_form(centers - mean_center)
 
     def loss(theta, idx=None):
-        diffs = (theta - centers) if idx is None else (theta - centers[np.asarray(idx)])
-        return float(0.5 * np.mean(np.einsum("id,de,ie->i", diffs, H, diffs)))
+        return half_mean_quad_form(
+            (theta - centers) if idx is None else (theta - centers[np.asarray(idx)])
+        )
 
     def grad(theta, idx=None):
         c = mean_center if idx is None else centers[np.asarray(idx)].mean(axis=0)
@@ -220,19 +228,37 @@ def _logreg_task(X: np.ndarray, y: np.ndarray, X_test, y_test) -> Task:
     if set(np.unique(y)) - {-1.0, 1.0}:
         raise ConfigurationError("labels must be in {-1, +1}")
 
+    # One-slot cache of the full-data margin z = X @ theta.  run_federation
+    # scores each iterate with grad then loss, and each X @ theta is a pass
+    # over all of X; the cache lets them share one.  The key is theta's
+    # values (a stored copy compared with np.array_equal, never id(theta)),
+    # so a caller that changes theta in place gets fresh numbers.  Client
+    # calls (idx given) bypass it.
+    cached_theta, cached_z = None, None
+
+    def margin(theta, idx=None):
+        nonlocal cached_theta, cached_z
+        if idx is not None:
+            Xi = X[np.asarray(idx)]
+            return Xi, y[np.asarray(idx)], Xi @ theta
+        if cached_theta is None or not np.array_equal(theta, cached_theta):
+            cached_theta, cached_z = np.array(theta), X @ theta
+            cached_z.flags.writeable = False  # shared by every full-data caller
+        return X, y, cached_z
+
     def loss(theta, idx=None):
-        Xi, yi = (X, y) if idx is None else (X[np.asarray(idx)], y[np.asarray(idx)])
-        return float(np.mean(np.logaddexp(0.0, -yi * (Xi @ theta))))
+        _, yi, z = margin(theta, idx)
+        return float(np.mean(np.logaddexp(0.0, -yi * z)))
 
     def grad(theta, idx=None):
-        Xi, yi = (X, y) if idx is None else (X[np.asarray(idx)], y[np.asarray(idx)])
-        coef = -yi * _sigmoid(-yi * (Xi @ theta))
+        Xi, yi, z = margin(theta, idx)
+        coef = -yi * _sigmoid(-yi * z)
         return Xi.T @ coef / len(yi)
 
     def hessian(theta):
         if d > _HESSIAN_DIM_LIMIT:
             raise ResourceLimitError(f"hessian unavailable for d = {d} > {_HESSIAN_DIM_LIMIT}")
-        p = _sigmoid(X @ theta)
+        p = _sigmoid(margin(theta)[2])
         w = p * (1.0 - p)
         return (X * w[:, None]).T @ X / n
 

@@ -18,6 +18,7 @@ from fedsgm import (
     power_law_spectrum,
 )
 from fedsgm.errors import ConfigurationError
+from fedsgm.tasks import _logreg_task
 
 
 def finite_diff_grad_check(task, theta, directions=20, h=1e-6, rel_tol=1e-5, seed=0):
@@ -140,6 +141,22 @@ def test_federated_quadratic_client_grads_average():
     assert np.allclose(np.mean(per_client, axis=0), task.grad(theta), rtol=1e-12, atol=1e-14)
 
 
+def test_quadratic_loss_matches_three_operand_einsum():
+    lam = np.linspace(0.5, 2.0, 64)  # well conditioned: centers are recovered by a solve
+    task, _ = make_federated_quadratic(lam, seed=12, clients=16, heterogeneity=0.8)
+    H = task.hessian(task.theta0)
+    # grad(0, [i]) = -H c_i
+    centers = np.array([-np.linalg.solve(H, task.grad(task.theta0, [i])) for i in range(16)])
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        theta = rng.standard_normal(64)
+        idx = np.sort(rng.choice(16, size=int(rng.integers(1, 17)), replace=False))
+        for sub in (None, idx):
+            diffs = theta - (centers if sub is None else centers[sub])
+            ref = 0.5 * np.mean(np.einsum("id,de,ie->i", diffs, H, diffs))
+            assert task.loss(theta, sub) == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
 # ---------------------------------------------------------------------------
 # logistic regression
 
@@ -182,6 +199,77 @@ def test_logreg_full_batch_gd_smoke():
     # singleton logistic loss is below log 2
     correct = sum(task.loss(theta, [i]) < math.log(2.0) for i in range(task.n))
     assert correct / task.n >= 0.95
+
+
+class _CountingArray(np.ndarray):
+    """Feature matrix that counts the products taken with it (and its views)."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        _CountingArray.products += 1
+        return np.asarray(self) @ other
+
+
+def _counting_logreg(n=40, d=5, seed=11):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, d))
+    y = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    task = _logreg_task(X.view(_CountingArray), y, X[:10], y[:10])
+    return task, X, y, rng
+
+
+def _uncached_loss_grad_hessian(X, y, theta):
+    sigmoid = lambda z: 0.5 * (1.0 + np.tanh(0.5 * z))
+    z = X @ theta
+    loss = float(np.mean(np.logaddexp(0.0, -y * z)))
+    grad = X.T @ (-y * sigmoid(-y * z)) / len(y)
+    p = sigmoid(z)
+    return loss, grad, (X * (p * (1.0 - p))[:, None]).T @ X / len(y)
+
+
+def test_logreg_grad_then_loss_share_one_full_data_product():
+    task, X, y, rng = _counting_logreg()
+    theta = rng.standard_normal(5)
+    _CountingArray.products = 0
+    g = task.grad(theta)
+    loss = task.loss(theta)
+    # X @ theta once, X.T @ coef once; the loss reuses the margin
+    assert _CountingArray.products == 2
+    task.hessian(theta)
+    assert _CountingArray.products == 3  # only X^T W X; p comes from the shared margin
+    ref_loss, ref_grad, _ = _uncached_loss_grad_hessian(X, y, theta)
+    assert loss == ref_loss and np.array_equal(g, ref_grad)
+
+
+def test_logreg_margin_cache_sees_in_place_changes():
+    task, X, y, rng = _counting_logreg()
+    theta = rng.standard_normal(5)
+    task.grad(theta)
+    task.loss(theta)
+    theta[2] += 0.25  # same object, new values
+    ref_loss, ref_grad, ref_hess = _uncached_loss_grad_hessian(X, y, theta)
+    assert task.loss(theta) == ref_loss
+    assert np.array_equal(task.grad(theta), ref_grad)
+    assert np.array_equal(task.hessian(theta), ref_hess)
+    # a fresh task (empty cache) gives the same bits in the other order
+    fresh, *_ = _counting_logreg()
+    assert np.array_equal(fresh.hessian(theta), ref_hess)
+    assert fresh.loss(theta) == ref_loss
+
+
+def test_logreg_client_call_leaves_full_data_margin_alone():
+    task, X, y, rng = _counting_logreg()
+    theta = rng.standard_normal(5)
+    task.loss(theta)  # fills the cache
+    idx = np.arange(0, 40, 3)
+    g_client = task.grad(theta, idx)
+    ref_loss, _, _ = _uncached_loss_grad_hessian(X, y, theta)
+    assert task.loss(theta) == ref_loss
+    assert np.array_equal(g_client, _uncached_loss_grad_hessian(X[idx], y[idx], theta)[1])
+    theta2 = theta + 0.1
+    task.grad(theta2, idx)
+    assert task.loss(theta2) == _uncached_loss_grad_hessian(X, y, theta2)[0]
 
 
 # ---------------------------------------------------------------------------
