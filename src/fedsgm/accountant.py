@@ -37,6 +37,10 @@ from .mechanism import sensitivity_ratio
 # short-circuit to inf instead of overflowing exp().
 _EPS_OVERFLOW = 700.0
 
+# Both calibrations bisect until the bracket on sigma is narrower than this
+# share of its upper end, which they return.
+CALIBRATION_REL_TOL = 1e-4
+
 
 @dataclass(frozen=True)
 class RdpPoint:
@@ -349,7 +353,6 @@ def calibrate_sgm_sigma(
     T: int,
     tau: float,
     b: int,
-    rel_tol: float = 1e-4,
 ) -> float:
     """Smallest sigma_g whose end-to-end budget meets the target guarantee.
 
@@ -379,7 +382,7 @@ def calibrate_sgm_sigma(
             f"no sigma_g up to {hi:.3g} meets eps={target_eps} (q={q}, T={T})"
         )
     lo = floor  # infeasible by construction (regime boundary)
-    while (hi - lo) > rel_tol * hi:
+    while (hi - lo) > CALIBRATION_REL_TOL * hi:
         mid = 0.5 * (lo + hi)
         try:
             feasible = eps_at(mid) <= target_eps
@@ -448,9 +451,7 @@ def baseline_gm_epsilon(sigma: float, q: float, T: int, delta: float) -> float:
     return float(np.min(T * rdp + math.log(1.0 / delta) / (_ALPHAS - 1.0)))
 
 
-def calibrate_baseline_sigma(
-    target: DpPoint, q: float, T: int, rel_tol: float = 1e-4
-) -> float:
+def calibrate_baseline_sigma(target: DpPoint, q: float, T: int) -> float:
     """Smallest baseline noise multiplier meeting the target guarantee.
 
     Note the integer-order conversion has an epsilon floor of about
@@ -472,7 +473,7 @@ def calibrate_baseline_sigma(
             raise CalibrationError(
                 f"target eps={target_eps} below the integer-order conversion floor"
             )
-    while (hi - lo) > rel_tol * hi:
+    while (hi - lo) > CALIBRATION_REL_TOL * hi:
         mid = 0.5 * (lo + hi)
         if eps_at(mid) <= target_eps:
             hi = mid

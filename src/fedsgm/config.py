@@ -159,6 +159,11 @@ def _cross_validate(cfg: dict):
         )
     if isinstance(mech["sigma_g"], float) and mech["sigma_g"] < 0:
         raise ConfigurationError("mechanism.sigma_g must be >= 0")
+    if sk["mode"] == "identity" and mech["sigma_g"] != 0.0:
+        raise ConfigurationError(
+            "sketch.mode = \"identity\" requires mechanism.sigma_g = 0: the accountant "
+            f"covers sketched releases only, got mechanism.sigma_g = {mech['sigma_g']!r}"
+        )
     if mech["tau"] <= 0:
         raise ConfigurationError("mechanism.tau must be positive")
 

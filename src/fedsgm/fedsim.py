@@ -33,7 +33,7 @@ from .accountant import AccountantParams, sgm_epsilon
 from .errors import ConfigurationError, DimensionMismatchError, ParameterRegimeError
 from .mechanism import MechanismConfig, clip, noise_stream
 from .optim import AdamState, AmsGradState, adam_step, amsgrad_step, gd_step
-from .sketch import Compressor, SketchSpec, identity_compressor, sample_sketch
+from .sketch import Compressor, IdentityCompressor, SketchSpec, sample_sketch
 from .tasks import Partition, Task, iid_partition
 
 CSV_SCHEMA = "# fed-sgm csv v1"
@@ -57,7 +57,7 @@ class FedConfig:
     eta_global: float
     batch_size: int
     mechanism: MechanismConfig
-    sketch_b: Optional[int] = None  # None = identity compressor (no sketching)
+    sketch_b: Optional[int] = None  # None = identity compressor (no sketching, epsilon = inf)
     optimizer: str = "gd"
     beta1: float = 0.9
     beta2: float = 0.99
@@ -234,19 +234,22 @@ def server_round(
 def round_compressor(cfg: FedConfig, d: int, round_idx: int) -> Compressor:
     """Fresh sketch per round, seeded by (master_seed, round); or the identity."""
     if cfg.sketch_b is None:
-        return identity_compressor(d)
+        return IdentityCompressor(d)
     return sample_sketch(SketchSpec(b=cfg.sketch_b, d=d, seed=(cfg.master_seed, round_idx)))
 
 
-def _epsilon_spent(cfg: FedConfig, d: int, rounds_done: int) -> float:
-    b = cfg.sketch_b if cfg.sketch_b is not None else d
+def _epsilon_spent(cfg: FedConfig, rounds_done: int) -> float:
+    if cfg.sketch_b is None:
+        # an unsketched release is a plain Gaussian sum, outside the sketched analysis
+        warnings.warn("privacy accounting covers sketched releases only; reporting epsilon = inf")
+        return float("inf")
     try:
         return sgm_epsilon(
             AccountantParams(
                 q=cfg.q,
                 T=rounds_done,
                 tau=cfg.mechanism.tau,
-                b=b,
+                b=cfg.sketch_b,
                 sigma_g=cfg.mechanism.sigma_g,
             ),
             cfg.delta,
@@ -322,7 +325,7 @@ def run_federation(
                 grad_norm_sq=grad_norm_sq,
                 test_metric=test_metric,
                 clip_activation_rate=float(np.mean(clipped)),
-                epsilon_spent=_epsilon_spent(cfg, d, t + 1),
+                epsilon_spent=_epsilon_spent(cfg, t + 1),
             )
         )
     return FederationResult(records, theta)

@@ -25,7 +25,8 @@ from .errors import DimensionMismatchError, ResourceLimitError
 # layout of every sketch, so it is part of the on-disk/replay contract.
 BLOCK_ROWS = 512
 
-# Dense materialization is refused above this many entries.
+# Sketches with at most this many entries keep their row blocks in memory;
+# larger ones regenerate them on every pass and refuse to materialize.
 DENSE_MAX_ENTRIES = 10**8
 
 # Domain-separation tag so sketch streams never collide with noise streams
@@ -48,10 +49,6 @@ class SketchSpec:
             raise DimensionMismatchError(
                 f"sketch dims must be positive, got b={self.b}, d={self.d}"
             )
-
-    @property
-    def entries(self) -> int:
-        return self.b * self.d
 
     def _entropy(self) -> tuple:
         seed = self.seed
@@ -84,28 +81,18 @@ def _columns(x: np.ndarray, d: int) -> np.ndarray:
 
 
 class SketchMatrix:
-    """A realized Gaussian sketch.
+    """A realized Gaussian sketch, applied one row block at a time.
 
-    In dense mode the full matrix is cached; in streaming mode row blocks are
-    regenerated per application.  Both modes produce bit-identical matrices
-    because they share the per-block PRNG streams.
+    When b * d <= DENSE_MAX_ENTRIES the blocks generated at construction are
+    kept; above it they are regenerated on every pass, so only one block is
+    alive at a time.  Kept and regenerated blocks hold the same bits (each
+    comes from its own PRNG stream) and go through the same code, so both
+    give bit-identical results.
     """
 
-    def __init__(self, spec: SketchSpec, mode: str = "auto"):
-        if mode not in ("auto", "dense", "stream"):
-            raise ValueError(f"unknown sketch mode {mode!r}")
-        if mode == "auto":
-            mode = "dense" if spec.entries <= DENSE_MAX_ENTRIES else "stream"
-        if mode == "dense" and spec.entries > DENSE_MAX_ENTRIES:
-            raise ResourceLimitError(
-                f"dense sketch with {spec.entries:.3g} entries exceeds the "
-                f"{DENSE_MAX_ENTRIES:.0e} limit; use streaming mode"
-            )
+    def __init__(self, spec: SketchSpec):
         self.spec = spec
-        self.mode = mode
-        self._dense = None
-        if mode == "dense":
-            self._dense = self.materialize()
+        self._kept = list(self.iter_blocks()) if spec.b * spec.d <= DENSE_MAX_ENTRIES else None
 
     @property
     def b(self) -> int:
@@ -115,33 +102,30 @@ class SketchMatrix:
     def d(self) -> int:
         return self.spec.d
 
-    def num_blocks(self) -> int:
-        return -(-self.spec.b // BLOCK_ROWS)
-
     def iter_blocks(self) -> Iterator[np.ndarray]:
-        """Yield row blocks in order; re-entrant (same bits every pass)."""
-        for k in range(self.num_blocks()):
+        """Generate the row blocks in order; re-entrant (same bits every pass)."""
+        for k in range(-(-self.spec.b // BLOCK_ROWS)):
             yield _gen_block(self.spec, k)
+
+    def _blocks(self):
+        # kept blocks bypass iter_blocks, so every block it yields is a generated one
+        return self.iter_blocks() if self._kept is None else self._kept
 
     def materialize(self) -> np.ndarray:
         """The full (b, d) matrix. Deterministic given the SketchSpec alone."""
-        if self._dense is not None:
-            return self._dense
-        if self.spec.entries > DENSE_MAX_ENTRIES:
+        if self._kept is None:
             raise ResourceLimitError(
-                f"refusing to materialize {self.spec.entries:.3g} entries"
+                f"refusing to materialize {self.spec.b * self.spec.d:.3g} entries"
             )
-        return np.concatenate(list(self.iter_blocks()), axis=0)
+        return np.concatenate(self._kept)
 
     def sketch(self, x: np.ndarray) -> np.ndarray:
         """R @ x: compress a d-vector, or each column of a (d, N) matrix, to b dimensions."""
         x = _columns(x, self.spec.d)
-        if self._dense is not None:
-            return self._dense @ x
         parts = []
-        for block in self.iter_blocks():
+        for block in self._blocks():
             parts.append(block @ x)
-            del block  # free it before the next block is generated
+            del block  # free a regenerated block before the next one is made
         return np.concatenate(parts)
 
     def desketch(self, y: np.ndarray) -> np.ndarray:
@@ -151,14 +135,12 @@ class SketchMatrix:
             raise DimensionMismatchError(
                 f"expected shape ({self.spec.b},), got {y.shape}"
             )
-        if self._dense is not None:
-            return self._dense.T @ y
         out = np.zeros(self.spec.d)
         lo = 0
-        for block in self.iter_blocks():
+        for block in self._blocks():
             out += block.T @ y[lo : lo + block.shape[0]]
             lo += block.shape[0]
-            del block  # free it before the next block is generated
+            del block  # free a regenerated block before the next one is made
         return out
 
 
@@ -181,10 +163,6 @@ class IdentityCompressor:
 Compressor = Union[SketchMatrix, IdentityCompressor]
 
 
-def sample_sketch(spec: SketchSpec, mode: str = "auto") -> SketchMatrix:
+def sample_sketch(spec: SketchSpec) -> SketchMatrix:
     """Realize the sketch described by `spec`."""
-    return SketchMatrix(spec, mode=mode)
-
-
-def identity_compressor(d: int) -> IdentityCompressor:
-    return IdentityCompressor(d)
+    return SketchMatrix(spec)

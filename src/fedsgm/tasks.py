@@ -23,6 +23,11 @@ from .errors import ConfigurationError, ResourceLimitError
 
 _HESSIAN_DIM_LIMIT = 500
 
+# estimate_G_and_sigma_s: minibatch draws per (probe, client), and the tail
+# quantile its sub-Gaussian fit matches
+_NOISE_DRAWS = 8
+_NOISE_QUANTILE = 0.975
+
 _TASK_TAG = 0x7A5C
 
 
@@ -208,12 +213,6 @@ def make_federated_quadratic(
     return task, part
 
 
-def make_quadratic(eigenvalues: Sequence[float], seed: int = 0, center_scale: float = 1.0) -> Task:
-    """Single-center quadratic with the given Hessian spectrum (see above)."""
-    task, _ = make_federated_quadratic(eigenvalues, seed=seed, center_scale=center_scale)
-    return task
-
-
 # ---------------------------------------------------------------------------
 # Logistic regression tasks
 # ---------------------------------------------------------------------------
@@ -352,18 +351,15 @@ def estimate_G_and_sigma_s(
     thetas: Sequence[np.ndarray],
     batch_size: int,
     seed: int = 0,
-    draws: int = 8,
-    quantile: float = 0.975,
 ) -> tuple[float, float]:
     """Empirical client-gradient bound G and minibatch noise scale sigma_s.
 
     G is the max full-shard client gradient norm over the probe points.
     sigma_s fits the sub-Gaussian tail 2 exp(-a^2/sigma_s^2) to the observed
-    minibatch deviations at the given quantile; full-batch sampling (batch
-    covering the shard) yields exactly 0.
+    _NOISE_DRAWS minibatch deviations per client and probe at the
+    _NOISE_QUANTILE quantile; full-batch sampling (batch covering the shard)
+    yields exactly 0.
     """
-    if not 0.5 < quantile < 1.0:
-        raise ConfigurationError(f"quantile must be in (0.5, 1), got {quantile}")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, _TASK_TAG, 5))))
     G = 0.0
     devs = []
@@ -373,10 +369,10 @@ def estimate_G_and_sigma_s(
             g_full = task.grad(theta, shard)
             G = max(G, float(np.linalg.norm(g_full)))
             bs = min(batch_size, len(shard))
-            for _ in range(draws):
+            for _ in range(_NOISE_DRAWS):
                 # sorted so a full batch reproduces g_full bit for bit
                 batch = np.sort(rng.choice(shard, size=bs, replace=False))
                 devs.append(float(np.linalg.norm(task.grad(theta, batch) - g_full)))
-    a_q = float(np.quantile(devs, quantile)) if devs else 0.0
-    sigma_s = a_q / math.sqrt(math.log(2.0 / (1.0 - quantile)))
+    a_q = float(np.quantile(devs, _NOISE_QUANTILE)) if devs else 0.0
+    sigma_s = a_q / math.sqrt(math.log(2.0 / (1.0 - _NOISE_QUANTILE)))
     return G, sigma_s

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import integrate, stats
 from scipy.special import gammaln, logsumexp
 
-from fedsgm import (
+from fedsgm.accountant import (
     AccountantParams,
     DpPoint,
     RdpPoint,
@@ -33,9 +33,9 @@ from fedsgm import (
     sgm_rdp_bound,
     sgm_step_dp,
     strong_compose,
+    rdp_bound_validity,
     subsample_dp,
 )
-from fedsgm.accountant import rdp_bound_validity
 from fedsgm.errors import (
     CalibrationError,
     ConfigurationError,

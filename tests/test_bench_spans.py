@@ -1,10 +1,12 @@
-"""The benchmark's per-layer trace (perfbench/spans.py) still fits the package.
+"""The benchmark (perfbench/) still fits the package.
 
-spans.py wraps fedsgm's functions by module attribute.  A refactor that
-renames or stops calling one of them would otherwise break `--trace 1` runs
-of the benchmark without failing any test here.
+spans.py wraps fedsgm's functions by module attribute, and checks.py and
+workload.py read names from the package namespace.  A refactor that renames,
+stops calling or stops exporting one of them would otherwise break runs of
+the benchmark without failing any test here.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -71,4 +73,31 @@ def test_tracer_installs_and_sees_every_layer(tmp_path):
     # the wrapped attributes would drop the largest fed_dense layer from the trace
     assert calls["tasks.eval"] == 3 * 3
     assert calls["sketch.generate"] == calls["sketch.apply"] == calls["sketch.desketch"] == 3
-    assert report["rows"] == 3 * 4  # the dense sketch is generated once per round
+    assert report["rows"] == 3 * 4  # a kept sketch is generated once per round
+
+
+def test_benchmark_reads_only_names_the_package_exports():
+    # each file's fedsgm.<name> reads, resolved after the fedsgm imports it
+    # makes itself (checks.py gets the package from run.py's bare import)
+    for name in ("checks.py", "workload.py"):
+        tree = ast.parse((REPO_ROOT / "perfbench" / name).read_text())
+        attrs = sorted({
+            node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "fedsgm"
+        })
+        imports = sorted({
+            alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+            for alias in node.names if alias.name.split(".")[0] == "fedsgm"
+        } | {"fedsgm"})
+        assert attrs, name
+        script = "\n".join(
+            [f"import {module}" for module in imports]
+            + [f"print({attr!r}) if not hasattr(fedsgm, {attr!r}) else None" for attr in attrs]
+        )
+        env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [], f"{name} reads fedsgm.{proc.stdout.split()}"

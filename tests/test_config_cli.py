@@ -191,7 +191,7 @@ def test_overrides_apply_with_native_types(tmp_path):
 
 
 def test_override_can_add_optional_section(tmp_path):
-    raw = small_config()
+    raw = small_config(mechanism={"sigma_g": 0.0})
     del raw["sketch"]
     path = write_config(tmp_path, raw)
     cfg = load_config(path, ["sketch.mode=identity"])
@@ -228,7 +228,9 @@ def test_build_task_quadratic_shape():
 
 def test_effective_sketch_dim_follows_mode():
     gaussian = validate_config(small_config())
-    identity = validate_config(small_config(sketch={"mode": "identity", "b": None}))
+    identity = validate_config(
+        small_config(sketch={"mode": "identity", "b": None}, mechanism={"sigma_g": 0.0})
+    )
     assert effective_sketch_dim(gaussian) == 4
     assert effective_sketch_dim(identity) == 8
 
@@ -489,6 +491,26 @@ def test_simulate_sigma_zero_ablation_recorded(tmp_path, capsys):
     assert rc == 0
     manifest = json.loads((tmp_path / "z" / "run-manifest.json").read_text())
     assert manifest["config"]["mechanism"]["sigma_g_resolved"] == 0.0
+    assert manifest["accountant"]["epsilon_total"] == "inf"
+
+
+@pytest.mark.parametrize("sigma", ["0.9", "calibrate"])
+def test_simulate_noisy_identity_mode_exits_1(tmp_path, capsys, sigma):
+    # the accountant covers sketched releases only: an unsketched noisy run
+    # would report an epsilon its analysis does not prove
+    path = write_config(tmp_path, small_config(accountant={"target_epsilon": 4.0}))
+    overrides = ["--override", "sketch.mode=identity", "--override", f"mechanism.sigma_g={sigma}"]
+    rc = main(["simulate", path, *overrides, "--out-dir", str(tmp_path / "o")])
+    assert rc == 1
+    assert "sketch.mode" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.csv"))
+    # without noise the unsketched run is the non-private ablation it was
+    with pytest.warns(UserWarning, match="epsilon = inf"):
+        rc = main(["simulate", path, "--override", "sketch.mode=identity",
+                   "--override", "mechanism.sigma_g=0", "--out-dir", str(tmp_path / "z")])
+    capsys.readouterr()
+    assert rc == 0
+    manifest = json.loads((tmp_path / "z" / "run-manifest.json").read_text())
     assert manifest["accountant"]["epsilon_total"] == "inf"
 
 

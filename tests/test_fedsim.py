@@ -10,33 +10,23 @@ import warnings
 import numpy as np
 import pytest
 
-from fedsgm import (
-    AccountantParams,
+from fedsgm import sketch as sketch_module
+from fedsgm.accountant import AccountantParams, sgm_epsilon
+from fedsgm.errors import ConfigurationError, DimensionMismatchError
+from fedsgm.fedsim import (
     FedConfig,
-    MechanismConfig,
-    SketchSpec,
-    Task,
     client_local_update,
     client_privatize,
     client_sampler,
-    clip,
-    identity_compressor,
-    make_federated_quadratic,
-    make_logreg,
-    run_federation,
-    sample_sketch,
-    server_round,
-    sgm_apply,
-    sgm_epsilon,
-)
-from fedsgm import sketch as sketch_module
-from fedsgm.errors import ConfigurationError, DimensionMismatchError
-from fedsgm.fedsim import (
     init_server_state,
     local_stream,
     records_to_csv,
+    run_federation,
+    server_round,
 )
-from fedsgm.mechanism import noise_stream
+from fedsgm.mechanism import MechanismConfig, clip, noise_stream, sgm_apply
+from fedsgm.sketch import IdentityCompressor, SketchSpec, sample_sketch
+from fedsgm.tasks import Task, make_federated_quadratic, make_logreg
 
 NO_CLIP = 1e9  # tau large enough that clipping never activates in these runs
 
@@ -143,7 +133,7 @@ def test_local_update_minibatch_deterministic():
 def test_privatize_noiseless_identity_within_threshold():
     mech = MechanismConfig(tau=10.0, sigma_g=0.0)
     deltas = np.array([[0.25, -0.5, 0.125], [0.5, 0.0, -0.25]])  # binary fractions: /0.5 is exact
-    payloads, clipped = client_privatize(deltas, 0.5, mech, identity_compressor(3), [None, None])
+    payloads, clipped = client_privatize(deltas, 0.5, mech, IdentityCompressor(3), [None, None])
     assert np.array_equal(payloads, deltas)
     assert clipped.tolist() == [False, False]
 
@@ -152,7 +142,7 @@ def test_privatize_clip_saturation_norm():
     mech = MechanismConfig(tau=1.0, sigma_g=0.0)
     eta = 0.5
     deltas = eta * np.array([[2.0, 0.0, 0.0, 0.0], [0.0, 0.0, 3.0, 0.0]])  # normalized norms 2, 3 tau
-    payloads, clipped = client_privatize(deltas, eta, mech, identity_compressor(4), [None, None])
+    payloads, clipped = client_privatize(deltas, eta, mech, IdentityCompressor(4), [None, None])
     assert clipped.tolist() == [True, True]
     assert np.linalg.norm(payloads, axis=1).tolist() == [eta * mech.tau] * 2
 
@@ -160,7 +150,7 @@ def test_privatize_clip_saturation_norm():
 def test_privatize_clip_flag_boundary():
     mech = MechanismConfig(tau=1.0, sigma_g=0.0)
     deltas = np.array([[0.3, 0.4], [3.0, 4.0]])
-    _, clipped = client_privatize(deltas, 1.0, mech, identity_compressor(2), [None, None])
+    _, clipped = client_privatize(deltas, 1.0, mech, IdentityCompressor(2), [None, None])
     assert clipped.tolist() == [False, True]
 
 
@@ -181,14 +171,17 @@ def test_privatize_payload_lives_in_sketched_space():
 
 
 @pytest.mark.parametrize("mode", ["dense", "stream", "identity"])
-def test_privatize_matrix_matches_per_client_reference(mode):
-    # one sketch pass over the d x N matrix equals clip + sgm_apply per client
+def test_privatize_matrix_matches_per_client_reference(monkeypatch, mode):
+    # one sketch pass over the d x N matrix equals clip + sgm_apply per client,
+    # with the sketch's row blocks kept ("dense") or regenerated ("stream")
     d, n_clients, eta, seed = 700, 5, 0.25, 4
     mech = MechanismConfig(tau=1.0, sigma_g=0.7, noise_seed=seed)
+    if mode == "stream":
+        monkeypatch.setattr(sketch_module, "DENSE_MAX_ENTRIES", 0)
     if mode == "identity":
-        R = identity_compressor(d)
-    else:  # b > BLOCK_ROWS, so a streamed sketch spans two blocks
-        R = sketch_module.SketchMatrix(SketchSpec(b=600, d=d, seed=3), mode=mode)
+        R = IdentityCompressor(d)
+    else:  # b > BLOCK_ROWS, so the sketch spans two blocks
+        R = sample_sketch(SketchSpec(b=600, d=d, seed=3))
     deltas = np.random.default_rng(1).standard_normal((n_clients, d)) * eta / 40
     deltas[1] *= 100  # clipped
     deltas[3] = 0.0  # a zero row is a fixed point of clip
@@ -212,13 +205,12 @@ def test_privatize_matrix_matches_per_client_reference(mode):
 
 def test_streamed_round_generates_the_sketch_twice(monkeypatch):
     # one sketch pass and one desketch pass per round: 2 b generated rows,
-    # where one sketch call per client would generate (N + 1) b
-    monkeypatch.setattr(sketch_module, "DENSE_MAX_ENTRIES", 1)
+    # where one sketch call per client would generate (N + 1) b; a sketch
+    # that keeps its blocks generates b rows, once, when it is built
     rows = []
     iter_blocks = sketch_module.SketchMatrix.iter_blocks
 
     def counted_blocks(matrix):
-        assert matrix.mode == "stream"
         for block in iter_blocks(matrix):
             rows.append(block.shape[0])
             yield block
@@ -229,6 +221,10 @@ def test_streamed_round_generates_the_sketch_twice(monkeypatch):
         clients=6, clients_per_round=4, rounds=1, sketch_b=600,
         mechanism=MechanismConfig(tau=1.0, sigma_g=1.0, noise_seed=5),
     )
+    run_federation(cfg, task, part)
+    assert sum(rows) == 600
+    rows.clear()
+    monkeypatch.setattr(sketch_module, "DENSE_MAX_ENTRIES", 1)
     run_federation(cfg, task, part)
     assert sum(rows) == 2 * 600
 
@@ -241,7 +237,7 @@ def test_server_round_zero_updates_leave_theta():
     cfg = small_fed_config()
     state = init_server_state(cfg, 6)
     theta = np.arange(6.0)
-    theta2, _ = server_round(theta, np.zeros((2, 6)), identity_compressor(6), state)
+    theta2, _ = server_round(theta, np.zeros((2, 6)), IdentityCompressor(6), state)
     assert np.array_equal(theta2, theta)
 
 
@@ -249,7 +245,7 @@ def test_server_round_single_update_identity_aggregation():
     cfg = small_fed_config()
     state = init_server_state(cfg, 6)
     payload = np.linspace(-1, 1, 6)
-    theta2, _ = server_round(np.zeros(6), payload[None, :], identity_compressor(6), state)
+    theta2, _ = server_round(np.zeros(6), payload[None, :], IdentityCompressor(6), state)
     assert np.allclose(theta2, -cfg.eta_global * payload, rtol=1e-15, atol=0)
 
 
@@ -406,24 +402,36 @@ def test_default_test_metric_reuses_train_loss():
 
 def test_epsilon_ledger_matches_accountant():
     task, part = make_logreg(n=60, d=6, clients=6, seed=5)
+    # a sketched run: r = 2 tau^2/(b sigma^2) = 2/(3*0.81) = 0.82 < 1
     mech = MechanismConfig(tau=1.0, sigma_g=0.9, noise_seed=2)
     cfg = small_fed_config(
-        clients=6, clients_per_round=2, rounds=5, mechanism=mech, sketch_b=None
+        clients=6, clients_per_round=2, rounds=5, mechanism=mech, sketch_b=3
     )
     result = run_federation(cfg, task, part)
     eps = [r.epsilon_spent for r in result.records]
     assert all(b >= a for a, b in zip(eps, eps[1:]))  # non-decreasing
     expected = sgm_epsilon(
-        AccountantParams(q=2 / 6, T=5, tau=1.0, b=6, sigma_g=0.9), cfg.delta
+        AccountantParams(q=2 / 6, T=5, tau=1.0, b=3, sigma_g=0.9), cfg.delta
     )
     assert eps[-1] == expected
+
+
+def test_unsketched_run_reports_infinite_epsilon():
+    # the accountant covers sketched releases only; the identity's plain
+    # Gaussian sum gets no finite epsilon, whatever its noise
+    task, part = make_logreg(n=60, d=6, clients=6, seed=5)
+    mech = MechanismConfig(tau=1.0, sigma_g=0.9, noise_seed=2)
+    cfg = small_fed_config(clients=6, clients_per_round=2, rounds=2, mechanism=mech)
+    with pytest.warns(UserWarning, match="sketched releases only"):
+        result = run_federation(cfg, task, part)
+    assert all(math.isinf(r.epsilon_spent) for r in result.records)
 
 
 def test_regime_violation_warns_and_continues():
     task, part = make_logreg(n=30, d=6, clients=3, seed=6)
     # r = 2 tau^2/(b sigma^2) = 2/(6*0.09) = 3.7 >= 1: accounting impossible
     mech = MechanismConfig(tau=1.0, sigma_g=0.3, noise_seed=2)
-    cfg = small_fed_config(clients=3, clients_per_round=2, rounds=2, mechanism=mech)
+    cfg = small_fed_config(clients=3, clients_per_round=2, rounds=2, mechanism=mech, sketch_b=6)
     with pytest.warns(UserWarning, match="epsilon = inf"):
         result = run_federation(cfg, task, part)
     assert len(result.records) == 2

@@ -7,17 +7,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fedsgm import (
+from fedsgm.errors import ConfigurationError, ParameterRegimeError
+from fedsgm.mechanism import (
     MechanismConfig,
-    SketchSpec,
     clip,
-    identity_compressor,
+    noise_stream,
     ratio_sensitivity_bounds,
-    sample_sketch,
+    sensitivity_ratio,
     sgm_apply,
 )
-from fedsgm.errors import ConfigurationError, ParameterRegimeError
-from fedsgm.mechanism import noise_stream, sensitivity_ratio
+from fedsgm.sketch import IdentityCompressor, SketchSpec, sample_sketch
 
 # ---------------------------------------------------------------------------
 # config
@@ -107,7 +106,7 @@ def test_sgm_apply_requires_stream_when_noisy():
 def test_sgm_apply_noise_variance():
     # x = 0, sigma_g = 1: output is pure noise with unit per-coordinate
     # variance; 1e5 scalar draws pin it to within 2%.
-    R = identity_compressor(1)
+    R = IdentityCompressor(1)
     rng = noise_stream(42, client_id=0, round_idx=0)
     draws = np.array([sgm_apply(np.zeros(1), R, 1.0, rng)[0] for _ in range(1000)])
     # speed: pull the remaining draws in one vectorized call from the stream

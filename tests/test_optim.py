@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fedsgm import AdamState, AmsGradState, adam_step, amsgrad_step, gd_step
+from fedsgm.optim import AdamState, AmsGradState, adam_step, amsgrad_step, gd_step
 from fedsgm.errors import ConfigurationError, DimensionMismatchError
 
 # ---------------------------------------------------------------------------

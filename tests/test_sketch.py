@@ -10,14 +10,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fedsgm import (
+from fedsgm import sketch as sketch_module
+from fedsgm.errors import DimensionMismatchError
+from fedsgm.sketch import (
+    BLOCK_ROWS,
+    IdentityCompressor,
     SketchMatrix,
     SketchSpec,
-    identity_compressor,
+    _block_seed_seq,
     sample_sketch,
 )
-from fedsgm.errors import DimensionMismatchError
-from fedsgm.sketch import BLOCK_ROWS, _block_seed_seq
 
 
 def test_sample_sketch_deterministic():
@@ -34,18 +36,25 @@ def test_sample_sketch_seed_sensitivity():
     assert not np.array_equal(R1, R2)
 
 
-def test_dense_and_streamed_agree():
+def regenerated(monkeypatch, spec):
+    """The sketch of `spec` with its row blocks regenerated on every pass."""
+    with monkeypatch.context() as m:
+        m.setattr(sketch_module, "DENSE_MAX_ENTRIES", 0)
+        return sample_sketch(spec)
+
+
+def test_dense_and_streamed_agree(monkeypatch):
     spec = SketchSpec(b=16, d=700, seed=3)
-    dense = sample_sketch(spec, mode="dense")
-    streamed = sample_sketch(spec, mode="stream")
+    dense = sample_sketch(spec)
+    streamed = regenerated(monkeypatch, spec)
     x = np.random.default_rng(0).standard_normal(700)
-    assert np.array_equal(dense.materialize(), streamed.materialize())
+    assert np.array_equal(dense.materialize(), np.concatenate(list(streamed.iter_blocks())))
     assert np.allclose(dense.sketch(x), streamed.sketch(x), rtol=1e-12, atol=0)
 
 
-def test_streamed_blocks_match_reference_bits():
+def test_streamed_blocks_match_reference_bits(monkeypatch):
     # b spans two generation blocks; every block must hold exactly the bits of
-    # N(0, 1) draws from its own Philox stream times b^-1/2, in both modes.
+    # N(0, 1) draws from its own Philox stream times b^-1/2, kept or regenerated.
     spec = SketchSpec(b=BLOCK_ROWS + 40, d=9, seed=(4, 2))
     reference = np.concatenate([
         np.random.Generator(np.random.Philox(_block_seed_seq(spec, k))).standard_normal(
@@ -53,14 +62,37 @@ def test_streamed_blocks_match_reference_bits():
         ) * spec.b ** -0.5
         for k, rows in enumerate((BLOCK_ROWS, 40))
     ])
-    streamed = sample_sketch(spec, mode="stream")
+    streamed = regenerated(monkeypatch, spec)
     assert np.array_equal(np.concatenate(list(streamed.iter_blocks())), reference)
-    assert np.array_equal(sample_sketch(spec, mode="dense").materialize(), reference)
+    assert np.array_equal(sample_sketch(spec).materialize(), reference)
 
 
-def test_streamed_apply_holds_one_block_at_a_time():
+def test_kept_and_regenerated_blocks_give_the_same_bits(monkeypatch):
+    # b spans three blocks; kept and regenerated blocks go through one code path
+    spec = SketchSpec(b=BLOCK_ROWS + 588, d=50, seed=6)
+    kept, streamed = sample_sketch(spec), regenerated(monkeypatch, spec)
+    rng = np.random.default_rng(8)
+    X, y = rng.standard_normal((spec.d, 5)), rng.standard_normal(spec.b)
+    assert np.array_equal(kept.sketch(X), streamed.sketch(X))
+    assert np.array_equal(kept.sketch(X[:, 0]), streamed.sketch(X[:, 0]))
+    assert np.array_equal(kept.desketch(y), streamed.desketch(y))
+
+
+def test_kept_sketch_construction_holds_one_copy():
+    # the kept blocks are the generated arrays themselves, not a copy of them
+    spec = SketchSpec(b=BLOCK_ROWS + 588, d=1000, seed=2)
+    tracemalloc.start()
+    try:
+        sample_sketch(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * spec.b * spec.d * 8
+
+
+def test_streamed_apply_holds_one_block_at_a_time(monkeypatch):
     spec = SketchSpec(b=3 * BLOCK_ROWS, d=2000, seed=5)
-    R = sample_sketch(spec, mode="stream")
+    R = regenerated(monkeypatch, spec)
     block_bytes = BLOCK_ROWS * spec.d * 8
     for apply, arg in ((R.sketch, np.ones(spec.d)), (R.desketch, np.ones(spec.b))):
         tracemalloc.start()
@@ -95,16 +127,19 @@ def test_isometry_in_expectation():
 
 
 @pytest.mark.parametrize("mode", ["dense", "stream"])
-def test_sketch_columns_match_vector_sketches(mode):
-    # a (d, N) matrix is sketched column by column, in one pass over R
-    R = SketchMatrix(SketchSpec(b=600, d=30, seed=5), mode=mode)
+def test_sketch_columns_match_vector_sketches(monkeypatch, mode):
+    # a (d, N) matrix is sketched column by column, in one pass over R, with
+    # the row blocks kept ("dense") or regenerated on each pass ("stream")
+    if mode == "stream":
+        monkeypatch.setattr(sketch_module, "DENSE_MAX_ENTRIES", 0)
+    R = SketchMatrix(SketchSpec(b=600, d=30, seed=5))
     X = np.random.default_rng(2).standard_normal((30, 4))
     Y = R.sketch(X)
     assert Y.shape == (600, 4)
     for j in range(4):
         ref = R.sketch(X[:, j])
         assert np.linalg.norm(Y[:, j] - ref) <= 1e-12 * np.linalg.norm(ref)
-    assert np.array_equal(identity_compressor(30).sketch(X), X)
+    assert np.array_equal(IdentityCompressor(30).sketch(X), X)
 
 
 def test_sketch_zero_vector():
@@ -191,7 +226,7 @@ def test_inner_product_concentration():
 
 
 def test_identity_compressor_roundtrip():
-    comp = identity_compressor(6)
+    comp = IdentityCompressor(6)
     x = np.arange(6.0)
     assert np.array_equal(comp.sketch(x), x)
     assert np.array_equal(comp.desketch(comp.sketch(x)), x)

@@ -5,20 +5,19 @@ import math
 import numpy as np
 import pytest
 
-from fedsgm import (
+from fedsgm.errors import ConfigurationError
+from fedsgm.tasks import (
     Partition,
     Task,
+    _logreg_task,
     estimate_G_and_sigma_s,
     iid_partition,
     intrinsic_dimension,
     label_skew_partition,
     make_federated_quadratic,
     make_logreg,
-    make_quadratic,
     power_law_spectrum,
 )
-from fedsgm.errors import ConfigurationError
-from fedsgm.tasks import _logreg_task
 
 
 def finite_diff_grad_check(task, theta, directions=20, h=1e-6, rel_tol=1e-5, seed=0):
@@ -77,26 +76,26 @@ def test_label_skew_partition_valid_and_skewed():
 
 
 def test_quadratic_identity_spectrum():
-    task = make_quadratic([1.0] * 10, seed=0)
+    task = make_federated_quadratic([1.0] * 10, seed=0)[0]
     assert intrinsic_dimension(task) == pytest.approx(10.0, abs=1e-8)
 
 
 def test_quadratic_mixed_spectrum():
     lam = [4.0, 1.0, -1.0] + [0.0] * 7
-    task = make_quadratic(lam, seed=1)
+    task = make_federated_quadratic(lam, seed=1)[0]
     assert intrinsic_dimension(task) == pytest.approx(1.5, abs=1e-8)
 
 
 def test_quadratic_power_law_spectrum():
     lam = power_law_spectrum(100, power=2.0)
-    task = make_quadratic(lam, seed=2)
+    task = make_federated_quadratic(lam, seed=2)[0]
     # sum_i i^-2 over i=1..100, max eigenvalue 1
     assert intrinsic_dimension(task) == pytest.approx(1.6349839001848923, rel=1e-8)
 
 
 def test_quadratic_hessian_matches_requested_spectrum():
     lam = np.array([5.0, 2.0, 0.5, 0.1])
-    task = make_quadratic(lam, seed=4)
+    task = make_federated_quadratic(lam, seed=4)[0]
     H = task.hessian(task.theta0)
     assert np.max(np.abs(H - H.T)) <= 1e-10
     eig = np.sort(np.linalg.eigvalsh(H))
@@ -105,19 +104,19 @@ def test_quadratic_hessian_matches_requested_spectrum():
 
 def test_quadratic_rejects_degenerate_spectra():
     with pytest.raises(ConfigurationError):
-        make_quadratic([0.0, 0.0, 0.0])
+        make_federated_quadratic([0.0, 0.0, 0.0])
     with pytest.raises(ConfigurationError):
-        make_quadratic([])
+        make_federated_quadratic([])
 
 
 def test_quadratic_gradient_finite_differences():
-    task = make_quadratic(power_law_spectrum(30), seed=5, center_scale=2.0)
+    task = make_federated_quadratic(power_law_spectrum(30), seed=5, center_scale=2.0)[0]
     rng = np.random.default_rng(6)
     finite_diff_grad_check(task, rng.standard_normal(30))
 
 
 def test_quadratic_minimum_value():
-    task = make_quadratic([2.0, 1.0], seed=7, center_scale=3.0)
+    task = make_federated_quadratic([2.0, 1.0], seed=7, center_scale=3.0)[0]
     assert task.minimum_value == pytest.approx(0.0, abs=1e-12)
     # with client spread the average objective has a positive floor
     fed_task, part = make_federated_quadratic(
@@ -279,13 +278,13 @@ def test_logreg_client_call_leaves_full_data_margin_alone():
 def test_intrinsic_dimension_orthogonal_invariance():
     # same spectrum, different random rotations -> same intrinsic dimension
     lam = power_law_spectrum(40)
-    vals = [intrinsic_dimension(make_quadratic(lam, seed=s)) for s in range(4)]
+    vals = [intrinsic_dimension(make_federated_quadratic(lam, seed=s)[0]) for s in range(4)]
     assert max(vals) - min(vals) <= 1e-8
 
 
 def test_intrinsic_dimension_range():
     for d in (3, 17):
-        task = make_quadratic(power_law_spectrum(d), seed=d)
+        task = make_federated_quadratic(power_law_spectrum(d), seed=d)[0]
         I = intrinsic_dimension(task)
         assert 1.0 <= I <= d
 
