@@ -14,7 +14,10 @@ The server never sees a raw d-dimensional client delta: `server_round`
 rejects a payload matrix whose rows are not b-dimensional.
 
 Every source of randomness is a Philox substream keyed by role, round, and
-client, so runs are reproducible bit for bit.
+client, so runs are reproducible bit for bit.  A substream is built only when
+the round draws from it: a client whose minibatch covers its shard gets no
+minibatch stream, and a run with sigma_g = 0 gets no noise streams.  Since
+each substream is keyed independently, skipping one changes no other draw.
 """
 
 from __future__ import annotations
@@ -151,26 +154,31 @@ def local_stream(master_seed: int, client_id: int, round_idx: int) -> np.random.
     return np.random.Generator(np.random.Philox(ss))
 
 
+def covers_shard(batch_size: Optional[int], shard: np.ndarray) -> bool:
+    """Whether every local step uses the whole shard, so no minibatch is drawn."""
+    return batch_size is None or batch_size >= len(shard)
+
+
 def client_local_update(
     theta: np.ndarray,
     task: Task,
     shard: np.ndarray,
     local_steps: int,
     eta_local: float,
-    rng: np.random.Generator,
+    rng: Optional[np.random.Generator],
     batch_size: Optional[int] = None,
 ) -> np.ndarray:
     """K steps of minibatch SGD on the client's sample indices `shard` from
     theta; returns delta = theta - theta_K.
 
-    batch_size = None means full-shard gradients.  The delta points along the
-    accumulated (stochastic) gradient direction, so the server subtracts it."""
+    batch_size = None means full-shard gradients.  rng is read only when
+    minibatches are drawn (see `covers_shard`), so it may be None otherwise.
+    The delta points along the accumulated (stochastic) gradient direction,
+    so the server subtracts it."""
     theta_c = np.asarray(theta, dtype=np.float64).copy()
+    full = covers_shard(batch_size, shard)
     for _ in range(local_steps):
-        if batch_size is None or batch_size >= len(shard):
-            batch = shard
-        else:
-            batch = rng.choice(shard, size=batch_size, replace=False)
+        batch = shard if full else rng.choice(shard, size=batch_size, replace=False)
         theta_c -= eta_local * task.grad(theta_c, batch)
     return theta - theta_c
 
@@ -186,10 +194,10 @@ def client_privatize(
     in one pass, add each client's noise, restore scale.
 
     deltas is N x d, one row per client, and rngs holds the N clients' noise
-    streams in the same order.  Row i of the returned N x b payload matrix is
-    eta_local * (R @ clip(deltas[i]/eta_local, tau) + xi_i) with xi_i drawn
-    from rngs[i], as `sgm_apply` defines it for one vector; the N flags say
-    which rows were clipped.
+    streams in the same order; it is not read when sigma_g = 0.  Row i of the
+    returned N x b payload matrix is eta_local * (R @ clip(deltas[i]/eta_local,
+    tau) + xi_i) with xi_i drawn from rngs[i], as `sgm_apply` defines it for
+    one vector; the N flags say which rows were clipped.
     """
     scaled = np.asarray(deltas, dtype=np.float64) / eta_local
     clipped = np.array([np.linalg.norm(row) > mech.tau for row in scaled])
@@ -219,7 +227,9 @@ def server_round(
         )
     if len(payloads) == 0:
         raise ConfigurationError("server_round needs at least one payload")
-    mean_payload = np.mean(payloads, axis=0)
+    # np.mean's own arithmetic (sum, then divide by the count) without its
+    # Python wrapper, so the bits are the same
+    mean_payload = np.add.reduce(payloads, axis=0) / len(payloads)
     direction = compressor.desketch(mean_payload)
     eta_global = server_state.eta_global
     if server_state.kind == "gd":
@@ -282,6 +292,7 @@ def run_federation(
     d = task.d
     theta = task.theta0.astype(np.float64).copy()
     server_state = init_server_state(cfg, d)
+    noisy = cfg.mechanism.sigma_g != 0.0
     records = []
 
     for t in range(cfg.rounds):
@@ -289,19 +300,22 @@ def run_federation(
         clients = selected.tolist()
         compressor = round_compressor(cfg, d, t)
 
+        # streams are built only for the draws the round makes
+        shards = [partition.client_indices(c) for c in clients]
         deltas = np.array([
             client_local_update(
                 theta,
                 task,
-                partition.client_indices(c),
+                shard,
                 cfg.local_steps,
                 cfg.eta_local,
-                local_stream(cfg.master_seed, c, t),
+                None if covers_shard(cfg.batch_size, shard)
+                else local_stream(cfg.master_seed, c, t),
                 batch_size=cfg.batch_size,
             )
-            for c in clients
+            for c, shard in zip(clients, shards)
         ])
-        rngs = [noise_stream(cfg.mechanism.noise_seed, c, t) for c in clients]
+        rngs = [noise_stream(cfg.mechanism.noise_seed, c, t) for c in clients] if noisy else []
         payloads, clipped = client_privatize(deltas, cfg.eta_local, cfg.mechanism, compressor, rngs)
         theta, server_state = server_round(theta, payloads, compressor, server_state)
 
@@ -324,7 +338,7 @@ def run_federation(
                 train_loss=train_loss,
                 grad_norm_sq=grad_norm_sq,
                 test_metric=test_metric,
-                clip_activation_rate=float(np.mean(clipped)),
+                clip_activation_rate=float(np.count_nonzero(clipped) / len(clipped)),
                 epsilon_spent=_epsilon_spent(cfg, t + 1),
             )
         )

@@ -183,10 +183,15 @@ def make_federated_quadratic(
 
     mean_center = centers.mean(axis=0)
 
+    # The means below are np.mean's own arithmetic (np.add.reduce, then a
+    # divide by the count) without its Python wrapper: the bits are the same,
+    # and these run several times per round.
+
     def half_mean_quad_form(diffs):
         # row-wise diffs_i^T H diffs_i; two einsum operands, since numpy runs
         # a three-operand einsum as a naive loop
-        return float(0.5 * np.mean(np.einsum("id,id->i", diffs @ H, diffs)))
+        forms = np.einsum("id,id->i", diffs @ H, diffs)
+        return float(0.5 * (np.add.reduce(forms) / len(forms)))
 
     min_val = half_mean_quad_form(centers - mean_center)
 
@@ -196,8 +201,10 @@ def make_federated_quadratic(
         )
 
     def grad(theta, idx=None):
-        c = mean_center if idx is None else centers[np.asarray(idx)].mean(axis=0)
-        return H @ (theta - c)
+        if idx is None:
+            return H @ (theta - mean_center)
+        rows = centers[np.asarray(idx)]
+        return H @ (theta - np.add.reduce(rows, axis=0) / len(rows))
 
     task = Task(
         name="quadratic",

@@ -101,3 +101,17 @@ def test_benchmark_reads_only_names_the_package_exports():
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == [], f"{name} reads fedsgm.{proc.stdout.split()}"
+
+
+def test_benchmark_bracket_tolerance_is_the_calibrations():
+    # checks.py keeps its own copy of the calibrations' bisection tolerance
+    # for its bracket check; a drift would make that check wrong silently
+    from fedsgm.accountant import CALIBRATION_REL_TOL
+
+    tree = ast.parse((REPO_ROOT / "perfbench" / "checks.py").read_text())
+    values = [
+        ast.literal_eval(node.value) for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "REL_TOL" for t in node.targets)
+    ]
+    assert values == [CALIBRATION_REL_TOL]

@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
+from fedsgm import fedsim
 from fedsgm import sketch as sketch_module
 from fedsgm.accountant import AccountantParams, sgm_epsilon
 from fedsgm.errors import ConfigurationError, DimensionMismatchError
@@ -25,6 +26,7 @@ from fedsgm.fedsim import (
     server_round,
 )
 from fedsgm.mechanism import MechanismConfig, clip, noise_stream, sgm_apply
+from fedsgm.optim import gd_step
 from fedsgm.sketch import IdentityCompressor, SketchSpec, sample_sketch
 from fedsgm.tasks import Task, make_federated_quadratic, make_logreg
 
@@ -229,6 +231,40 @@ def test_streamed_round_generates_the_sketch_twice(monkeypatch):
     assert sum(rows) == 2 * 600
 
 
+@pytest.mark.parametrize("kind", ["quadratic", "logreg"])
+@pytest.mark.parametrize("sigma_g", [0.0, 1.2])
+def test_round_builds_only_the_streams_it_draws_from(monkeypatch, kind, sigma_g):
+    # a quadratic client holds one sample, so its batch covers the shard and
+    # draws nothing; logreg shards of 12 with batch 4 draw a minibatch per
+    # step.  sigma_g = 0 draws no noise.
+    built = {"local": 0, "noise": 0}
+
+    def counted(name, make):
+        def stream(*args):
+            built[name] += 1
+            return make(*args)
+
+        return stream
+
+    monkeypatch.setattr(fedsim, "local_stream", counted("local", fedsim.local_stream))
+    monkeypatch.setattr(fedsim, "noise_stream", counted("noise", fedsim.noise_stream))
+    if kind == "quadratic":
+        task, part = make_federated_quadratic([2.0, 1.0, 0.5], seed=3, clients=4)
+    else:
+        task, part = make_logreg(n=48, d=6, clients=4, seed=2)
+    cfg = small_fed_config(
+        rounds=3, mechanism=MechanismConfig(tau=1.0, sigma_g=sigma_g, noise_seed=5)
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # eps = inf for an unsketched run
+        run_federation(cfg, task, part)
+    one_per_client = cfg.clients_per_round * cfg.rounds
+    assert built == {
+        "local": 0 if kind == "quadratic" else one_per_client,
+        "noise": 0 if sigma_g == 0.0 else one_per_client,
+    }
+
+
 # ---------------------------------------------------------------------------
 # server round
 
@@ -247,6 +283,18 @@ def test_server_round_single_update_identity_aggregation():
     payload = np.linspace(-1, 1, 6)
     theta2, _ = server_round(np.zeros(6), payload[None, :], IdentityCompressor(6), state)
     assert np.allclose(theta2, -cfg.eta_global * payload, rtol=1e-15, atol=0)
+
+
+def test_server_round_mean_is_bitwise_the_np_mean_form():
+    # the payload mean skips np.mean's Python wrapper, not its arithmetic
+    state = init_server_state(small_fed_config(sketch_b=16), 64)
+    R = sample_sketch(SketchSpec(b=16, d=64, seed=2))
+    rng = np.random.default_rng(23)
+    for n in range(1, 9):
+        theta = rng.standard_normal(64)
+        payloads = rng.standard_normal((n, 16))
+        ref = gd_step(theta, R.desketch(np.mean(payloads, axis=0)), state.eta_global)
+        assert np.array_equal(server_round(theta, payloads, R, state)[0], ref), n
 
 
 def test_server_round_rejects_raw_updates():
@@ -498,3 +546,7 @@ def test_records_csv_shape():
     # full-precision floats round-trip
     first = lines[2].split(",")
     assert float(first[1]) == result.records[0].train_loss
+    # every field is a plain number (a numpy scalar's repr would read "np.float64(...)")
+    for line in lines[2:]:
+        for field in line.split(","):
+            float(field)

@@ -1,5 +1,6 @@
 """Synthetic task, partition, and curvature-diagnostic tests."""
 
+import inspect
 import math
 
 import numpy as np
@@ -154,6 +155,39 @@ def test_quadratic_loss_matches_three_operand_einsum():
             diffs = theta - (centers if sub is None else centers[sub])
             ref = 0.5 * np.mean(np.einsum("id,de,ie->i", diffs, H, diffs))
             assert task.loss(theta, sub) == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
+def fed_small_quadratic():
+    """A quadratic of the benchmark's fed_small shape, with the exact H and
+    per-client centers its grad closes over."""
+    task, _ = make_federated_quadratic(
+        power_law_spectrum(64), seed=4, clients=16, heterogeneity=0.5, center_scale=2.0
+    )
+    names = inspect.getclosurevars(task.grad).nonlocals
+    return task, names["H"], names["centers"]
+
+
+def test_quadratic_shard_grad_is_bitwise_the_np_mean_form():
+    # the shard mean skips np.mean's Python wrapper, not its arithmetic
+    task, H, centers = fed_small_quadratic()
+    rng = np.random.default_rng(21)
+    for size in range(1, 17):
+        theta = rng.standard_normal(64)
+        idx = rng.choice(16, size=size, replace=False)
+        ref = H @ (theta - centers[idx].mean(axis=0))
+        assert np.array_equal(task.grad(theta, idx), ref), size
+
+
+def test_quadratic_loss_is_bitwise_the_np_mean_form():
+    task, H, centers = fed_small_quadratic()
+    rng = np.random.default_rng(22)
+    for size in range(1, 17):
+        theta = rng.standard_normal(64)
+        idx = rng.choice(16, size=size, replace=False)
+        for sub in (None, idx):
+            diffs = theta - (centers if sub is None else centers[sub])
+            ref = float(0.5 * np.mean(np.einsum("id,id->i", diffs @ H, diffs)))
+            assert task.loss(theta, sub) == ref, size
 
 
 # ---------------------------------------------------------------------------
