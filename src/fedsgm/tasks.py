@@ -13,7 +13,9 @@ Hessian when the dimension is small enough to afford it.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -22,6 +24,15 @@ import numpy as np
 from .errors import ConfigurationError, ResourceLimitError
 
 _HESSIAN_DIM_LIMIT = 500
+
+# The full-data logistic passes walk X in row blocks of about this many bytes,
+# so a block read for its margin is still in cache for its share of X^T c.
+_ROW_BLOCK_BYTES = 1 << 20
+# Block lengths are a multiple of this many rows.  A GEMV kernel takes rows
+# in groups (of 4 in OpenBLAS 0.3.31's Haswell kernels) and sums a ragged
+# group another way, so aligned blocks give every row the bits of one
+# X @ theta; the 65-row blocks of an unaligned 1 MiB at d = 2000 do not.
+_ROW_BLOCK_ALIGN = 16
 
 # estimate_G_and_sigma_s: minibatch draws per (probe, client), and the tail
 # quantile its sub-Gaussian fit matches
@@ -63,7 +74,7 @@ class Task:
     when omitted).  hessian is the full-data Hessian at theta, or None when
     unavailable.  The logistic task keeps its last full-data margin X @ theta
     in a one-slot cache keyed by theta's values, so full-data grad, loss and
-    hessian at one iterate share a single pass over X.
+    hessian at one iterate share one read of X.
     """
 
     name: str
@@ -234,39 +245,75 @@ def _logreg_task(X: np.ndarray, y: np.ndarray, X_test, y_test) -> Task:
     if set(np.unique(y)) - {-1.0, 1.0}:
         raise ConfigurationError("labels must be in {-1, +1}")
 
+    # Full-data passes walk these row blocks: a block's margin, its
+    # coefficients and its share of X^T c (or of X^T W X) are computed while
+    # the block is in cache.
+    rows = _ROW_BLOCK_BYTES // (X.itemsize * d) // _ROW_BLOCK_ALIGN * _ROW_BLOCK_ALIGN
+    rows = max(rows, _ROW_BLOCK_ALIGN)
+    blocks = [(s, X[s], y[s]) for s in (slice(lo, lo + rows) for lo in range(0, n, rows))]
+
     # One-slot cache of the full-data margin z = X @ theta.  run_federation
-    # scores each iterate with grad then loss, and each X @ theta is a pass
-    # over all of X; the cache lets them share one.  The key is theta's
-    # values (a stored copy compared with np.array_equal, never id(theta)),
-    # so a caller that changes theta in place gets fresh numbers.  Client
+    # scores each iterate with grad then loss; the cache lets them share one
+    # read of X.  The key is theta's values (a stored copy compared with
+    # np.array_equal, never id(theta)), so a caller that changes theta in
+    # place gets fresh numbers.  A hit runs the same block loop and skips only
+    # the margin products, so no result depends on the call order.  Client
     # calls (idx given) bypass it.
     cached_theta, cached_z = None, None
 
-    def margin(theta, idx=None):
+    def full_blocks(theta):
+        """(X, y, z) row blocks at theta; fills the cache on a miss."""
         nonlocal cached_theta, cached_z
-        if idx is not None:
-            Xi = X[np.asarray(idx)]
-            return Xi, y[np.asarray(idx)], Xi @ theta
-        if cached_theta is None or not np.array_equal(theta, cached_theta):
-            cached_theta, cached_z = np.array(theta), X @ theta
-            cached_z.flags.writeable = False  # shared by every full-data caller
-        return X, y, cached_z
+        hit = cached_theta is not None and np.array_equal(theta, cached_theta)
+        z = cached_z if hit else np.empty(n)
+        for s, Xb, yb in blocks:
+            if not hit:
+                z[s] = Xb @ theta
+            yield Xb, yb, z[s]
+        if not hit:
+            z.flags.writeable = False  # shared by every full-data caller
+            cached_theta, cached_z = np.array(theta), z
+
+    def full_margin(theta):
+        for _ in full_blocks(theta):
+            pass
+        return cached_z
+
+    def block_sum(terms):
+        # starts from the first block's term, not from zeros (0.0 + -0.0 is
+        # +0.0), so one block returns the unblocked product itself
+        return functools.reduce(operator.iadd, terms)
+
+    def client_margin(theta, idx):
+        idx = np.asarray(idx)
+        Xi = X[idx]
+        return Xi, y[idx], Xi @ theta
+
+    def coefficients(yi, z):
+        return -yi * _sigmoid(-yi * z)
 
     def loss(theta, idx=None):
-        _, yi, z = margin(theta, idx)
+        if idx is None:
+            yi, z = y, full_margin(theta)
+        else:
+            _, yi, z = client_margin(theta, idx)
         return float(np.mean(np.logaddexp(0.0, -yi * z)))
 
     def grad(theta, idx=None):
-        Xi, yi, z = margin(theta, idx)
-        coef = -yi * _sigmoid(-yi * z)
-        return Xi.T @ coef / len(yi)
+        if idx is None:
+            return block_sum(Xb.T @ coefficients(yb, zb) for Xb, yb, zb in full_blocks(theta)) / n
+        Xi, yi, z = client_margin(theta, idx)
+        return Xi.T @ coefficients(yi, z) / len(yi)
 
     def hessian(theta):
         if d > _HESSIAN_DIM_LIMIT:
             raise ResourceLimitError(f"hessian unavailable for d = {d} > {_HESSIAN_DIM_LIMIT}")
-        p = _sigmoid(margin(theta)[2])
-        w = p * (1.0 - p)
-        return (X * w[:, None]).T @ X / n
+
+        def term(Xb, zb):
+            p = _sigmoid(zb)
+            return (Xb * (p * (1.0 - p))[:, None]).T @ Xb
+
+        return block_sum(term(Xb, zb) for Xb, _, zb in full_blocks(theta)) / n
 
     def test_accuracy(theta):
         return float(np.mean(np.sign(X_test @ theta) == y_test))

@@ -2,10 +2,16 @@
 
 import inspect
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fedsgm import tasks as tasks_module
 from fedsgm.errors import ConfigurationError
 from fedsgm.tasks import (
     Partition,
@@ -19,6 +25,8 @@ from fedsgm.tasks import (
     make_logreg,
     power_law_spectrum,
 )
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def finite_diff_grad_check(task, theta, directions=20, h=1e-6, rel_tol=1e-5, seed=0):
@@ -303,6 +311,116 @@ def test_logreg_client_call_leaves_full_data_margin_alone():
     theta2 = theta + 0.1
     task.grad(theta2, idx)
     assert task.loss(theta2) == _uncached_loss_grad_hessian(X, y, theta2)[0]
+
+
+def _blocked_logreg(monkeypatch, n, d, rows=None, seed=12):
+    """A logistic task over random data whose full-data passes walk `rows`-row
+    blocks (the default byte budget when rows is None)."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, d)) / math.sqrt(d)
+    y = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    with monkeypatch.context() as m:
+        if rows is not None:
+            m.setattr(tasks_module, "_ROW_BLOCK_BYTES", rows * 8 * d)
+        task = _logreg_task(X, y, X[:10], y[:10])
+    return task, X, y, 0.5 * rng.standard_normal(d)
+
+
+def _full_margin(task, theta):
+    return inspect.getclosurevars(task.loss).nonlocals["full_margin"](theta)
+
+
+def _row_blocks(task):
+    full_blocks = inspect.getclosurevars(task.grad).nonlocals["full_blocks"]
+    return [s for s, *_ in inspect.getclosurevars(full_blocks).nonlocals["blocks"]]
+
+
+# (n, d, rows per block): 64-row blocks from the default budget at d = 2000
+# and a monkeypatched 32-row budget, each with a ragged tail block.  OpenBLAS
+# runs the reference X @ theta of these sizes on one thread; at n = 300 and
+# d = 2000 it splits the rows between two threads, and then the reference's
+# own bits depend on the thread count while the 64-row blocks' do not.
+MULTI_BLOCK_SHAPES = [(200, 2000, None), (203, 5, 32)]
+
+
+@pytest.mark.parametrize("n,d,rows", MULTI_BLOCK_SHAPES)
+def test_logreg_block_pass_keeps_margin_and_loss_bits(monkeypatch, n, d, rows):
+    task, X, y, theta = _blocked_logreg(monkeypatch, n, d, rows)
+    slices = _row_blocks(task)
+    assert len(slices) > 2 and slices[-1].stop > n  # several blocks, a ragged tail
+    ref_loss, ref_grad, ref_hess = _uncached_loss_grad_hessian(X, y, theta)
+    g = task.grad(theta)
+    assert np.array_equal(_full_margin(task, theta), X @ theta)
+    assert task.loss(theta) == ref_loss
+    np.testing.assert_allclose(g, ref_grad, rtol=1e-12, atol=0.0)
+    if d <= 500:
+        np.testing.assert_allclose(task.hessian(theta), ref_hess, rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("n,d,rows", MULTI_BLOCK_SHAPES)
+def test_logreg_block_pass_bits_do_not_depend_on_call_order(monkeypatch, n, d, rows):
+    grad_first, X, y, theta = _blocked_logreg(monkeypatch, n, d, rows)
+    g = grad_first.grad(theta)
+    loss_first, *_ = _blocked_logreg(monkeypatch, n, d, rows)
+    loss_first.loss(theta)  # fills the margin cache; grad only skips the products
+    assert np.array_equal(loss_first.grad(theta), g)
+    assert np.array_equal(grad_first.grad(theta), g)  # a second hit, same bits
+
+
+def test_logreg_one_block_shape_keeps_unfused_bits(monkeypatch):
+    # 40 rows fit one block, and the sum starts from that block's product:
+    # the grad and the Hessian are the unfused products bit for bit
+    task, X, y, theta = _blocked_logreg(monkeypatch, 40, 5)
+    assert _row_blocks(task) == [slice(0, 26208)]
+    ref_loss, ref_grad, ref_hess = _uncached_loss_grad_hessian(X, y, theta)
+    assert task.grad(theta).tobytes() == ref_grad.tobytes()
+    assert task.loss(theta) == ref_loss
+    assert task.hessian(theta).tobytes() == ref_hess.tobytes()
+
+
+def test_logreg_row_blocks_are_aligned():
+    # the 1 MiB budget is 65 rows at d = 2000, and a 65-row block changes the
+    # bits of X @ theta; the blocks are cut to a multiple of 16 rows
+    task = _logreg_task(np.ones((200, 2000)), np.ones(200), None, None)
+    assert _row_blocks(task) == [slice(0, 64), slice(64, 128), slice(128, 192), slice(192, 256)]
+
+
+def test_logreg_hessian_holds_one_row_block_at_a_time(monkeypatch):
+    # the Hessian weights one row block at a time instead of building the
+    # n x d matrix X * w (16 MB here; a block is under 1 MiB)
+    n, d = 20000, 100
+    task, X, y, theta = _blocked_logreg(monkeypatch, n, d)
+    tracemalloc.start()
+    try:
+        task.hessian(theta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * tasks_module._ROW_BLOCK_BYTES
+
+
+def test_logreg_full_data_grad_bits_do_not_depend_on_blas_threads():
+    # one X @ theta of this shape splits its rows between two threads and
+    # changes bits; its 128-row blocks (and the 107-row tail) do not
+    code = (
+        "import hashlib, math, numpy as np\n"
+        "from fedsgm.tasks import _logreg_task\n"
+        "rng = np.random.default_rng(3)\n"
+        "n, d = 1003, 1000\n"
+        "X = rng.standard_normal((n, d)) / math.sqrt(d)\n"
+        "y = np.where(rng.random(n) < 0.5, -1.0, 1.0)\n"
+        "task = _logreg_task(X, y, X[:10], y[:10])\n"
+        "g = task.grad(0.5 * rng.standard_normal(d))\n"
+        "print(hashlib.sha256(g.tobytes()).hexdigest())\n"
+    )
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": SRC, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True)
+        digests.append(proc.stdout.strip())
+    assert digests[0] == digests[1]
 
 
 # ---------------------------------------------------------------------------
