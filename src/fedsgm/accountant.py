@@ -21,7 +21,7 @@ Gaussian mechanism through integer-order RDP for noise comparisons.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -308,6 +308,11 @@ class PipelineTrace:
         return self.stages[-1].delta
 
 
+def delta_split(delta: float, q: float, T: int) -> tuple[float, float]:
+    """The per-release delta0 = delta/(2 q T) and the composition slack delta/2."""
+    return 0.5 * delta / (q * T), 0.5 * delta
+
+
 def sgm_pipeline(params: AccountantParams, delta: float) -> PipelineTrace:
     """Full accounting pipeline with the delta split baked in.
 
@@ -317,12 +322,11 @@ def sgm_pipeline(params: AccountantParams, delta: float) -> PipelineTrace:
     """
     if not 0.0 < delta < 1.0:
         raise ConfigurationError(f"delta must be in (0,1), got {delta}")
-    delta0 = 0.5 * delta / (params.q * params.T)
+    delta0, delta_slack = delta_split(delta, params.q, params.T)
     if not delta0 < 1.0:
         raise ConfigurationError(
             f"per-release delta0 = {delta0:.3g} >= 1; delta too large for (q, T)"
         )
-    delta_slack = 0.5 * delta
     alpha_star = sgm_optimal_alpha(params.tau, params.b, params.sigma_g, delta0)
     released = sgm_step_dp(params.tau, params.b, params.sigma_g, delta0)
     sampled = subsample_dp(released, params.q)
@@ -347,6 +351,30 @@ def sgm_epsilon(params: AccountantParams, delta: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _solve_sigma(target: DpPoint, eps_at, lo: float, hi: float, cap: float, too_high) -> float:
+    """Smallest sigma with eps_at(sigma) <= the target epsilon, to CALIBRATION_REL_TOL.
+
+    eps_at must be non-increasing in sigma and lo infeasible.  hi doubles
+    until it is feasible, raising CalibrationError(too_high(hi)) once it
+    passes cap; then [lo, hi] is halved until it is narrower than
+    CALIBRATION_REL_TOL * hi, and the feasible end hi is returned.
+    """
+    target_eps = target.epsilon
+    if not target_eps > 0.0 or math.isnan(target_eps):
+        raise CalibrationError(f"target epsilon must be positive, got {target_eps}")
+    while not eps_at(hi) <= target_eps:
+        hi *= 2.0
+        if hi > cap:
+            raise CalibrationError(too_high(hi))
+    while (hi - lo) > CALIBRATION_REL_TOL * hi:
+        mid = 0.5 * (lo + hi)
+        if eps_at(mid) <= target_eps:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def calibrate_sgm_sigma(
     target: DpPoint,
     q: float,
@@ -360,39 +388,28 @@ def calibrate_sgm_sigma(
     regime (sqrt(2/b) tau, inf), diverging at the left end and vanishing at
     the right, so bisection against the regime floor converges to the unique
     crossing.  The returned sigma satisfies sgm_epsilon(sigma) <= target
-    epsilon and the regime constraint strictly.
+    epsilon and the regime constraint strictly.  tau = inf violates the
+    regime at every sigma_g.
     """
-    target_eps = target.epsilon
-    if not target_eps > 0.0 or math.isnan(target_eps):
-        raise CalibrationError(f"target epsilon must be positive, got {target_eps}")
-    if tau == 0.0:
-        return 0.0
+    # sigma_g is what the solve sets; the placeholder only passes the check
+    params = AccountantParams(q=q, T=T, tau=tau, b=b, sigma_g=math.inf)
+    if math.isinf(tau):
+        raise ParameterRegimeError(
+            "2*tau^2/(b*sigma_g^2) = inf >= 1 at tau = inf for every sigma_g; "
+            "accounting regime violated"
+        )
 
     def eps_at(sigma: float) -> float:
-        return sgm_epsilon(AccountantParams(q=q, T=T, tau=tau, b=b, sigma_g=sigma), target.delta)
-
-    floor = math.sqrt(2.0 / b) * tau
-    hi = 2.0 * floor
-    for _ in range(200):
-        if eps_at(hi) <= target_eps:
-            break
-        hi *= 2.0
-    else:
-        raise CalibrationError(
-            f"no sigma_g up to {hi:.3g} meets eps={target_eps} (q={q}, T={T})"
-        )
-    lo = floor  # infeasible by construction (regime boundary)
-    while (hi - lo) > CALIBRATION_REL_TOL * hi:
-        mid = 0.5 * (lo + hi)
         try:
-            feasible = eps_at(mid) <= target_eps
+            return sgm_epsilon(replace(params, sigma_g=sigma), target.delta)
         except ParameterRegimeError:
-            feasible = False
-        if feasible:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+            return math.inf
+
+    floor = math.sqrt(2.0 / b) * tau  # infeasible by construction (regime boundary)
+    return _solve_sigma(
+        target, eps_at, lo=floor, hi=2.0 * floor, cap=math.ldexp(2.0 * floor, 199),
+        too_high=lambda hi: f"no sigma_g up to {hi:.3g} meets eps={target.epsilon} (q={q}, T={T})",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -457,26 +474,8 @@ def calibrate_baseline_sigma(target: DpPoint, q: float, T: int) -> float:
     Note the integer-order conversion has an epsilon floor of about
     log(1/delta)/255; targets below it are reported as infeasible.
     """
-    target_eps = target.epsilon
-    if not target_eps > 0.0 or math.isnan(target_eps):
-        raise CalibrationError(f"target epsilon must be positive, got {target_eps}")
-
-    def eps_at(sigma: float) -> float:
-        return baseline_gm_epsilon(sigma, q, T, target.delta)
-
-    lo, hi = 1e-3, 1.0
-    for _ in range(200):
-        if eps_at(hi) <= target_eps:
-            break
-        hi *= 2.0
-        if hi > 1e9:
-            raise CalibrationError(
-                f"target eps={target_eps} below the integer-order conversion floor"
-            )
-    while (hi - lo) > CALIBRATION_REL_TOL * hi:
-        mid = 0.5 * (lo + hi)
-        if eps_at(mid) <= target_eps:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return _solve_sigma(
+        target, lambda sigma: baseline_gm_epsilon(sigma, q, T, target.delta),
+        lo=1e-3, hi=1.0, cap=1e9,
+        too_high=lambda hi: f"target eps={target.epsilon} below the integer-order conversion floor",
+    )

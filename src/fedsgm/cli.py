@@ -28,6 +28,7 @@ from .accountant import (
     baseline_gm_epsilon,
     calibrate_baseline_sigma,
     calibrate_sgm_sigma,
+    delta_split,
     rdp_bound_validity,
     sgm_optimal_alpha,
     sgm_pipeline,
@@ -357,7 +358,7 @@ def cmd_diagnose(config_path, overrides=()) -> int:
         f"{'clipping ACTIVE' if clip_active else 'clipping inactive'}"
     )
     print(f"optimizer: {opt_kind} (sigma_g = {sigma:.6g})")
-    delta0 = cfg["accountant"]["delta"] / (2.0 * N / fed["clients"] * T)
+    delta0, _ = delta_split(cfg["accountant"]["delta"], N / fed["clients"], T)
     print(f"accounting regime at delta0 = delta/(2qT) = {delta0:.4g}:")
     if sigma == 0.0:
         print("  r, alpha*, alpha*^2 r: n/a (sigma_g = 0, no privacy)")

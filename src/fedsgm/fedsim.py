@@ -35,7 +35,7 @@ from . import __version__
 from .accountant import AccountantParams, sgm_epsilon
 from .errors import ConfigurationError, DimensionMismatchError, ParameterRegimeError
 from .mechanism import MechanismConfig, clip, noise_stream
-from .optim import AdamState, AmsGradState, adam_step, amsgrad_step, gd_step
+from .optim import MomentState, adam_step, amsgrad_step, gd_step
 from .sketch import Compressor, IdentityCompressor, SketchSpec, sample_sketch
 from .tasks import Partition, Task, iid_partition
 
@@ -98,7 +98,6 @@ class RoundRecord:
     """Metrics of the global iterate after one round."""
 
     round: int
-    selected_clients: tuple
     train_loss: float
     grad_norm_sq: float
     test_metric: float
@@ -112,22 +111,6 @@ class FederationResult:
 
     records: list
     theta: np.ndarray
-
-
-@dataclass(frozen=True)
-class ServerState:
-    kind: str
-    eta_global: float
-    opt_state: object = None  # AmsGradState | AdamState | None for "gd"
-
-
-def init_server_state(cfg: FedConfig, d: int) -> ServerState:
-    if cfg.optimizer == "gd":
-        return ServerState("gd", cfg.eta_global, None)
-    hyper = dict(beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.opt_eps)
-    if cfg.optimizer == "amsgrad":
-        return ServerState("amsgrad", cfg.eta_global, AmsGradState.init(d, **hyper))
-    return ServerState("adam", cfg.eta_global, AdamState.init(d, **hyper))
 
 
 # ---------------------------------------------------------------------------
@@ -212,10 +195,14 @@ def server_round(
     theta: np.ndarray,
     payloads: np.ndarray,
     compressor: Compressor,
-    server_state: ServerState,
-) -> tuple[np.ndarray, ServerState]:
+    cfg: FedConfig,
+    moments: Optional[MomentState],
+) -> tuple[np.ndarray, Optional[MomentState]]:
     """Average the N x b payload matrix's rows in sketched space, desketch the
-    mean, and step the optimizer.
+    mean, and take cfg.optimizer's step of size cfg.eta_global.
+
+    moments is the adaptive optimizers' state, None for "gd"; the new state
+    is returned with the new iterate.
 
     Row i is the payload of the round's i-th selected client in sorted order,
     so the mean is reproducible bit for bit."""
@@ -231,14 +218,10 @@ def server_round(
     # Python wrapper, so the bits are the same
     mean_payload = np.add.reduce(payloads, axis=0) / len(payloads)
     direction = compressor.desketch(mean_payload)
-    eta_global = server_state.eta_global
-    if server_state.kind == "gd":
-        return gd_step(theta, direction, eta_global), server_state
-    if server_state.kind == "amsgrad":
-        theta2, opt2 = amsgrad_step(theta, direction, server_state.opt_state, eta_global)
-    else:
-        theta2, opt2 = adam_step(theta, direction, server_state.opt_state, eta_global)
-    return theta2, ServerState(server_state.kind, eta_global, opt2)
+    if cfg.optimizer == "gd":
+        return gd_step(theta, direction, cfg.eta_global), moments
+    step = amsgrad_step if cfg.optimizer == "amsgrad" else adam_step
+    return step(theta, direction, moments, cfg.eta_global)
 
 
 def round_compressor(cfg: FedConfig, d: int, round_idx: int) -> Compressor:
@@ -291,13 +274,14 @@ def run_federation(
         raise ConfigurationError("partition and task disagree on the sample count")
     d = task.d
     theta = task.theta0.astype(np.float64).copy()
-    server_state = init_server_state(cfg, d)
+    moments = None if cfg.optimizer == "gd" else MomentState.init(
+        d, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.opt_eps
+    )
     noisy = cfg.mechanism.sigma_g != 0.0
     records = []
 
     for t in range(cfg.rounds):
-        selected = client_sampler(cfg.clients, cfg.clients_per_round, t, cfg.master_seed)
-        clients = selected.tolist()
+        clients = client_sampler(cfg.clients, cfg.clients_per_round, t, cfg.master_seed).tolist()
         compressor = round_compressor(cfg, d, t)
 
         # streams are built only for the draws the round makes
@@ -317,7 +301,7 @@ def run_federation(
         ])
         rngs = [noise_stream(cfg.mechanism.noise_seed, c, t) for c in clients] if noisy else []
         payloads, clipped = client_privatize(deltas, cfg.eta_local, cfg.mechanism, compressor, rngs)
-        theta, server_state = server_round(theta, payloads, compressor, server_state)
+        theta, moments = server_round(theta, payloads, compressor, cfg, moments)
 
         # a diverging run overflows here; the check below reports it
         with np.errstate(over="ignore", invalid="ignore"):
@@ -334,7 +318,6 @@ def run_federation(
         records.append(
             RoundRecord(
                 round=t,
-                selected_clients=tuple(clients),
                 train_loss=train_loss,
                 grad_norm_sq=grad_norm_sq,
                 test_metric=test_metric,

@@ -33,7 +33,7 @@ from fedsgm.accountant import (
 from fedsgm.cli import main
 from fedsgm.fedsim import FedConfig, run_federation
 from fedsgm.mechanism import MechanismConfig, sgm_apply
-from fedsgm.optim import AmsGradState, amsgrad_step
+from fedsgm.optim import MomentState, amsgrad_step
 from fedsgm.sketch import SketchSpec, sample_sketch
 from fedsgm.tasks import intrinsic_dimension, make_federated_quadratic, power_law_spectrum
 
@@ -300,7 +300,7 @@ def test_amsgrad_second_moment_never_decreases():
     steps = 0
     for _ in range(500):
         d = int(rng.integers(1, 9))
-        state = AmsGradState.init(d)
+        state = MomentState.init(d)
         theta = rng.standard_normal(d)
         for _ in range(200):
             u = rng.standard_normal(d)
@@ -313,7 +313,7 @@ def test_amsgrad_second_moment_never_decreases():
     assert steps == 100_000
 
     # two-step hand trace (d = 1, updates {1, 1}, defaults, eta = 1)
-    state = AmsGradState.init(1)
+    state = MomentState.init(1)
     theta, state = amsgrad_step(np.zeros(1), np.ones(1), state, eta=1.0)
     theta, state = amsgrad_step(theta, np.ones(1), state, eta=1.0)
     assert theta[0] == pytest.approx(-2.3468740940384683, rel=1e-12)

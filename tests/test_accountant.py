@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -443,6 +444,24 @@ def test_calibrate_infeasible_target():
         calibrate_sgm_sigma(DpPoint(0.0, 1e-5), q=Q_VISION, T=T_VISION, tau=1.0, b=B_VISION)
 
 
+@pytest.mark.parametrize(
+    "over, message",
+    [({"b": 0}, "b must be >= 1"), ({"b": -5}, "b must be >= 1"),
+     ({"tau": 0.0}, "tau must be positive")],
+)
+def test_calibrate_rejects_bad_accounting_inputs(over, message):
+    # checked through AccountantParams up front, not by a crash in the regime
+    # floor sqrt(2/b) tau; tau = 0 used to return sigma_g = 0
+    args = dict(q=Q_VISION, T=T_VISION, tau=1.0, b=B_VISION) | over
+    with pytest.raises(ConfigurationError, match=message):
+        calibrate_sgm_sigma(DpPoint(1.6, 1e-5), **args)
+
+
+def test_calibrate_infinite_tau_violates_the_regime():
+    with pytest.raises(ParameterRegimeError, match="tau = inf"):
+        calibrate_sgm_sigma(DpPoint(1.6, 1e-5), q=Q_VISION, T=T_VISION, tau=math.inf, b=B_VISION)
+
+
 # ---------------------------------------------------------------------------
 # baseline subsampled-Gaussian accountant
 
@@ -512,6 +531,20 @@ def test_baseline_calibration_roundtrip():
     sigma = calibrate_baseline_sigma(target, q=Q_VISION, T=T_VISION)
     assert baseline_gm_epsilon(sigma, Q_VISION, T_VISION, 1e-5) <= target.epsilon
     assert baseline_gm_epsilon(0.999 * sigma, Q_VISION, T_VISION, 1e-5) > target.epsilon
+
+
+def test_baseline_calibration_below_the_conversion_floor():
+    # eps = 1e-6 sits far below log(1/delta)/255, which no noise level reaches
+    with pytest.raises(CalibrationError, match="below the integer-order conversion floor"):
+        calibrate_baseline_sigma(DpPoint(1e-6, 1e-5), q=Q_VISION, T=T_VISION)
+
+
+@pytest.mark.parametrize("eps", [0.0, -1.0, math.nan])
+def test_baseline_calibration_rejects_non_positive_target(eps):
+    # DpPoint itself refuses a negative or nan epsilon, so pass a bare record
+    target = SimpleNamespace(epsilon=eps, delta=1e-5)
+    with pytest.raises(CalibrationError, match="target epsilon must be positive"):
+        calibrate_baseline_sigma(target, q=Q_VISION, T=T_VISION)
 
 
 def test_sgm_needs_less_noise_than_baseline_per_coordinate():

@@ -76,6 +76,36 @@ def test_tracer_installs_and_sees_every_layer(tmp_path):
     assert report["rows"] == 3 * 4  # a kept sketch is generated once per round
 
 
+# Runs one calibrate solve under the installed tracer and prints its call counts.
+CALIBRATE_SCRIPT = """
+import json
+from spans import Tracer
+tracer = Tracer()
+tracer.install()
+from fedsgm.cli import main
+code = main(["calibrate", "--eps", "4.0", "--delta", "1e-5", "--q", "0.25", "--T", "100",
+             "--tau", "1.0", "--b", "16", "--json"])
+print(json.dumps({"code": code, "calls": tracer.calls}))
+"""
+
+
+def test_tracer_sees_the_calibrate_path():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(REPO_ROOT / "perfbench"), str(REPO_ROOT / "src")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", CALIBRATE_SCRIPT], capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert report["code"] == 0
+    calls = report["calls"]
+    # an epsilon evaluation bound where the tracer cannot wrap it reads 0 here
+    names = ("accountant.calibrate", "accountant.sgm_eval",
+             "accountant.baseline_calibrate", "accountant.baseline_eval")
+    assert [name for name in names if calls.get(name, 0) == 0] == [], calls
+    assert calls["accountant.calibrate"] == calls["accountant.baseline_calibrate"] == 1
+
+
 def test_benchmark_reads_only_names_the_package_exports():
     # each file's fedsgm.<name> reads, resolved after the fedsgm imports it
     # makes itself (checks.py gets the package from run.py's bare import)

@@ -281,6 +281,33 @@ def test_cli_calibrate_infeasible_target_exits_2(capsys):
     assert "infeasible" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("b", ["0", "-5"])
+def test_cli_calibrate_bad_sketch_dim_exits_1(capsys, b):
+    rc = main(["calibrate", "--eps", "1", "--delta", "1e-5", "--q", "0.1", "--T", "10",
+               "--tau", "1", "--b", b])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert f"b must be >= 1, got {b}" in err
+
+
+def test_cli_calibrate_infinite_tau_exits_2(capsys):
+    rc = main(["calibrate", "--eps", "1", "--delta", "1e-5", "--q", "0.1", "--T", "10",
+               "--tau", "inf", "--b", "4"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "infeasible" in err and "regime" in err
+
+
+def test_simulate_calibrated_with_zero_sketch_dim_exits_1(tmp_path, capsys):
+    # sigma_g = "calibrate" runs the solver before anything checks sketch.b
+    rc = main(["simulate", str(Path(__file__).resolve().parent.parent / "configs" / "quadratic.json"),
+               "--override", "sketch.b=0", "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "b must be >= 1, got 0" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_accountant_trace(capsys):
     rc = main(["accountant", "--sigma", "0.1013", *VISION_ARGS, "--json"])
     record = json.loads(capsys.readouterr().out)

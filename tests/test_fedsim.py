@@ -19,14 +19,13 @@ from fedsgm.fedsim import (
     client_local_update,
     client_privatize,
     client_sampler,
-    init_server_state,
     local_stream,
     records_to_csv,
     run_federation,
     server_round,
 )
 from fedsgm.mechanism import MechanismConfig, clip, noise_stream, sgm_apply
-from fedsgm.optim import gd_step
+from fedsgm.optim import MomentState, adam_step, amsgrad_step, gd_step
 from fedsgm.sketch import IdentityCompressor, SketchSpec, sample_sketch
 from fedsgm.tasks import Task, make_federated_quadratic, make_logreg
 
@@ -271,42 +270,53 @@ def test_round_builds_only_the_streams_it_draws_from(monkeypatch, kind, sigma_g)
 
 def test_server_round_zero_updates_leave_theta():
     cfg = small_fed_config()
-    state = init_server_state(cfg, 6)
     theta = np.arange(6.0)
-    theta2, _ = server_round(theta, np.zeros((2, 6)), IdentityCompressor(6), state)
+    theta2, _ = server_round(theta, np.zeros((2, 6)), IdentityCompressor(6), cfg, None)
     assert np.array_equal(theta2, theta)
 
 
 def test_server_round_single_update_identity_aggregation():
     cfg = small_fed_config()
-    state = init_server_state(cfg, 6)
     payload = np.linspace(-1, 1, 6)
-    theta2, _ = server_round(np.zeros(6), payload[None, :], IdentityCompressor(6), state)
+    theta2, _ = server_round(np.zeros(6), payload[None, :], IdentityCompressor(6), cfg, None)
     assert np.allclose(theta2, -cfg.eta_global * payload, rtol=1e-15, atol=0)
 
 
 def test_server_round_mean_is_bitwise_the_np_mean_form():
     # the payload mean skips np.mean's Python wrapper, not its arithmetic
-    state = init_server_state(small_fed_config(sketch_b=16), 64)
+    cfg = small_fed_config(sketch_b=16)
     R = sample_sketch(SketchSpec(b=16, d=64, seed=2))
     rng = np.random.default_rng(23)
     for n in range(1, 9):
         theta = rng.standard_normal(64)
         payloads = rng.standard_normal((n, 16))
-        ref = gd_step(theta, R.desketch(np.mean(payloads, axis=0)), state.eta_global)
-        assert np.array_equal(server_round(theta, payloads, R, state)[0], ref), n
+        ref = gd_step(theta, R.desketch(np.mean(payloads, axis=0)), cfg.eta_global)
+        assert np.array_equal(server_round(theta, payloads, R, cfg, None)[0], ref), n
+
+
+@pytest.mark.parametrize("kind, step", [("amsgrad", amsgrad_step), ("adam", adam_step)])
+def test_server_round_takes_the_configured_step(kind, step):
+    # a spike then small payloads, where AMSGrad's running max and Adam part ways
+    cfg = small_fed_config(optimizer=kind, beta1=0.5, beta2=0.9)
+    theta = ref = np.arange(6.0)
+    moments = ref_moments = MomentState.init(6, beta1=0.5, beta2=0.9)
+    for scale in (10.0, 0.1, 0.1):
+        payloads = np.full((2, 6), scale)
+        theta, moments = server_round(theta, payloads, IdentityCompressor(6), cfg, moments)
+        ref, ref_moments = step(ref, payloads[0], ref_moments, cfg.eta_global)
+        assert np.array_equal(theta, ref) and np.array_equal(moments.v, ref_moments.v)
 
 
 def test_server_round_rejects_raw_updates():
     # the type boundary: d-dimensional (unsketched) rows must not pass
-    state = init_server_state(small_fed_config(sketch_b=3), 3)
+    cfg = small_fed_config(sketch_b=3)
     R = sample_sketch(SketchSpec(b=3, d=12, seed=1))
     with pytest.raises(DimensionMismatchError):
-        server_round(np.zeros(12), np.zeros((1, 12)), R, state)
+        server_round(np.zeros(12), np.zeros((1, 12)), R, cfg, None)
     with pytest.raises(DimensionMismatchError):
-        server_round(np.zeros(12), np.zeros(3), R, state)  # a vector, not an N x b matrix
+        server_round(np.zeros(12), np.zeros(3), R, cfg, None)  # a vector, not an N x b matrix
     with pytest.raises(ConfigurationError):
-        server_round(np.zeros(12), np.zeros((0, 3)), R, state)
+        server_round(np.zeros(12), np.zeros((0, 3)), R, cfg, None)
 
 
 # ---------------------------------------------------------------------------
