@@ -14,8 +14,10 @@ The server never sees a raw d-dimensional client delta: `server_round`
 rejects a payload matrix whose rows are not b-dimensional.
 
 Every source of randomness is a Philox substream keyed by role, round, and
-client, so runs are reproducible bit for bit.  A substream is built only when
-the round draws from it: a client whose minibatch covers its shard gets no
+client, so runs are reproducible bit for bit.  The keys of a chunk of rounds
+are computed in one pass per role, and each role reuses one generator that is
+reset to a key before its stream's draws.  A substream is used only when the
+round draws from it: a client whose minibatch covers its shard gets no
 minibatch stream, and a run with sigma_g = 0 gets no noise streams.  Since
 each substream is keyed independently, skipping one changes no other draw.
 """
@@ -34,9 +36,10 @@ import numpy as np
 from . import __version__
 from .accountant import AccountantParams, sgm_epsilon
 from .errors import ConfigurationError, DimensionMismatchError, ParameterRegimeError
-from .mechanism import MechanismConfig, clip, noise_stream
+from ._philox import new_generator, philox_keys, reseed
+from .mechanism import MechanismConfig, clip, noise_keys, noise_stream
 from .optim import MomentState, adam_step, amsgrad_step, gd_step
-from .sketch import Compressor, IdentityCompressor, SketchSpec, sample_sketch
+from .sketch import Compressor, IdentityCompressor, SketchMatrix, SketchSpec, block_keys
 from .tasks import Partition, Task, iid_partition
 
 CSV_SCHEMA = "# fed-sgm csv v1"
@@ -44,6 +47,10 @@ CSV_COLUMNS = ("round", "train_loss", "grad_norm_sq", "test_metric", "clip_rate"
 
 _SAMPLER_TAG = 0xC11E
 _LOCAL_TAG = 0x10CA
+
+# Rounds whose stream keys are computed in one pass: a constant, so the key
+# arrays stay small for any number of rounds and no output depends on it.
+_KEY_CHUNK = 256
 
 _OPTIMIZERS = ("gd", "amsgrad", "adam")
 
@@ -118,23 +125,26 @@ class FederationResult:
 # ---------------------------------------------------------------------------
 
 
-def client_sampler(clients: int, clients_per_round: int, round_idx: int, master_seed: int) -> np.ndarray:
-    """Uniform without-replacement client sample; deterministic in (seed, round)."""
-    if not 1 <= clients_per_round <= clients:
-        raise ConfigurationError(
-            f"need 1 <= clients_per_round <= clients, got {clients_per_round}/{clients}"
-        )
-    ss = np.random.SeedSequence((int(master_seed), _SAMPLER_TAG), spawn_key=(int(round_idx),))
-    rng = np.random.Generator(np.random.Philox(ss))
-    return np.sort(rng.choice(clients, size=clients_per_round, replace=False))
+def client_sampler(rng: np.random.Generator, key, clients: int, clients_per_round: int) -> np.ndarray:
+    """Uniform without-replacement client sample, sorted, drawn from rng reset
+    to `key` (a row of `sampler_keys`); deterministic in (seed, round)."""
+    return np.sort(reseed(rng, key).choice(clients, size=clients_per_round, replace=False))
 
 
-def local_stream(master_seed: int, client_id: int, round_idx: int) -> np.random.Generator:
-    """Minibatch-selection stream for one (client, round); independent of noise streams."""
-    ss = np.random.SeedSequence(
-        (int(master_seed), _LOCAL_TAG), spawn_key=(int(client_id), int(round_idx))
-    )
-    return np.random.Generator(np.random.Philox(ss))
+def sampler_keys(master_seed: int, round_idx) -> np.ndarray:
+    """Philox keys of the client-sampler streams of the given rounds."""
+    return philox_keys((master_seed, _SAMPLER_TAG), (round_idx,))
+
+
+def local_keys(master_seed: int, client_ids, round_idx) -> np.ndarray:
+    """Philox keys of the minibatch streams of (client, round) pairs; arrays broadcast."""
+    return philox_keys((master_seed, _LOCAL_TAG), (client_ids, round_idx))
+
+
+def local_stream(rng: np.random.Generator, key) -> np.random.Generator:
+    """rng at the start of the minibatch stream with Philox key `key`, a row
+    of `local_keys`; independent of the noise streams."""
+    return reseed(rng, key)
 
 
 def covers_shard(batch_size: Optional[int], shard: np.ndarray) -> bool:
@@ -171,22 +181,25 @@ def client_privatize(
     eta_local: float,
     mech: MechanismConfig,
     compressor: Compressor,
-    rngs: list,
+    keys,
+    rng: Optional[np.random.Generator],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Clip each client's delta over the local step size, sketch all of them
     in one pass, add each client's noise, restore scale.
 
-    deltas is N x d, one row per client, and rngs holds the N clients' noise
-    streams in the same order; it is not read when sigma_g = 0.  Row i of the
-    returned N x b payload matrix is eta_local * (R @ clip(deltas[i]/eta_local,
-    tau) + xi_i) with xi_i drawn from rngs[i], as `sgm_apply` defines it for
-    one vector; the N flags say which rows were clipped.
+    deltas is N x d, one row per client, and keys holds the N clients' noise
+    stream keys (rows of `noise_keys`) in the same order; rng is reset to each
+    key in turn and read before the next, so all N streams share it.  Neither
+    is read when sigma_g = 0.  Row i of the returned N x b payload matrix is
+    eta_local * (R @ clip(deltas[i]/eta_local, tau) + sigma_g * xi_i) with
+    xi_i the first b normals of client i's stream; the N flags say which rows
+    were clipped.
     """
     scaled = np.asarray(deltas, dtype=np.float64) / eta_local
     clipped = np.array([np.linalg.norm(row) > mech.tau for row in scaled])
     sketched = compressor.sketch(np.array([clip(row, mech.tau) for row in scaled]).T).T
     if mech.sigma_g != 0.0:
-        noise = np.array([rng.standard_normal(compressor.b) for rng in rngs])
+        noise = np.array([noise_stream(rng, key).standard_normal(compressor.b) for key in keys])
         sketched = sketched + mech.sigma_g * noise
     return eta_local * sketched, clipped
 
@@ -224,11 +237,35 @@ def server_round(
     return step(theta, direction, moments, cfg.eta_global)
 
 
-def round_compressor(cfg: FedConfig, d: int, round_idx: int) -> Compressor:
-    """Fresh sketch per round, seeded by (master_seed, round); or the identity."""
+def round_compressor(
+    cfg: FedConfig, d: int, round_idx: int, keys, rng: np.random.Generator
+) -> Compressor:
+    """Fresh sketch per round, seeded by (master_seed, round) with its blocks'
+    Philox keys `keys` (see `block_keys`) drawn by rng; or the identity."""
     if cfg.sketch_b is None:
         return IdentityCompressor(d)
-    return sample_sketch(SketchSpec(b=cfg.sketch_b, d=d, seed=(cfg.master_seed, round_idx)))
+    return SketchMatrix(SketchSpec(b=cfg.sketch_b, d=d, seed=(cfg.master_seed, round_idx)), keys, rng)
+
+
+def _round_keys(cfg: FedConfig, rng: np.random.Generator, minibatches: bool):
+    """Per round: (round, selected clients, their minibatch keys, their noise
+    keys, the sketch's block keys), None for streams the run never draws.
+
+    Keys are computed for _KEY_CHUNK rounds at a time in one pass per role,
+    after the chunk's client selections, which key the per-client streams.
+    """
+    for start in range(0, cfg.rounds, _KEY_CHUNK):
+        rounds = np.arange(start, min(start + _KEY_CHUNK, cfg.rounds))
+        chosen = np.array([
+            client_sampler(rng, key, cfg.clients, cfg.clients_per_round)
+            for key in sampler_keys(cfg.master_seed, rounds)
+        ])
+        col, unused = rounds[:, None], [None] * len(rounds)
+        local = local_keys(cfg.master_seed, chosen, col) if minibatches else unused
+        noisy = cfg.mechanism.sigma_g != 0.0
+        noise = noise_keys(cfg.mechanism.noise_seed, chosen, col) if noisy else unused
+        sketch = unused if cfg.sketch_b is None else block_keys((cfg.master_seed, col), cfg.sketch_b)
+        yield from zip(rounds.tolist(), chosen.tolist(), local, noise, sketch)
 
 
 def _epsilon_spent(cfg: FedConfig, rounds_done: int) -> float:
@@ -277,14 +314,12 @@ def run_federation(
     moments = None if cfg.optimizer == "gd" else MomentState.init(
         d, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.opt_eps
     )
-    noisy = cfg.mechanism.sigma_g != 0.0
     records = []
+    sampler_rng, local_rng, noise_rng, sketch_rng = (new_generator() for _ in range(4))
+    minibatches = not all(covers_shard(cfg.batch_size, shard) for shard in partition.assignments)
 
-    for t in range(cfg.rounds):
-        clients = client_sampler(cfg.clients, cfg.clients_per_round, t, cfg.master_seed).tolist()
-        compressor = round_compressor(cfg, d, t)
-
-        # streams are built only for the draws the round makes
+    for t, clients, local, noise, sketch in _round_keys(cfg, sampler_rng, minibatches):
+        compressor = round_compressor(cfg, d, t, sketch, sketch_rng)
         shards = [partition.client_indices(c) for c in clients]
         deltas = np.array([
             client_local_update(
@@ -293,14 +328,14 @@ def run_federation(
                 shard,
                 cfg.local_steps,
                 cfg.eta_local,
-                None if covers_shard(cfg.batch_size, shard)
-                else local_stream(cfg.master_seed, c, t),
+                None if covers_shard(cfg.batch_size, shard) else local_stream(local_rng, key),
                 batch_size=cfg.batch_size,
             )
-            for c, shard in zip(clients, shards)
+            for shard, key in zip(shards, local if minibatches else shards)
         ])
-        rngs = [noise_stream(cfg.mechanism.noise_seed, c, t) for c in clients] if noisy else []
-        payloads, clipped = client_privatize(deltas, cfg.eta_local, cfg.mechanism, compressor, rngs)
+        payloads, clipped = client_privatize(
+            deltas, cfg.eta_local, cfg.mechanism, compressor, noise, noise_rng
+        )
         theta, moments = server_round(theta, payloads, compressor, cfg, moments)
 
         # a diverging run overflows here; the check below reports it

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._philox import philox_keys, reseed
 from .errors import ConfigurationError, ParameterRegimeError
 from .sketch import Compressor
 
@@ -63,16 +64,20 @@ def clip(v: np.ndarray, tau: float) -> np.ndarray:
     return out
 
 
-def noise_stream(noise_seed: int, client_id: int, round_idx: int) -> np.random.Generator:
-    """Independent, reproducible noise substream for (client, round).
+def noise_keys(noise_seed: int, client_ids, round_idx) -> np.ndarray:
+    """Philox keys of the noise substreams of (client, round) pairs; arrays
+    broadcast, as in `_philox.philox_keys`."""
+    return philox_keys((noise_seed, _NOISE_TAG), (client_ids, round_idx))
 
-    Same arguments always give the same stream; changing any of them gives a
-    statistically independent one (counter-based Philox keyed on the triple).
+
+def noise_stream(rng: np.random.Generator, key) -> np.random.Generator:
+    """rng at the start of the noise substream with Philox key `key`, a row of
+    `noise_keys`.
+
+    The same (seed, client, round) always gives the same stream; changing any
+    of them gives a statistically independent one (counter-based Philox).
     """
-    ss = np.random.SeedSequence(
-        (int(noise_seed), _NOISE_TAG), spawn_key=(int(client_id), int(round_idx))
-    )
-    return np.random.Generator(np.random.Philox(ss))
+    return reseed(rng, key)
 
 
 def sgm_apply(

@@ -7,7 +7,8 @@ R^T R has identity expectation, so desketch(sketch(x)) is an unbiased (noisy)
 estimate of x.
 
 Matrices are generated from a counter-based PRNG (Philox) in fixed-size row
-blocks, each block keyed by (seed, block_index).  Generation is therefore
+blocks, each block keyed by (seed, block_index) as numpy's SeedSequence
+would key it (see `_philox`).  Generation is therefore
 deterministic, re-entrant, and streamable: any block can be (re)produced on
 the fly without materializing the full matrix.
 """
@@ -19,6 +20,7 @@ from typing import Iterator, Sequence, Union
 
 import numpy as np
 
+from ._philox import new_generator, philox_keys, reseed
 from .errors import DimensionMismatchError, ResourceLimitError
 
 # Rows per generation block.  Fixed constant: changing it changes the bit
@@ -50,25 +52,23 @@ class SketchSpec:
                 f"sketch dims must be positive, got b={self.b}, d={self.d}"
             )
 
-    def _entropy(self) -> tuple:
-        seed = self.seed
-        if isinstance(seed, (int, np.integer)):
-            key: tuple = (int(seed),)
-        else:
-            key = tuple(int(s) for s in seed)
-        return key + (_SKETCH_TAG,)
+
+def block_keys(seed: SeedLike, b: int) -> np.ndarray:
+    """Philox keys of the row blocks of the b-row sketch seeded by `seed`, shape (blocks, 2).
+
+    Entries of a sequence seed may be integer arrays ending in an axis of
+    length 1, such as a column of round indices; the result then holds the
+    block keys of one sketch per entry, shape (..., blocks, 2).
+    """
+    seed = (seed,) if isinstance(seed, (int, np.integer)) else tuple(seed)
+    return philox_keys(seed + (_SKETCH_TAG,), (np.arange(-(-b // BLOCK_ROWS)),))
 
 
-def _block_seed_seq(spec: SketchSpec, block: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence(spec._entropy(), spawn_key=(block,))
-
-
-def _gen_block(spec: SketchSpec, block: int) -> np.ndarray:
-    """Rows [block*BLOCK_ROWS, ...) of the matrix; identical bits on every call."""
-    lo = block * BLOCK_ROWS
-    rows = min(BLOCK_ROWS, spec.b - lo)
-    rng = np.random.Generator(np.random.Philox(_block_seed_seq(spec, block)))
-    out = rng.standard_normal((rows, spec.d))
+def _gen_block(spec: SketchSpec, rng: np.random.Generator, key, block: int) -> np.ndarray:
+    """Rows [block*BLOCK_ROWS, ...) of the matrix, drawn from rng reset to the
+    block's key; identical bits on every call."""
+    rows = min(BLOCK_ROWS, spec.b - block * BLOCK_ROWS)
+    out = reseed(rng, key).standard_normal((rows, spec.d))
     return np.multiply(out, spec.b ** -0.5, out=out)
 
 
@@ -90,8 +90,14 @@ class SketchMatrix:
     give bit-identical results.
     """
 
-    def __init__(self, spec: SketchSpec):
+    def __init__(self, spec: SketchSpec, keys=None, rng=None):
+        """keys are the blocks' Philox keys, block_keys(spec.seed, spec.b) by
+        default; rng is the generator that draws them, a new one by default.
+        A run passes both, to key many rounds' sketches in one pass and to
+        reuse one generator."""
         self.spec = spec
+        self._keys = block_keys(spec.seed, spec.b) if keys is None else keys
+        self._rng = new_generator() if rng is None else rng
         self._kept = list(self.iter_blocks()) if spec.b * spec.d <= DENSE_MAX_ENTRIES else None
 
     @property
@@ -104,8 +110,8 @@ class SketchMatrix:
 
     def iter_blocks(self) -> Iterator[np.ndarray]:
         """Generate the row blocks in order; re-entrant (same bits every pass)."""
-        for k in range(-(-self.spec.b // BLOCK_ROWS)):
-            yield _gen_block(self.spec, k)
+        for k, key in enumerate(self._keys):
+            yield _gen_block(self.spec, self._rng, key, k)
 
     def _blocks(self):
         # kept blocks bypass iter_blocks, so every block it yields is a generated one

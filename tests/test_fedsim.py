@@ -12,6 +12,7 @@ import pytest
 
 from fedsgm import fedsim
 from fedsgm import sketch as sketch_module
+from fedsgm._philox import new_generator
 from fedsgm.accountant import AccountantParams, sgm_epsilon
 from fedsgm.errors import ConfigurationError, DimensionMismatchError
 from fedsgm.fedsim import (
@@ -19,12 +20,14 @@ from fedsgm.fedsim import (
     client_local_update,
     client_privatize,
     client_sampler,
+    local_keys,
     local_stream,
     records_to_csv,
     run_federation,
+    sampler_keys,
     server_round,
 )
-from fedsgm.mechanism import MechanismConfig, clip, noise_stream, sgm_apply
+from fedsgm.mechanism import MechanismConfig, clip, noise_keys, noise_stream, sgm_apply
 from fedsgm.optim import MomentState, adam_step, amsgrad_step, gd_step
 from fedsgm.sketch import IdentityCompressor, SketchSpec, sample_sketch
 from fedsgm.tasks import Task, make_federated_quadratic, make_logreg
@@ -45,6 +48,16 @@ def diag_quadratic_task():
         theta0=np.zeros(2),
         minimum_value=0.0,
     )
+
+
+def sample(clients, clients_per_round, round_idx, seed):
+    return client_sampler(
+        new_generator(), sampler_keys(seed, round_idx), clients, clients_per_round
+    )
+
+
+def minibatch_stream(seed, client, round_idx):
+    return local_stream(new_generator(), local_keys(seed, client, round_idx))
 
 
 def small_fed_config(**over):
@@ -90,7 +103,7 @@ def test_fed_config_validation():
 
 def test_local_update_single_step_is_scaled_gradient():
     task = diag_quadratic_task()
-    rng = local_stream(0, 0, 0)
+    rng = minibatch_stream(0, 0, 0)
     # from the origin the identity is exact
     delta0 = client_local_update(np.zeros(2), task, np.array([0]), 1, 0.1, rng)
     assert np.array_equal(delta0, 0.1 * task.grad(np.zeros(2)))
@@ -101,7 +114,7 @@ def test_local_update_single_step_is_scaled_gradient():
 
 def test_local_update_zero_step_size():
     delta = client_local_update(
-        np.array([1.0, 1.0]), diag_quadratic_task(), np.array([0]), 3, 0.0, local_stream(0, 0, 0)
+        np.array([1.0, 1.0]), diag_quadratic_task(), np.array([0]), 3, 0.0, minibatch_stream(0, 0, 0)
     )
     assert np.array_equal(delta, np.zeros(2))
 
@@ -111,7 +124,7 @@ def test_local_update_two_step_hand_trace():
     # step 1: theta = (0.9, 0.8); step 2: theta = (0.81, 0.64)
     # delta = (0.19, 0.36), traced by hand.
     delta = client_local_update(
-        np.array([1.0, 1.0]), diag_quadratic_task(), np.array([0]), 2, 0.1, local_stream(0, 0, 0)
+        np.array([1.0, 1.0]), diag_quadratic_task(), np.array([0]), 2, 0.1, minibatch_stream(0, 0, 0)
     )
     assert np.allclose(delta, [0.19, 0.36], rtol=1e-12, atol=0)
 
@@ -120,9 +133,9 @@ def test_local_update_minibatch_deterministic():
     task, part = make_logreg(n=40, d=5, clients=2, seed=1)
     shard = part.client_indices(0)
     theta = np.full(5, 0.3)
-    d1 = client_local_update(theta, task, shard, 4, 0.05, local_stream(9, 0, 2), batch_size=5)
-    d2 = client_local_update(theta, task, shard, 4, 0.05, local_stream(9, 0, 2), batch_size=5)
-    d3 = client_local_update(theta, task, shard, 4, 0.05, local_stream(9, 0, 3), batch_size=5)
+    d1 = client_local_update(theta, task, shard, 4, 0.05, minibatch_stream(9, 0, 2), batch_size=5)
+    d2 = client_local_update(theta, task, shard, 4, 0.05, minibatch_stream(9, 0, 2), batch_size=5)
+    d3 = client_local_update(theta, task, shard, 4, 0.05, minibatch_stream(9, 0, 3), batch_size=5)
     assert np.array_equal(d1, d2)
     assert not np.array_equal(d1, d3)
 
@@ -134,7 +147,7 @@ def test_local_update_minibatch_deterministic():
 def test_privatize_noiseless_identity_within_threshold():
     mech = MechanismConfig(tau=10.0, sigma_g=0.0)
     deltas = np.array([[0.25, -0.5, 0.125], [0.5, 0.0, -0.25]])  # binary fractions: /0.5 is exact
-    payloads, clipped = client_privatize(deltas, 0.5, mech, IdentityCompressor(3), [None, None])
+    payloads, clipped = client_privatize(deltas, 0.5, mech, IdentityCompressor(3), None, None)
     assert np.array_equal(payloads, deltas)
     assert clipped.tolist() == [False, False]
 
@@ -143,7 +156,7 @@ def test_privatize_clip_saturation_norm():
     mech = MechanismConfig(tau=1.0, sigma_g=0.0)
     eta = 0.5
     deltas = eta * np.array([[2.0, 0.0, 0.0, 0.0], [0.0, 0.0, 3.0, 0.0]])  # normalized norms 2, 3 tau
-    payloads, clipped = client_privatize(deltas, eta, mech, IdentityCompressor(4), [None, None])
+    payloads, clipped = client_privatize(deltas, eta, mech, IdentityCompressor(4), None, None)
     assert clipped.tolist() == [True, True]
     assert np.linalg.norm(payloads, axis=1).tolist() == [eta * mech.tau] * 2
 
@@ -151,7 +164,7 @@ def test_privatize_clip_saturation_norm():
 def test_privatize_clip_flag_boundary():
     mech = MechanismConfig(tau=1.0, sigma_g=0.0)
     deltas = np.array([[0.3, 0.4], [3.0, 4.0]])
-    _, clipped = client_privatize(deltas, 1.0, mech, IdentityCompressor(2), [None, None])
+    _, clipped = client_privatize(deltas, 1.0, mech, IdentityCompressor(2), None, None)
     assert clipped.tolist() == [False, True]
 
 
@@ -159,14 +172,14 @@ def test_privatize_dimension_mismatch():
     mech = MechanismConfig(tau=1.0, sigma_g=0.0)
     R = sample_sketch(SketchSpec(b=4, d=16, seed=0))
     with pytest.raises(DimensionMismatchError):
-        client_privatize(np.zeros((2, 8)), 1.0, mech, R, [None, None])
+        client_privatize(np.zeros((2, 8)), 1.0, mech, R, None, None)
 
 
 def test_privatize_payload_lives_in_sketched_space():
     mech = MechanismConfig(tau=1.0, sigma_g=0.5, noise_seed=2)
     R = sample_sketch(SketchSpec(b=4, d=16, seed=0))
-    rngs = [noise_stream(2, c, 0) for c in range(3)]
-    payloads, clipped = client_privatize(np.ones((3, 16)), 1.0, mech, R, rngs)
+    keys = noise_keys(2, np.arange(3), 0)
+    payloads, clipped = client_privatize(np.ones((3, 16)), 1.0, mech, R, keys, new_generator())
     assert payloads.shape == (3, 4)
     assert clipped.shape == (3,)
 
@@ -188,9 +201,11 @@ def test_privatize_matrix_matches_per_client_reference(monkeypatch, mode):
     deltas[3] = 0.0  # a zero row is a fixed point of clip
 
     def streams():
-        return [noise_stream(seed, c, 2) for c in range(n_clients)]
+        # a fresh generator per client, where client_privatize shares one
+        return [noise_stream(new_generator(), key) for key in keys]
 
-    payloads, clipped = client_privatize(deltas, eta, mech, R, streams())
+    keys = noise_keys(seed, np.arange(n_clients), 2)
+    payloads, clipped = client_privatize(deltas, eta, mech, R, keys, new_generator())
     assert payloads.shape == (n_clients, R.b)
     for i, rng in enumerate(streams()):
         scaled = deltas[i] / eta
@@ -199,7 +214,7 @@ def test_privatize_matrix_matches_per_client_reference(monkeypatch, mode):
         assert clipped[i] == (np.linalg.norm(scaled) > mech.tau)
     assert clipped.tolist() == [False, True, False, False, False]
     # the noise bits: R @ 0 is exactly 0, so zero deltas leave only eta * sigma_g * xi
-    zero, _ = client_privatize(np.zeros((n_clients, d)), eta, mech, R, streams())
+    zero, _ = client_privatize(np.zeros((n_clients, d)), eta, mech, R, keys, new_generator())
     for i, rng in enumerate(streams()):
         assert np.array_equal(zero[i], eta * sgm_apply(np.zeros(d), R, mech.sigma_g, rng))
 
@@ -324,14 +339,14 @@ def test_server_round_rejects_raw_updates():
 
 
 def test_sampler_full_participation():
-    assert np.array_equal(client_sampler(7, 7, 0, 123), np.arange(7))
+    assert np.array_equal(sample(7, 7, 0, 123), np.arange(7))
 
 
 def test_sampler_deterministic_and_seed_sensitive():
-    a = client_sampler(50, 10, 4, 9)
-    b = client_sampler(50, 10, 4, 9)
-    c = client_sampler(50, 10, 5, 9)
-    d = client_sampler(50, 10, 4, 10)
+    a = sample(50, 10, 4, 9)
+    b = sample(50, 10, 4, 9)
+    c = sample(50, 10, 5, 9)
+    d = sample(50, 10, 4, 10)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c) or not np.array_equal(a, d)
     assert len(np.unique(a)) == 10  # without replacement
@@ -341,8 +356,9 @@ def test_sampler_uniform_frequency():
     # 1e5 rounds, C=20, N=5: empirical per-client frequency within 3 SE of 1/4
     C, N, rounds = 20, 5, 100_000
     counts = np.zeros(C)
-    for t in range(rounds):
-        counts[client_sampler(C, N, t, 77)] += 1
+    rng = new_generator()
+    for key in sampler_keys(77, np.arange(rounds)):  # every round's key in one pass
+        counts[client_sampler(rng, key, C, N)] += 1
     freq = counts / rounds
     q = N / C
     se = math.sqrt(q * (1 - q) / rounds)

@@ -7,16 +7,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from fedsgm._philox import new_generator
 from fedsgm.errors import ConfigurationError, ParameterRegimeError
 from fedsgm.mechanism import (
     MechanismConfig,
     clip,
+    noise_keys,
     noise_stream,
     ratio_sensitivity_bounds,
     sensitivity_ratio,
     sgm_apply,
 )
 from fedsgm.sketch import IdentityCompressor, SketchSpec, sample_sketch
+
+
+def fresh_noise_stream(noise_seed, client_id, round_idx):
+    return noise_stream(new_generator(), noise_keys(noise_seed, client_id, round_idx))
+
 
 # ---------------------------------------------------------------------------
 # config
@@ -39,8 +46,8 @@ def test_config_accepts_numpy_ints_and_zero_noise():
     cfg = MechanismConfig(tau=1.0, sigma_g=0.0, noise_seed=np.int64(16))
     assert cfg.sigma_g == 0.0  # non-private ablation mode is legal here
     # a numpy-int seed keys the same noise stream as the Python int
-    drawn = noise_stream(cfg.noise_seed, 2, 3).standard_normal(4)
-    assert np.array_equal(drawn, noise_stream(16, 2, 3).standard_normal(4))
+    drawn = fresh_noise_stream(cfg.noise_seed, 2, 3).standard_normal(4)
+    assert np.array_equal(drawn, fresh_noise_stream(16, 2, 3).standard_normal(4))
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +114,7 @@ def test_sgm_apply_noise_variance():
     # x = 0, sigma_g = 1: output is pure noise with unit per-coordinate
     # variance; 1e5 scalar draws pin it to within 2%.
     R = IdentityCompressor(1)
-    rng = noise_stream(42, client_id=0, round_idx=0)
+    rng = fresh_noise_stream(42, client_id=0, round_idx=0)
     draws = np.array([sgm_apply(np.zeros(1), R, 1.0, rng)[0] for _ in range(1000)])
     # speed: pull the remaining draws in one vectorized call from the stream
     more = sgm_apply(np.zeros(1), R, 1.0, rng)  # keep the scalar path exercised
@@ -140,10 +147,10 @@ def test_sgm_output_covariance():
 
 
 def test_noise_streams_reproducible_and_disjoint():
-    a1 = noise_stream(5, client_id=3, round_idx=9).standard_normal(4)
-    a2 = noise_stream(5, client_id=3, round_idx=9).standard_normal(4)
-    b1 = noise_stream(5, client_id=4, round_idx=9).standard_normal(4)
-    c1 = noise_stream(5, client_id=3, round_idx=10).standard_normal(4)
+    a1 = fresh_noise_stream(5, client_id=3, round_idx=9).standard_normal(4)
+    a2 = fresh_noise_stream(5, client_id=3, round_idx=9).standard_normal(4)
+    b1 = fresh_noise_stream(5, client_id=4, round_idx=9).standard_normal(4)
+    c1 = fresh_noise_stream(5, client_id=3, round_idx=10).standard_normal(4)
     assert np.array_equal(a1, a2)
     assert not np.array_equal(a1, b1)
     assert not np.array_equal(a1, c1)
@@ -157,12 +164,12 @@ def test_aggregation_linearity():
     rng = np.random.default_rng(3)
     xs = [rng.standard_normal(d) for _ in range(N)]
     outs = [
-        sgm_apply(xs[c], R, sigma_g, noise_stream(9, client_id=c, round_idx=0))
+        sgm_apply(xs[c], R, sigma_g, fresh_noise_stream(9, client_id=c, round_idx=0))
         for c in range(N)
     ]
     mean_out = np.mean(outs, axis=0)
     xis = [
-        sigma_g * noise_stream(9, client_id=c, round_idx=0).standard_normal(b)
+        sigma_g * fresh_noise_stream(9, client_id=c, round_idx=0).standard_normal(b)
         for c in range(N)
     ]
     reference = (R.sketch(np.sum(xs, axis=0)) + np.sum(xis, axis=0)) / N

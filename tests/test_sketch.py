@@ -17,7 +17,6 @@ from fedsgm.sketch import (
     IdentityCompressor,
     SketchMatrix,
     SketchSpec,
-    _block_seed_seq,
     sample_sketch,
 )
 
@@ -57,7 +56,9 @@ def test_streamed_blocks_match_reference_bits(monkeypatch):
     # N(0, 1) draws from its own Philox stream times b^-1/2, kept or regenerated.
     spec = SketchSpec(b=BLOCK_ROWS + 40, d=9, seed=(4, 2))
     reference = np.concatenate([
-        np.random.Generator(np.random.Philox(_block_seed_seq(spec, k))).standard_normal(
+        np.random.Generator(
+            np.random.Philox(np.random.SeedSequence((4, 2, sketch_module._SKETCH_TAG), spawn_key=(k,)))
+        ).standard_normal(
             (rows, spec.d)
         ) * spec.b ** -0.5
         for k, rows in enumerate((BLOCK_ROWS, 40))
