@@ -1,102 +1,77 @@
-"""Philox streams keyed in bulk, with the keys numpy's SeedSequence gives.
-
-The stream with entropy E and spawn key S starts where
-Philox(SeedSequence(E, spawn_key=S)) starts: Philox key
-SeedSequence(E, spawn_key=S).generate_state(2, np.uint64), counter 0.
-`philox_keys` runs SeedSequence's 32-bit hash arithmetic (hashmix, mix and
-generate_state in numpy's bit_generator.pyx) on arrays, so one call keys the
-streams of many rounds and clients; `reseed` points a reused generator at one
-of those keys, which costs a state assignment instead of a SeedSequence and
-a Philox per stream.
-"""
+"""Philox streams keyed in bulk: SeedSequence's keys, without a SeedSequence
+per stream, and one reused generator reset to each key in turn."""
 
 from __future__ import annotations
 
 import numpy as np
 
-_POOL = 4  # SeedSequence's pool size, in 32-bit words
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _MASK = 0xFFFFFFFF
 _ZEROS = np.zeros(4, dtype=np.uint64)
 
 
 def _words(item) -> list:
-    """One entropy item as SeedSequence coerces it: an int becomes its 32-bit
-    words, least significant first; an integer array is one word per value."""
-    if np.ndim(item) == 0:
-        value = int(item)
-        if value < 0:
-            raise ValueError("expected non-negative integer")
-        words = [value & _MASK]
-        while value > _MASK:
-            value >>= 32
-            words.append(value & _MASK)
-        return words
-    item = np.asarray(item)
-    if item.size and not 0 <= item.min() <= item.max() <= _MASK:
-        raise ValueError("array entropy must lie in [0, 2**32)")
-    return [item.astype(np.uint32)]
+    """An int as SeedSequence's 32-bit words; an integer array, one word each."""
+    if np.ndim(item):
+        item = np.asarray(item)
+        if item.size and not 0 <= item.min() <= item.max() <= _MASK:
+            raise ValueError("array entropy must lie in [0, 2**32)")
+        return [item.astype(np.uint32)]
+    value, words = int(item), []
+    if value < 0:
+        raise ValueError("expected non-negative integer")
+    while not words or value:
+        words.append(value & _MASK)
+        value >>= 32
+    return words
 
 
 def philox_keys(entropy, spawn_key=()) -> np.ndarray:
-    """SeedSequence(entropy, spawn_key).generate_state(2, np.uint64) for many streams.
+    """SeedSequence(entropy, spawn_key).generate_state(2, np.uint64), the key
+    of Philox(SeedSequence(entropy, spawn_key)), for many streams at once.
 
     entropy and spawn_key are tuples of non-negative ints and integer arrays;
-    the arrays broadcast against each other, one stream per element, and the
-    result has their broadcast shape plus a last axis of 2.  Words from ints
-    stay Python ints and words from arrays stay uint32 arrays; every product
-    and difference is masked to 32 bits, so both wrap as SeedSequence's do.
+    the arrays broadcast, one stream per element, and the keys have their
+    shape plus an axis of 2.  This is SeedSequence's uint32 hash (hashmix,
+    mix, generate_state in numpy's bit_generator.pyx) on Python ints and uint32
+    arrays, every product and difference masked to 32 bits.
     """
     words = [w for item in entropy for w in _words(item)]
-    if spawn_key:
-        words += [0] * (_POOL - len(words))
-        words += [w for item in spawn_key for w in _words(item)]
-    h = _INIT_A
+    if spawn_key:  # SeedSequence pads spawned entropy to its 4-word pool
+        words += [0] * (4 - len(words)) + [w for item in spawn_key for w in _words(item)]
+    h = 0x43B0D7E5
 
     def hashmix(v):
         nonlocal h
-        v = v ^ h
-        h = h * _MULT_A & _MASK
+        v, h = v ^ h, h * 0x931E8875 & _MASK
         v = v * h & _MASK
-        return v ^ (v >> 16)
+        return v ^ v >> 16
 
     def mix(x, y):
-        v = ((_MIX_L * x & _MASK) - (_MIX_R * y & _MASK)) & _MASK
-        return v ^ (v >> 16)
+        v = (0xCA01F9DD * x & _MASK) - (0x4973F715 * y & _MASK) & _MASK
+        return v ^ v >> 16
 
-    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(_POOL)]
-    for src in range(_POOL):
-        for dst in range(_POOL):
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
             if src != dst:
                 pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in words[_POOL:]:
-        for dst in range(_POOL):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    h, out = _INIT_B, []
-    for i in range(4):
-        v = pool[i % _POOL] ^ h
-        h = h * _MULT_B & _MASK
+    for word in words[4:]:
+        pool = [mix(p, hashmix(word)) for p in pool]
+    h, out = 0x8B51F9DD, []
+    for v in pool:
+        v, h = v ^ h, h * 0x58F38DED & _MASK
         v = v * h & _MASK
-        out.append(np.asarray(v ^ (v >> 16), dtype=np.uint64))
+        out.append(np.asarray(v ^ v >> 16, dtype=np.uint64))
     return np.stack(np.broadcast_arrays(out[0] | out[1] << 32, out[2] | out[3] << 32), axis=-1)
 
 
 def new_generator() -> np.random.Generator:
-    """A Philox generator for `reseed` to point at keys."""
+    """A Philox generator for `reseed` to start on keys."""
     return np.random.Generator(np.random.Philox(key=0))
 
 
 def reseed(gen: np.random.Generator, key) -> np.random.Generator:
-    """gen at the start of the stream with Philox key `key` (counter 0, empty
-    buffers), drawing as a fresh Philox with that key would; returns gen."""
-    gen.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": _ZEROS, "key": key},
-        "buffer": _ZEROS,
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+    """gen where a fresh Philox(key=key) starts: counter 0, empty buffers."""
+    gen.bit_generator.state = {"bit_generator": "Philox", "state": {"counter": _ZEROS, "key": key},
+                               "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     return gen

@@ -28,13 +28,14 @@ class _Field:
     required: bool = False
     default: object = None
     choices: Optional[tuple] = None
+    minimum: Optional[int] = None
 
 
 _SCHEMA = {
     "task": {
         "kind": _Field("str", required=True, choices=("quadratic", "logreg")),
         "d": _Field("int", required=True),
-        "seed": _Field("int", default=0),
+        "seed": _Field("int", default=0, minimum=0),
         # quadratic-only
         "spectrum": _Field("str", default="power_law", choices=("power_law", "identity")),
         "power": _Field("number", default=2.0),
@@ -54,17 +55,17 @@ _SCHEMA = {
         "eta_local": _Field("number", required=True),
         "eta_global": _Field("number", required=True),
         "batch_size": _Field("int", default=1),
-        "master_seed": _Field("int", default=0),
+        "master_seed": _Field("int", default=0, minimum=0),
     },
     "mechanism": {
         # no defaults here on purpose: privacy parameters must be stated
         "tau": _Field("number", required=True),
         "sigma_g": _Field("sigma", required=True),
-        "noise_seed": _Field("int", default=0),
+        "noise_seed": _Field("int", default=0, minimum=0),
     },
     "sketch": {
         "mode": _Field("str", default="gaussian", choices=("gaussian", "identity")),
-        "b": _Field("int", default=None),
+        "b": _Field("int", default=None, minimum=1),
     },
     "optimizer": {
         "kind": _Field("str", default="gd", choices=("gd", "amsgrad", "adam")),
@@ -108,6 +109,8 @@ def _coerce(path: str, spec: _Field, value):
         # tau = inf is the documented way to turn clipping off
         if math.isinf(value) and path != "mechanism.tau":
             raise ConfigurationError(f"{path} must be finite, got {value!r}")
+    if spec.minimum is not None and value < spec.minimum:
+        raise ConfigurationError(f"{path} must be >= {spec.minimum}, got {value!r}")
     if spec.choices is not None and value not in spec.choices:
         raise ConfigurationError(f"{path}: {value!r} not in {spec.choices}")
     return value

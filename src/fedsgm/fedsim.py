@@ -14,12 +14,12 @@ The server never sees a raw d-dimensional client delta: `server_round`
 rejects a payload matrix whose rows are not b-dimensional.
 
 Every source of randomness is a Philox substream keyed by role, round, and
-client, so runs are reproducible bit for bit.  The keys of a chunk of rounds
-are computed in one pass per role, and each role reuses one generator that is
-reset to a key before its stream's draws.  A substream is used only when the
-round draws from it: a client whose minibatch covers its shard gets no
-minibatch stream, and a run with sigma_g = 0 gets no noise streams.  Since
-each substream is keyed independently, skipping one changes no other draw.
+client, so runs are reproducible bit for bit.  Keys are computed in bulk, and
+each role's one generator is reset to a key before that stream's draws.  A
+substream is used only when the round draws from it: a client whose minibatch
+covers its shard gets no minibatch stream, and a run with sigma_g = 0 gets no
+noise streams.  Since each substream is keyed independently, skipping one
+changes no other draw.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from . import __version__
 from .accountant import AccountantParams, sgm_epsilon
 from .errors import ConfigurationError, DimensionMismatchError, ParameterRegimeError
 from ._philox import new_generator, philox_keys, reseed
-from .mechanism import MechanismConfig, clip, noise_keys, noise_stream
+from .mechanism import MechanismConfig, clip
 from .optim import MomentState, adam_step, amsgrad_step, gd_step
 from .sketch import Compressor, IdentityCompressor, SketchMatrix, SketchSpec, block_keys
 from .tasks import Partition, Task, iid_partition
@@ -45,11 +45,12 @@ from .tasks import Partition, Task, iid_partition
 CSV_SCHEMA = "# fed-sgm csv v1"
 CSV_COLUMNS = ("round", "train_loss", "grad_norm_sq", "test_metric", "clip_rate", "epsilon_spent")
 
+# Domain-separation tags of the run's random streams
 _SAMPLER_TAG = 0xC11E
 _LOCAL_TAG = 0x10CA
+_NOISE_TAG = 0x401E
 
-# Rounds whose stream keys are computed in one pass: a constant, so the key
-# arrays stay small for any number of rounds and no output depends on it.
+# Rounds keyed per pass: the key arrays stay small for any number of rounds.
 _KEY_CHUNK = 256
 
 _OPTIMIZERS = ("gd", "amsgrad", "adam")
@@ -126,53 +127,46 @@ class FederationResult:
 
 
 def client_sampler(rng: np.random.Generator, key, clients: int, clients_per_round: int) -> np.ndarray:
-    """Uniform without-replacement client sample, sorted, drawn from rng reset
-    to `key` (a row of `sampler_keys`); deterministic in (seed, round)."""
+    """Uniform without-replacement client sample, sorted, from rng reset to a
+    round's sampler key; deterministic in (seed, round)."""
     return np.sort(reseed(rng, key).choice(clients, size=clients_per_round, replace=False))
 
 
-def sampler_keys(master_seed: int, round_idx) -> np.ndarray:
-    """Philox keys of the client-sampler streams of the given rounds."""
-    return philox_keys((master_seed, _SAMPLER_TAG), (round_idx,))
-
-
-def local_keys(master_seed: int, client_ids, round_idx) -> np.ndarray:
-    """Philox keys of the minibatch streams of (client, round) pairs; arrays broadcast."""
-    return philox_keys((master_seed, _LOCAL_TAG), (client_ids, round_idx))
-
-
-def local_stream(rng: np.random.Generator, key) -> np.random.Generator:
-    """rng at the start of the minibatch stream with Philox key `key`, a row
-    of `local_keys`; independent of the noise streams."""
-    return reseed(rng, key)
-
-
-def covers_shard(batch_size: Optional[int], shard: np.ndarray) -> bool:
-    """Whether every local step uses the whole shard, so no minibatch is drawn."""
-    return batch_size is None or batch_size >= len(shard)
+# A (client, round) minibatch or noise stream: the role's generator reset to
+# the pair's key.  One name per role, so each role's streams are counted apart.
+local_stream = noise_stream = reseed
 
 
 def client_local_update(
     theta: np.ndarray,
     task: Task,
-    shard: np.ndarray,
+    shards: list,
     local_steps: int,
     eta_local: float,
+    keys,
     rng: Optional[np.random.Generator],
     batch_size: Optional[int] = None,
 ) -> np.ndarray:
-    """K steps of minibatch SGD on the client's sample indices `shard` from
-    theta; returns delta = theta - theta_K.
+    """K steps of minibatch SGD from theta for each of a round's N clients
+    (sample indices `shards`), as one (N, d) batch with one task.grad call per
+    step; returns the N x d deltas theta - theta_K, which the server subtracts.
 
-    batch_size = None means full-shard gradients.  rng is read only when
-    minibatches are drawn (see `covers_shard`), so it may be None otherwise.
-    The delta points along the accumulated (stochastic) gradient direction,
-    so the server subtracts it."""
-    theta_c = np.asarray(theta, dtype=np.float64).copy()
-    full = covers_shard(batch_size, shard)
-    for _ in range(local_steps):
-        batch = shard if full else rng.choice(shard, size=batch_size, replace=False)
-        theta_c -= eta_local * task.grad(theta_c, batch)
+    A client whose batch_size covers its shard (None: full shards) draws
+    nothing; client i otherwise draws its K minibatches in step order from rng
+    reset to keys[i], so the N streams share rng.
+    """
+    batches = []
+    for i, shard in enumerate(shards):
+        if batch_size is None or batch_size >= len(shard):
+            batches.append([shard] * local_steps)
+        else:
+            stream = local_stream(rng, keys[i])
+            batches.append([stream.choice(shard, size=batch_size, replace=False)
+                            for _ in range(local_steps)])
+    theta = np.asarray(theta, dtype=np.float64)
+    theta_c = np.tile(theta, (len(shards), 1))
+    for step in zip(*batches):
+        theta_c -= eta_local * task.grad(theta_c, step)
     return theta - theta_c
 
 
@@ -187,13 +181,11 @@ def client_privatize(
     """Clip each client's delta over the local step size, sketch all of them
     in one pass, add each client's noise, restore scale.
 
-    deltas is N x d, one row per client, and keys holds the N clients' noise
-    stream keys (rows of `noise_keys`) in the same order; rng is reset to each
-    key in turn and read before the next, so all N streams share it.  Neither
-    is read when sigma_g = 0.  Row i of the returned N x b payload matrix is
-    eta_local * (R @ clip(deltas[i]/eta_local, tau) + sigma_g * xi_i) with
-    xi_i the first b normals of client i's stream; the N flags say which rows
-    were clipped.
+    deltas is N x d, one row per client.  Row i of the returned N x b payload
+    matrix is eta_local * (R @ clip(deltas[i]/eta_local, tau) + sigma_g * xi_i),
+    xi_i drawn from rng right after its reset to the client's noise key
+    keys[i], so the N streams share rng (neither is read when sigma_g = 0);
+    the N flags say which rows were clipped.
     """
     scaled = np.asarray(deltas, dtype=np.float64) / eta_local
     clipped = np.array([np.linalg.norm(row) > mech.tau for row in scaled])
@@ -237,34 +229,29 @@ def server_round(
     return step(theta, direction, moments, cfg.eta_global)
 
 
-def round_compressor(
-    cfg: FedConfig, d: int, round_idx: int, keys, rng: np.random.Generator
-) -> Compressor:
-    """Fresh sketch per round, seeded by (master_seed, round) with its blocks'
-    Philox keys `keys` (see `block_keys`) drawn by rng; or the identity."""
+def round_compressor(cfg: FedConfig, d: int, round_idx: int, keys, rng) -> Compressor:
+    """Fresh sketch per round, seeded by (master_seed, round), its blocks'
+    Philox keys (`block_keys`) drawn by rng; or the identity."""
     if cfg.sketch_b is None:
         return IdentityCompressor(d)
     return SketchMatrix(SketchSpec(b=cfg.sketch_b, d=d, seed=(cfg.master_seed, round_idx)), keys, rng)
 
 
-def _round_keys(cfg: FedConfig, rng: np.random.Generator, minibatches: bool):
-    """Per round: (round, selected clients, their minibatch keys, their noise
-    keys, the sketch's block keys), None for streams the run never draws.
-
-    Keys are computed for _KEY_CHUNK rounds at a time in one pass per role,
-    after the chunk's client selections, which key the per-client streams.
-    """
+def _round_keys(cfg: FedConfig, rng: np.random.Generator):
+    """Per round: (round, selected clients, their minibatch and noise stream
+    keys, the sketch's block keys or None), computed _KEY_CHUNK rounds at a
+    time, one pass per role, once the chunk's clients are drawn."""
     for start in range(0, cfg.rounds, _KEY_CHUNK):
         rounds = np.arange(start, min(start + _KEY_CHUNK, cfg.rounds))
         chosen = np.array([
             client_sampler(rng, key, cfg.clients, cfg.clients_per_round)
-            for key in sampler_keys(cfg.master_seed, rounds)
+            for key in philox_keys((cfg.master_seed, _SAMPLER_TAG), (rounds,))
         ])
-        col, unused = rounds[:, None], [None] * len(rounds)
-        local = local_keys(cfg.master_seed, chosen, col) if minibatches else unused
-        noisy = cfg.mechanism.sigma_g != 0.0
-        noise = noise_keys(cfg.mechanism.noise_seed, chosen, col) if noisy else unused
-        sketch = unused if cfg.sketch_b is None else block_keys((cfg.master_seed, col), cfg.sketch_b)
+        col = rounds[:, None]
+        local = philox_keys((cfg.master_seed, _LOCAL_TAG), (chosen, col))
+        noise = philox_keys((cfg.mechanism.noise_seed, _NOISE_TAG), (chosen, col))
+        sketch = ([None] * len(rounds) if cfg.sketch_b is None
+                  else block_keys((cfg.master_seed, col), cfg.sketch_b))
         yield from zip(rounds.tolist(), chosen.tolist(), local, noise, sketch)
 
 
@@ -316,23 +303,14 @@ def run_federation(
     )
     records = []
     sampler_rng, local_rng, noise_rng, sketch_rng = (new_generator() for _ in range(4))
-    minibatches = not all(covers_shard(cfg.batch_size, shard) for shard in partition.assignments)
+    shards = [partition.client_indices(c) for c in range(cfg.clients)]
 
-    for t, clients, local, noise, sketch in _round_keys(cfg, sampler_rng, minibatches):
+    for t, clients, local, noise, sketch in _round_keys(cfg, sampler_rng):
         compressor = round_compressor(cfg, d, t, sketch, sketch_rng)
-        shards = [partition.client_indices(c) for c in clients]
-        deltas = np.array([
-            client_local_update(
-                theta,
-                task,
-                shard,
-                cfg.local_steps,
-                cfg.eta_local,
-                None if covers_shard(cfg.batch_size, shard) else local_stream(local_rng, key),
-                batch_size=cfg.batch_size,
-            )
-            for shard, key in zip(shards, local if minibatches else shards)
-        ])
+        deltas = client_local_update(
+            theta, task, [shards[c] for c in clients], cfg.local_steps, cfg.eta_local,
+            local, local_rng, cfg.batch_size,
+        )
         payloads, clipped = client_privatize(
             deltas, cfg.eta_local, cfg.mechanism, compressor, noise, noise_rng
         )
@@ -350,16 +328,9 @@ def run_federation(
                 f"the run diverged in round {t}: the iterate or its metrics are non-finite; "
                 f"lower the step sizes (eta_local = {cfg.eta_local}, eta_global = {cfg.eta_global})"
             )
-        records.append(
-            RoundRecord(
-                round=t,
-                train_loss=train_loss,
-                grad_norm_sq=grad_norm_sq,
-                test_metric=test_metric,
-                clip_activation_rate=float(np.count_nonzero(clipped) / len(clipped)),
-                epsilon_spent=_epsilon_spent(cfg, t + 1),
-            )
-        )
+        clip_rate = float(np.count_nonzero(clipped) / len(clipped))
+        records.append(RoundRecord(t, train_loss, grad_norm_sq, test_metric, clip_rate,
+                                   _epsilon_spent(cfg, t + 1)))
     return FederationResult(records, theta)
 
 
@@ -385,18 +356,8 @@ def records_to_csv(records: list) -> str:
     """Render records with full-precision (repr) floats under a versioned header."""
     lines = [CSV_SCHEMA, ",".join(CSV_COLUMNS)]
     for r in records:
-        lines.append(
-            ",".join(
-                [
-                    str(r.round),
-                    repr(r.train_loss),
-                    repr(r.grad_norm_sq),
-                    repr(r.test_metric),
-                    repr(r.clip_activation_rate),
-                    repr(r.epsilon_spent),
-                ]
-            )
-        )
+        values = (r.train_loss, r.grad_norm_sq, r.test_metric, r.clip_activation_rate, r.epsilon_spent)
+        lines.append(",".join([str(r.round), *map(repr, values)]))
     return "\n".join(lines) + "\n"
 
 

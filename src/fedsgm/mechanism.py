@@ -13,12 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._philox import philox_keys, reseed
 from .errors import ConfigurationError, ParameterRegimeError
-from .sketch import Compressor
-
-# Domain-separation tag for noise streams (vs. sketch streams).
-_NOISE_TAG = 0x401E
 
 
 @dataclass(frozen=True)
@@ -64,38 +59,6 @@ def clip(v: np.ndarray, tau: float) -> np.ndarray:
     return out
 
 
-def noise_keys(noise_seed: int, client_ids, round_idx) -> np.ndarray:
-    """Philox keys of the noise substreams of (client, round) pairs; arrays
-    broadcast, as in `_philox.philox_keys`."""
-    return philox_keys((noise_seed, _NOISE_TAG), (client_ids, round_idx))
-
-
-def noise_stream(rng: np.random.Generator, key) -> np.random.Generator:
-    """rng at the start of the noise substream with Philox key `key`, a row of
-    `noise_keys`.
-
-    The same (seed, client, round) always gives the same stream; changing any
-    of them gives a statistically independent one (counter-based Philox).
-    """
-    return reseed(rng, key)
-
-
-def sgm_apply(
-    x: np.ndarray, R: Compressor, sigma_g: float, rng: np.random.Generator | None = None
-) -> np.ndarray:
-    """Sketched Gaussian mechanism: R @ x + N(0, sigma_g^2 I_b).
-
-    With sigma_g = 0 no noise is drawn, so the output equals R @ x bit for
-    bit (useful for ablations and exactness tests).
-    """
-    y = R.sketch(x)
-    if sigma_g == 0.0:
-        return y
-    if rng is None:
-        raise ConfigurationError("sigma_g > 0 requires a noise stream")
-    return y + sigma_g * rng.standard_normal(y.shape[0])
-
-
 def sensitivity_ratio(tau: float, b: int, sigma_g: float) -> float:
     """r = 2*tau^2 / (b*sigma_g^2), the knob controlling the variance-ratio range."""
     if tau == 0.0:
@@ -104,19 +67,3 @@ def sensitivity_ratio(tau: float, b: int, sigma_g: float) -> float:
         raise ParameterRegimeError("sigma_g must be positive when tau > 0")
     return 2.0 * tau * tau / (b * sigma_g * sigma_g)
 
-
-def ratio_sensitivity_bounds(tau: float, b: int, sigma_g: float) -> tuple[float, float]:
-    """Range of the noise-scale ratio between adjacent datasets.
-
-    For aggregated statistics with per-term norm at most tau, the std ratio
-    sqrt((||gamma(D')||^2 + m*b*sigma_g^2) / (||gamma(D)||^2 + m*b*sigma_g^2))
-    lies in [sqrt(1 - r), sqrt(1 + r)] with r = 2*tau^2/(b*sigma_g^2),
-    independent of the aggregation count m.  Requires r < 1; otherwise the
-    lower endpoint degenerates and the accounting regime is violated.
-    """
-    r = sensitivity_ratio(tau, b, sigma_g)
-    if r >= 1.0:
-        raise ParameterRegimeError(
-            f"2*tau^2/(b*sigma_g^2) = {r:.6g} >= 1; increase sigma_g or b"
-        )
-    return (math.sqrt(1.0 - r), math.sqrt(1.0 + r))

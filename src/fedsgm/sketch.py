@@ -7,8 +7,7 @@ R^T R has identity expectation, so desketch(sketch(x)) is an unbiased (noisy)
 estimate of x.
 
 Matrices are generated from a counter-based PRNG (Philox) in fixed-size row
-blocks, each block keyed by (seed, block_index) as numpy's SeedSequence
-would key it (see `_philox`).  Generation is therefore
+blocks, each block keyed by (seed, block_index).  Generation is therefore
 deterministic, re-entrant, and streamable: any block can be (re)produced on
 the fly without materializing the full matrix.
 """
@@ -21,14 +20,19 @@ from typing import Iterator, Sequence, Union
 import numpy as np
 
 from ._philox import new_generator, philox_keys, reseed
-from .errors import DimensionMismatchError, ResourceLimitError
+from .errors import DimensionMismatchError
 
 # Rows per generation block.  Fixed constant: changing it changes the bit
 # layout of every sketch, so it is part of the on-disk/replay contract.
 BLOCK_ROWS = 512
 
+# R @ x is summed over SKETCH_DEPTH-column pieces in order, so the bits do not
+# depend on the BLAS thread count (OpenBLAS's Haswell DGEMM blocks the inner
+# dimension at 256; a whole product splits differently across threads).
+SKETCH_DEPTH = 256
+
 # Sketches with at most this many entries keep their row blocks in memory;
-# larger ones regenerate them on every pass and refuse to materialize.
+# larger ones regenerate them on every pass.
 DENSE_MAX_ENTRIES = 10**8
 
 # Domain-separation tag so sketch streams never collide with noise streams
@@ -54,12 +58,9 @@ class SketchSpec:
 
 
 def block_keys(seed: SeedLike, b: int) -> np.ndarray:
-    """Philox keys of the row blocks of the b-row sketch seeded by `seed`, shape (blocks, 2).
-
-    Entries of a sequence seed may be integer arrays ending in an axis of
-    length 1, such as a column of round indices; the result then holds the
-    block keys of one sketch per entry, shape (..., blocks, 2).
-    """
+    """Philox keys of the row blocks of the b-row sketch seeded by `seed`,
+    shape (blocks, 2); a seed entry that is a column of values (say rounds)
+    gives one sketch's keys per value, shape (values, blocks, 2)."""
     seed = (seed,) if isinstance(seed, (int, np.integer)) else tuple(seed)
     return philox_keys(seed + (_SKETCH_TAG,), (np.arange(-(-b // BLOCK_ROWS)),))
 
@@ -91,10 +92,8 @@ class SketchMatrix:
     """
 
     def __init__(self, spec: SketchSpec, keys=None, rng=None):
-        """keys are the blocks' Philox keys, block_keys(spec.seed, spec.b) by
-        default; rng is the generator that draws them, a new one by default.
-        A run passes both, to key many rounds' sketches in one pass and to
-        reuse one generator."""
+        """keys: the blocks' Philox keys (block_keys(spec.seed, spec.b) by
+        default); rng: the generator that draws them.  A run passes its own."""
         self.spec = spec
         self._keys = block_keys(spec.seed, spec.b) if keys is None else keys
         self._rng = new_generator() if rng is None else rng
@@ -117,20 +116,15 @@ class SketchMatrix:
         # kept blocks bypass iter_blocks, so every block it yields is a generated one
         return self.iter_blocks() if self._kept is None else self._kept
 
-    def materialize(self) -> np.ndarray:
-        """The full (b, d) matrix. Deterministic given the SketchSpec alone."""
-        if self._kept is None:
-            raise ResourceLimitError(
-                f"refusing to materialize {self.spec.b * self.spec.d:.3g} entries"
-            )
-        return np.concatenate(self._kept)
-
     def sketch(self, x: np.ndarray) -> np.ndarray:
         """R @ x: compress a d-vector, or each column of a (d, N) matrix, to b dimensions."""
         x = _columns(x, self.spec.d)
         parts = []
         for block in self._blocks():
-            parts.append(block @ x)
+            acc = block[:, :SKETCH_DEPTH] @ x[:SKETCH_DEPTH]
+            for lo in range(SKETCH_DEPTH, self.spec.d, SKETCH_DEPTH):
+                acc += block[:, lo : lo + SKETCH_DEPTH] @ x[lo : lo + SKETCH_DEPTH]
+            parts.append(acc)
             del block  # free a regenerated block before the next one is made
         return np.concatenate(parts)
 
@@ -167,8 +161,3 @@ class IdentityCompressor:
 
 
 Compressor = Union[SketchMatrix, IdentityCompressor]
-
-
-def sample_sketch(spec: SketchSpec) -> SketchMatrix:
-    """Realize the sketch described by `spec`."""
-    return SketchMatrix(spec)

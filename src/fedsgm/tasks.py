@@ -14,6 +14,7 @@ Hessian when the dimension is small enough to afford it.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -71,7 +72,8 @@ class Task:
     """A differentiable objective over n samples.
 
     loss/grad take an optional index array and average over it (all samples
-    when omitted).  hessian is the full-data Hessian at theta, or None when
+    when omitted); grad also takes an (N, d) stack with N index arrays, one
+    gradient per row.  hessian is the full-data Hessian at theta, or None when
     unavailable.  The logistic task keeps its last full-data margin X @ theta
     in a one-slot cache keyed by theta's values, so full-data grad, loss and
     hessian at one iterate share one read of X.
@@ -98,6 +100,12 @@ class Task:
         """Full-data (train loss, test metric); a default metric reuses the loss."""
         loss = float(self.loss(theta))
         return loss, (loss if self._metric_is_loss else float(self.test_metric(theta)))
+
+
+def _client_batch(theta, idx):
+    """An (N, d) stack of iterates and its N index arrays; a vector is N = 1."""
+    rows = np.asarray(theta, dtype=np.float64)
+    return (rows, idx) if rows.ndim == 2 else (rows[None], [idx])
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +222,16 @@ def make_federated_quadratic(
     def grad(theta, idx=None):
         if idx is None:
             return H @ (theta - mean_center)
-        rows = centers[np.asarray(idx)]
-        return H @ (theta - np.add.reduce(rows, axis=0) / len(rows))
+        rows, idx = _client_batch(theta, idx)
+        sizes = [len(i) for i in idx]
+        starts = list(itertools.accumulate(sizes, initial=0))[:-1]
+        picked = centers[np.concatenate(idx)]
+        sums = picked[starts]  # row after row, as np.mean sums (np.add.reduceat does not)
+        for k in range(1, max(sizes)):
+            live = [j for j, size in enumerate(sizes) if size > k]
+            sums[live] += picked[[starts[j] + k for j in live]]
+        # H @ D^T rather than D @ H: one client's row is then H's GEMV
+        return (H @ (rows - sums / np.array(sizes)[:, None]).T).T.reshape(np.shape(theta))
 
     task = Task(
         name="quadratic",
@@ -284,11 +300,6 @@ def _logreg_task(X: np.ndarray, y: np.ndarray, X_test, y_test) -> Task:
         # +0.0), so one block returns the unblocked product itself
         return functools.reduce(operator.iadd, terms)
 
-    def client_margin(theta, idx):
-        idx = np.asarray(idx)
-        Xi = X[idx]
-        return Xi, y[idx], Xi @ theta
-
     def coefficients(yi, z):
         return -yi * _sigmoid(-yi * z)
 
@@ -296,14 +307,19 @@ def _logreg_task(X: np.ndarray, y: np.ndarray, X_test, y_test) -> Task:
         if idx is None:
             yi, z = y, full_margin(theta)
         else:
-            _, yi, z = client_margin(theta, idx)
+            idx = np.asarray(idx)
+            yi, z = y[idx], X[idx] @ theta
         return float(np.mean(np.logaddexp(0.0, -yi * z)))
 
     def grad(theta, idx=None):
         if idx is None:
             return block_sum(Xb.T @ coefficients(yb, zb) for Xb, yb, zb in full_blocks(theta)) / n
-        Xi, yi, z = client_margin(theta, idx)
-        return Xi.T @ coefficients(yi, z) / len(yi)
+        rows, idx = _client_batch(theta, idx)  # a client at a time: its rows stay in cache
+        out = np.empty_like(rows)
+        for i, (theta_i, idx_i) in enumerate(zip(rows, idx)):
+            Xi, yi = X[idx_i], y[idx_i]
+            out[i] = Xi.T @ coefficients(yi, Xi @ theta_i) / len(yi)
+        return out.reshape(np.shape(theta))
 
     def hessian(theta):
         if d > _HESSIAN_DIM_LIMIT:

@@ -32,9 +32,9 @@ from fedsgm.accountant import (
 )
 from fedsgm.cli import main
 from fedsgm.fedsim import FedConfig, run_federation
-from fedsgm.mechanism import MechanismConfig, sgm_apply
+from fedsgm.mechanism import MechanismConfig
 from fedsgm.optim import MomentState, amsgrad_step
-from fedsgm.sketch import SketchSpec, sample_sketch
+from fedsgm.sketch import SketchMatrix, SketchSpec
 from fedsgm.tasks import intrinsic_dimension, make_federated_quadratic, power_law_spectrum
 
 
@@ -163,8 +163,8 @@ def test_mechanism_output_covariance():
     outs = np.empty((n, b))
     noise = np.random.default_rng(8)
     for i in range(n):
-        R = sample_sketch(SketchSpec(b=b, d=d, seed=i))
-        outs[i] = sgm_apply(x, R, sigma_g, noise)
+        R = SketchMatrix(SketchSpec(b=b, d=d, seed=i))
+        outs[i] = R.sketch(x) + sigma_g * noise.standard_normal(b)
     cov = np.cov(outs, rowvar=False)
     target = 1.0 / b + sigma_g**2
     diag = np.diag(cov)
@@ -182,7 +182,7 @@ def test_desketch_unbiased_and_inner_products_concentrate():
     n_seeds = 1000
     samples = np.empty((n_seeds, d))
     for seed in range(n_seeds):
-        R = sample_sketch(SketchSpec(b=b, d=d, seed=seed))
+        R = SketchMatrix(SketchSpec(b=b, d=d, seed=seed))
         samples[seed] = R.desketch(R.sketch(x))
     se = samples.std(axis=0, ddof=1) / np.sqrt(n_seeds)
     assert np.all(np.abs(samples.mean(axis=0) - x) <= 3 * se)
@@ -197,7 +197,7 @@ def test_desketch_unbiased_and_inner_products_concentrate():
     trials = 200
     violations = 0
     for seed in range(trials):
-        R = sample_sketch(SketchSpec(b=b, d=d, seed=seed))
+        R = SketchMatrix(SketchSpec(b=b, d=d, seed=seed))
         if abs(R.sketch(g) @ R.sketch(h) - exact) > bound:
             violations += 1
     assert violations / trials <= 0.25

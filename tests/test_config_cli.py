@@ -8,7 +8,10 @@ frozen oracles used in test_accountant.
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import time
 import warnings
 from pathlib import Path
@@ -419,6 +422,40 @@ def test_simulate_rerun_is_byte_identical(tmp_path, capsys):
     assert (out_dir / "rerun-manifest.json").read_bytes() == first_manifest
 
 
+def test_simulate_rerun_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # d = 2000: the round's sketch product R @ [deltas] is summed over
+    # 256-column pieces; as one GEMM of this shape it splits differently
+    # between one and two threads and changes bits from round 0 on
+    raw = small_config(
+        task={"kind": "logreg", "d": 2000, "n": 400, "seed": 1},
+        federation={"clients": 40, "clients_per_round": 20, "rounds": 2, "batch_size": 10,
+                    "eta_local": 0.5},
+        mechanism={"tau": 1.0, "sigma_g": 0.5, "noise_seed": 1},
+        sketch={"b": 100},
+    )
+    path = write_config(tmp_path, raw)
+    outputs = []
+    for threads in ("1", "2"):
+        out_dir = tmp_path / f"threads-{threads}"
+        env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src"), "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+        subprocess.run([sys.executable, "-m", "fedsgm.cli", "simulate", path, "--out-dir",
+                        str(out_dir)], env=env, capture_output=True, text=True, check=True)
+        outputs.append((out_dir / "run.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("key", ["federation.master_seed", "mechanism.noise_seed", "task.seed"])
+def test_simulate_negative_seed_exits_1(tmp_path, capsys, key):
+    # a negative seed is named by its key, not raised from deep in the run
+    out_dir = tmp_path / "out"
+    rc = main(["simulate", str(REPO_ROOT / "configs" / "quadratic.json"),
+               "--override", f"{key}=-1", "--out-dir", str(out_dir)])
+    assert rc == 1
+    assert f"{key} must be >= 0, got -1" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_simulate_override_recorded_in_manifest(tmp_path, capsys):
     path = write_config(tmp_path, small_config())
     rc = main(["simulate", path, "--override", "mechanism.sigma_g=0.8", "--out-dir", str(tmp_path / "o")])
@@ -653,6 +690,13 @@ def test_diagnose_huge_dimension_exits_2(tmp_path, capsys):
     rc = main(["diagnose", path])
     assert rc == 2
     assert "infeasible" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("b", [0, -3])
+def test_diagnose_bad_sketch_dim_exits_1(capsys, b):
+    rc = main(["diagnose", str(REPO_ROOT / "configs" / "logreg.json"), "--override", f"sketch.b={b}"])
+    assert rc == 1
+    assert f"sketch.b must be >= 1, got {b}" in capsys.readouterr().err
 
 
 def test_diagnose_reports_bound_validity(capsys):

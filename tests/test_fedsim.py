@@ -12,7 +12,7 @@ import pytest
 
 from fedsgm import fedsim
 from fedsgm import sketch as sketch_module
-from fedsgm._philox import new_generator
+from fedsgm._philox import new_generator, philox_keys
 from fedsgm.accountant import AccountantParams, sgm_epsilon
 from fedsgm.errors import ConfigurationError, DimensionMismatchError
 from fedsgm.fedsim import (
@@ -20,16 +20,15 @@ from fedsgm.fedsim import (
     client_local_update,
     client_privatize,
     client_sampler,
-    local_keys,
     local_stream,
+    noise_stream,
     records_to_csv,
     run_federation,
-    sampler_keys,
     server_round,
 )
-from fedsgm.mechanism import MechanismConfig, clip, noise_keys, noise_stream, sgm_apply
+from fedsgm.mechanism import MechanismConfig, clip
 from fedsgm.optim import MomentState, adam_step, amsgrad_step, gd_step
-from fedsgm.sketch import IdentityCompressor, SketchSpec, sample_sketch
+from fedsgm.sketch import IdentityCompressor, SketchMatrix, SketchSpec
 from fedsgm.tasks import Task, make_federated_quadratic, make_logreg
 
 NO_CLIP = 1e9  # tau large enough that clipping never activates in these runs
@@ -43,11 +42,23 @@ def diag_quadratic_task():
         d=2,
         n=1,
         loss=lambda theta, idx=None: float(0.5 * theta @ H @ theta),
-        grad=lambda theta, idx=None: H @ theta,
+        grad=lambda theta, idx=None: theta @ H,  # one iterate or an (N, 2) stack
         hessian=lambda theta: H,
         theta0=np.zeros(2),
         minimum_value=0.0,
     )
+
+
+def sampler_keys(seed, round_idx):
+    return philox_keys((seed, fedsim._SAMPLER_TAG), (round_idx,))
+
+
+def local_keys(seed, client_ids, round_idx):
+    return philox_keys((seed, fedsim._LOCAL_TAG), (client_ids, round_idx))
+
+
+def noise_keys(seed, client_ids, round_idx):
+    return philox_keys((seed, fedsim._NOISE_TAG), (client_ids, round_idx))
 
 
 def sample(clients, clients_per_round, round_idx, seed):
@@ -103,41 +114,74 @@ def test_fed_config_validation():
 
 def test_local_update_single_step_is_scaled_gradient():
     task = diag_quadratic_task()
-    rng = minibatch_stream(0, 0, 0)
     # from the origin the identity is exact
-    delta0 = client_local_update(np.zeros(2), task, np.array([0]), 1, 0.1, rng)
+    (delta0,) = client_local_update(np.zeros(2), task, [np.array([0])], 1, 0.1, None, None)
     assert np.array_equal(delta0, 0.1 * task.grad(np.zeros(2)))
     theta = np.array([1.0, 1.0])
-    delta = client_local_update(theta, task, np.array([0]), 1, 0.1, rng)
+    (delta,) = client_local_update(theta, task, [np.array([0])], 1, 0.1, None, None)
     assert np.allclose(delta, 0.1 * task.grad(theta), rtol=1e-12, atol=1e-15)
 
 
 def test_local_update_zero_step_size():
-    delta = client_local_update(
-        np.array([1.0, 1.0]), diag_quadratic_task(), np.array([0]), 3, 0.0, minibatch_stream(0, 0, 0)
+    deltas = client_local_update(
+        np.array([1.0, 1.0]), diag_quadratic_task(), [np.array([0])] * 3, 3, 0.0, None, None
     )
-    assert np.array_equal(delta, np.zeros(2))
+    assert np.array_equal(deltas, np.zeros((3, 2)))
 
 
 def test_local_update_two_step_hand_trace():
     # A = diag(1, 2), theta0 = (1, 1), eta = 0.1, K = 2, full batch:
     # step 1: theta = (0.9, 0.8); step 2: theta = (0.81, 0.64)
     # delta = (0.19, 0.36), traced by hand.
-    delta = client_local_update(
-        np.array([1.0, 1.0]), diag_quadratic_task(), np.array([0]), 2, 0.1, minibatch_stream(0, 0, 0)
+    (delta,) = client_local_update(
+        np.array([1.0, 1.0]), diag_quadratic_task(), [np.array([0])], 2, 0.1, None, None
     )
     assert np.allclose(delta, [0.19, 0.36], rtol=1e-12, atol=0)
 
 
 def test_local_update_minibatch_deterministic():
     task, part = make_logreg(n=40, d=5, clients=2, seed=1)
-    shard = part.client_indices(0)
+    shard = [part.client_indices(0)]
     theta = np.full(5, 0.3)
-    d1 = client_local_update(theta, task, shard, 4, 0.05, minibatch_stream(9, 0, 2), batch_size=5)
-    d2 = client_local_update(theta, task, shard, 4, 0.05, minibatch_stream(9, 0, 2), batch_size=5)
-    d3 = client_local_update(theta, task, shard, 4, 0.05, minibatch_stream(9, 0, 3), batch_size=5)
+
+    def update(seed, round_idx):
+        keys = local_keys(seed, [0], round_idx)
+        return client_local_update(theta, task, shard, 4, 0.05, keys, new_generator(), batch_size=5)
+
+    d1, d2, d3 = update(9, 2), update(9, 2), update(9, 3)
     assert np.array_equal(d1, d2)
     assert not np.array_equal(d1, d3)
+
+
+def test_batched_local_update_is_each_clients_own_update():
+    # one (N, d) batch over ragged shards, minibatches drawn from one shared
+    # generator, equals each client's update from a fresh generator on its
+    # own: the logistic task's client rows keep their bits
+    task, part = make_logreg(n=43, d=7, clients=5, seed=4)  # shards of 8 and 9
+    shards = [part.client_indices(c) for c in (0, 2, 3, 4)]
+    assert {len(s) for s in shards} == {8, 9}
+    theta = np.linspace(-0.5, 0.5, 7)
+    keys = local_keys(6, [0, 2, 3, 4], 11)
+    calls = []
+
+    def counted_grad(theta, idx=None):
+        calls.append(np.shape(theta))
+        return grad(theta, idx)
+
+    grad, task.grad = task.grad, counted_grad
+    deltas = client_local_update(theta, task, shards, 3, 0.2, keys, new_generator(), batch_size=4)
+    assert calls == [(4, 7)] * 3  # one grad call per local step
+    for i, shard in enumerate(shards):
+        (alone,) = client_local_update(
+            theta, task, [shard], 3, 0.2, keys[i : i + 1], new_generator(), batch_size=4
+        )
+        assert np.array_equal(deltas[i], alone), i
+    # a batch that covers every shard draws nothing
+    full = client_local_update(theta, task, shards, 2, 0.2, None, None, batch_size=9)
+    for i, shard in enumerate(shards):
+        ref = theta - 0.2 * task.grad(theta, shard)
+        ref = ref - 0.2 * task.grad(ref, shard)
+        assert np.array_equal(full[i], theta - ref), i
 
 
 # ---------------------------------------------------------------------------
@@ -170,14 +214,14 @@ def test_privatize_clip_flag_boundary():
 
 def test_privatize_dimension_mismatch():
     mech = MechanismConfig(tau=1.0, sigma_g=0.0)
-    R = sample_sketch(SketchSpec(b=4, d=16, seed=0))
+    R = SketchMatrix(SketchSpec(b=4, d=16, seed=0))
     with pytest.raises(DimensionMismatchError):
         client_privatize(np.zeros((2, 8)), 1.0, mech, R, None, None)
 
 
 def test_privatize_payload_lives_in_sketched_space():
     mech = MechanismConfig(tau=1.0, sigma_g=0.5, noise_seed=2)
-    R = sample_sketch(SketchSpec(b=4, d=16, seed=0))
+    R = SketchMatrix(SketchSpec(b=4, d=16, seed=0))
     keys = noise_keys(2, np.arange(3), 0)
     payloads, clipped = client_privatize(np.ones((3, 16)), 1.0, mech, R, keys, new_generator())
     assert payloads.shape == (3, 4)
@@ -186,7 +230,7 @@ def test_privatize_payload_lives_in_sketched_space():
 
 @pytest.mark.parametrize("mode", ["dense", "stream", "identity"])
 def test_privatize_matrix_matches_per_client_reference(monkeypatch, mode):
-    # one sketch pass over the d x N matrix equals clip + sgm_apply per client,
+    # one sketch pass over the d x N matrix equals clip, sketch and noise per client,
     # with the sketch's row blocks kept ("dense") or regenerated ("stream")
     d, n_clients, eta, seed = 700, 5, 0.25, 4
     mech = MechanismConfig(tau=1.0, sigma_g=0.7, noise_seed=seed)
@@ -195,7 +239,7 @@ def test_privatize_matrix_matches_per_client_reference(monkeypatch, mode):
     if mode == "identity":
         R = IdentityCompressor(d)
     else:  # b > BLOCK_ROWS, so the sketch spans two blocks
-        R = sample_sketch(SketchSpec(b=600, d=d, seed=3))
+        R = SketchMatrix(SketchSpec(b=600, d=d, seed=3))
     deltas = np.random.default_rng(1).standard_normal((n_clients, d)) * eta / 40
     deltas[1] *= 100  # clipped
     deltas[3] = 0.0  # a zero row is a fixed point of clip
@@ -209,14 +253,15 @@ def test_privatize_matrix_matches_per_client_reference(monkeypatch, mode):
     assert payloads.shape == (n_clients, R.b)
     for i, rng in enumerate(streams()):
         scaled = deltas[i] / eta
-        ref = eta * sgm_apply(clip(scaled, mech.tau), R, mech.sigma_g, rng)
+        ref = eta * (R.sketch(clip(scaled, mech.tau)) + mech.sigma_g * rng.standard_normal(R.b))
         assert np.linalg.norm(payloads[i] - ref) <= 1e-12 * np.linalg.norm(ref)
         assert clipped[i] == (np.linalg.norm(scaled) > mech.tau)
     assert clipped.tolist() == [False, True, False, False, False]
     # the noise bits: R @ 0 is exactly 0, so zero deltas leave only eta * sigma_g * xi
     zero, _ = client_privatize(np.zeros((n_clients, d)), eta, mech, R, keys, new_generator())
     for i, rng in enumerate(streams()):
-        assert np.array_equal(zero[i], eta * sgm_apply(np.zeros(d), R, mech.sigma_g, rng))
+        ref = eta * (R.sketch(np.zeros(d)) + mech.sigma_g * rng.standard_normal(R.b))
+        assert np.array_equal(zero[i], ref)
 
 
 def test_streamed_round_generates_the_sketch_twice(monkeypatch):
@@ -300,7 +345,7 @@ def test_server_round_single_update_identity_aggregation():
 def test_server_round_mean_is_bitwise_the_np_mean_form():
     # the payload mean skips np.mean's Python wrapper, not its arithmetic
     cfg = small_fed_config(sketch_b=16)
-    R = sample_sketch(SketchSpec(b=16, d=64, seed=2))
+    R = SketchMatrix(SketchSpec(b=16, d=64, seed=2))
     rng = np.random.default_rng(23)
     for n in range(1, 9):
         theta = rng.standard_normal(64)
@@ -325,7 +370,7 @@ def test_server_round_takes_the_configured_step(kind, step):
 def test_server_round_rejects_raw_updates():
     # the type boundary: d-dimensional (unsketched) rows must not pass
     cfg = small_fed_config(sketch_b=3)
-    R = sample_sketch(SketchSpec(b=3, d=12, seed=1))
+    R = SketchMatrix(SketchSpec(b=3, d=12, seed=1))
     with pytest.raises(DimensionMismatchError):
         server_round(np.zeros(12), np.zeros((1, 12)), R, cfg, None)
     with pytest.raises(DimensionMismatchError):

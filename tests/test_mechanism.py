@@ -7,22 +7,40 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fedsgm._philox import new_generator
+from fedsgm import fedsim
+from fedsgm._philox import new_generator, philox_keys
 from fedsgm.errors import ConfigurationError, ParameterRegimeError
-from fedsgm.mechanism import (
-    MechanismConfig,
-    clip,
-    noise_keys,
-    noise_stream,
-    ratio_sensitivity_bounds,
-    sensitivity_ratio,
-    sgm_apply,
-)
-from fedsgm.sketch import IdentityCompressor, SketchSpec, sample_sketch
+from fedsgm.mechanism import MechanismConfig, clip, sensitivity_ratio
+from fedsgm.sketch import IdentityCompressor, SketchMatrix, SketchSpec
 
 
 def fresh_noise_stream(noise_seed, client_id, round_idx):
-    return noise_stream(new_generator(), noise_keys(noise_seed, client_id, round_idx))
+    key = philox_keys((noise_seed, fedsim._NOISE_TAG), (client_id, round_idx))
+    return fedsim.noise_stream(new_generator(), key)
+
+
+def sgm_apply(x, R, sigma_g, rng=None):
+    """The sketched Gaussian mechanism on one vector, R @ x + N(0, sigma_g^2 I_b):
+    the reference for fedsim.client_privatize's one pass over a round's
+    clients.  With sigma_g = 0 no noise is drawn, so the output is R @ x bit
+    for bit."""
+    y = R.sketch(x)
+    if sigma_g == 0.0:
+        return y
+    if rng is None:
+        raise ConfigurationError("sigma_g > 0 requires a noise stream")
+    return y + sigma_g * rng.standard_normal(y.shape[0])
+
+
+def ratio_sensitivity_bounds(tau, b, sigma_g):
+    """[sqrt(1 - r), sqrt(1 + r)], r = 2 tau^2/(b sigma_g^2): the range of the
+    noise-scale ratio between adjacent datasets for aggregated statistics
+    with per-term norm at most tau, independent of the aggregation count m.
+    Needs r < 1; otherwise the accounting regime is violated."""
+    r = sensitivity_ratio(tau, b, sigma_g)
+    if r >= 1.0:
+        raise ParameterRegimeError(f"2*tau^2/(b*sigma_g^2) = {r:.6g} >= 1; increase sigma_g or b")
+    return (math.sqrt(1.0 - r), math.sqrt(1.0 + r))
 
 
 # ---------------------------------------------------------------------------
@@ -99,13 +117,13 @@ def test_clip_homogeneous(c):
 
 
 def test_sgm_apply_noiseless_is_sketch():
-    R = sample_sketch(SketchSpec(b=8, d=20, seed=1))
+    R = SketchMatrix(SketchSpec(b=8, d=20, seed=1))
     x = np.random.default_rng(0).standard_normal(20)
     assert np.array_equal(sgm_apply(x, R, 0.0), R.sketch(x))
 
 
 def test_sgm_apply_requires_stream_when_noisy():
-    R = sample_sketch(SketchSpec(b=8, d=20, seed=1))
+    R = SketchMatrix(SketchSpec(b=8, d=20, seed=1))
     with pytest.raises(ConfigurationError):
         sgm_apply(np.zeros(20), R, 0.5, None)
 
@@ -135,7 +153,7 @@ def test_sgm_output_covariance():
     outs = np.empty((n, b))
     noise = np.random.default_rng(8)
     for i in range(n):
-        R = sample_sketch(SketchSpec(b=b, d=d, seed=i))
+        R = SketchMatrix(SketchSpec(b=b, d=d, seed=i))
         outs[i] = sgm_apply(x, R, sigma_g, noise)
     cov = np.cov(outs, rowvar=False)
     target = 1.0 / b + sigma_g**2
@@ -160,7 +178,7 @@ def test_aggregation_linearity():
     # mean_c SG(x_c) == (1/N) (R sum_c x_c + sum_c xi_c) with the same noise,
     # up to floating-point associativity.
     b, d, sigma_g, N = 16, 40, 0.3, 5
-    R = sample_sketch(SketchSpec(b=b, d=d, seed=2))
+    R = SketchMatrix(SketchSpec(b=b, d=d, seed=2))
     rng = np.random.default_rng(3)
     xs = [rng.standard_normal(d) for _ in range(N)]
     outs = [

@@ -17,21 +17,25 @@ from fedsgm.sketch import (
     IdentityCompressor,
     SketchMatrix,
     SketchSpec,
-    sample_sketch,
 )
+
+
+def materialize(R):
+    """The full (b, d) matrix of a sketch, from its kept blocks if it keeps them."""
+    return np.concatenate(list(R._blocks()))
 
 
 def test_sample_sketch_deterministic():
     spec = SketchSpec(b=2, d=3, seed=7)
-    R1 = sample_sketch(spec).materialize()
-    R2 = sample_sketch(spec).materialize()
+    R1 = materialize(SketchMatrix(spec))
+    R2 = materialize(SketchMatrix(spec))
     assert R1.shape == (2, 3)
     assert np.array_equal(R1, R2)
 
 
 def test_sample_sketch_seed_sensitivity():
-    R1 = sample_sketch(SketchSpec(b=2, d=3, seed=7)).materialize()
-    R2 = sample_sketch(SketchSpec(b=2, d=3, seed=8)).materialize()
+    R1 = materialize(SketchMatrix(SketchSpec(b=2, d=3, seed=7)))
+    R2 = materialize(SketchMatrix(SketchSpec(b=2, d=3, seed=8)))
     assert not np.array_equal(R1, R2)
 
 
@@ -39,15 +43,15 @@ def regenerated(monkeypatch, spec):
     """The sketch of `spec` with its row blocks regenerated on every pass."""
     with monkeypatch.context() as m:
         m.setattr(sketch_module, "DENSE_MAX_ENTRIES", 0)
-        return sample_sketch(spec)
+        return SketchMatrix(spec)
 
 
 def test_dense_and_streamed_agree(monkeypatch):
     spec = SketchSpec(b=16, d=700, seed=3)
-    dense = sample_sketch(spec)
+    dense = SketchMatrix(spec)
     streamed = regenerated(monkeypatch, spec)
     x = np.random.default_rng(0).standard_normal(700)
-    assert np.array_equal(dense.materialize(), np.concatenate(list(streamed.iter_blocks())))
+    assert np.array_equal(materialize(dense), np.concatenate(list(streamed.iter_blocks())))
     assert np.allclose(dense.sketch(x), streamed.sketch(x), rtol=1e-12, atol=0)
 
 
@@ -65,13 +69,13 @@ def test_streamed_blocks_match_reference_bits(monkeypatch):
     ])
     streamed = regenerated(monkeypatch, spec)
     assert np.array_equal(np.concatenate(list(streamed.iter_blocks())), reference)
-    assert np.array_equal(sample_sketch(spec).materialize(), reference)
+    assert np.array_equal(materialize(SketchMatrix(spec)), reference)
 
 
 def test_kept_and_regenerated_blocks_give_the_same_bits(monkeypatch):
     # b spans three blocks; kept and regenerated blocks go through one code path
     spec = SketchSpec(b=BLOCK_ROWS + 588, d=50, seed=6)
-    kept, streamed = sample_sketch(spec), regenerated(monkeypatch, spec)
+    kept, streamed = SketchMatrix(spec), regenerated(monkeypatch, spec)
     rng = np.random.default_rng(8)
     X, y = rng.standard_normal((spec.d, 5)), rng.standard_normal(spec.b)
     assert np.array_equal(kept.sketch(X), streamed.sketch(X))
@@ -84,7 +88,7 @@ def test_kept_sketch_construction_holds_one_copy():
     spec = SketchSpec(b=BLOCK_ROWS + 588, d=1000, seed=2)
     tracemalloc.start()
     try:
-        sample_sketch(spec)
+        SketchMatrix(spec)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -109,7 +113,7 @@ def test_entry_moments():
     # Entries are i.i.d. N(0, 1/b); with b*d = 2^25 samples the empirical
     # mean and variance concentrate tightly.
     b, d = 4096, 8192
-    R = sample_sketch(SketchSpec(b=b, d=d, seed=7)).materialize()
+    R = materialize(SketchMatrix(SketchSpec(b=b, d=d, seed=7)))
     assert abs(R.mean()) < 4.0 / np.sqrt(b * d)
     assert abs(R.var() * b - 1.0) < 0.05
 
@@ -121,7 +125,7 @@ def test_isometry_in_expectation():
     x[0] = 1.0
     norms = []
     for seed in range(200):
-        R = sample_sketch(SketchSpec(b=b, d=d, seed=seed))
+        R = SketchMatrix(SketchSpec(b=b, d=d, seed=seed))
         norms.append(np.dot(R.sketch(x), R.sketch(x)))
     se = np.sqrt(2.0 / b) / np.sqrt(200)
     assert abs(np.mean(norms) - 1.0) < 3 * se
@@ -144,7 +148,7 @@ def test_sketch_columns_match_vector_sketches(monkeypatch, mode):
 
 
 def test_sketch_zero_vector():
-    R = sample_sketch(SketchSpec(b=8, d=32, seed=1))
+    R = SketchMatrix(SketchSpec(b=8, d=32, seed=1))
     assert np.array_equal(R.sketch(np.zeros(32)), np.zeros(8))
 
 
@@ -155,7 +159,7 @@ def test_sketch_norm_preservation_unit_vectors():
     for seed in range(500):
         x = rng.standard_normal(d)
         x /= np.linalg.norm(x)
-        R = sample_sketch(SketchSpec(b=b, d=d, seed=seed))
+        R = SketchMatrix(SketchSpec(b=b, d=d, seed=seed))
         y = R.sketch(x)
         vals.append(y @ y)
     tol = 3 * np.sqrt(2.0 / b) / np.sqrt(500)
@@ -164,7 +168,7 @@ def test_sketch_norm_preservation_unit_vectors():
 
 def test_sketch_linearity():
     for d in (17, 1000, 10_000):
-        R = sample_sketch(SketchSpec(b=32, d=d, seed=5))
+        R = SketchMatrix(SketchSpec(b=32, d=d, seed=5))
         rng = np.random.default_rng(d)
         x = rng.standard_normal(d)
         z = rng.standard_normal(d)
@@ -175,7 +179,7 @@ def test_sketch_linearity():
 
 
 def test_sketch_dimension_mismatch():
-    R = sample_sketch(SketchSpec(b=4, d=10, seed=0))
+    R = SketchMatrix(SketchSpec(b=4, d=10, seed=0))
     with pytest.raises(DimensionMismatchError):
         R.sketch(np.zeros(11))
     with pytest.raises(DimensionMismatchError):
@@ -186,7 +190,7 @@ def test_sketch_dimension_mismatch():
 
 
 def test_desketch_zero():
-    R = sample_sketch(SketchSpec(b=4, d=10, seed=0))
+    R = SketchMatrix(SketchSpec(b=4, d=10, seed=0))
     assert np.array_equal(R.desketch(np.zeros(4)), np.zeros(10))
 
 
@@ -200,7 +204,7 @@ def test_desketch_unbiased():
     acc = np.zeros(d)
     samples = np.empty((n_seeds, d))
     for seed in range(n_seeds):
-        R = sample_sketch(SketchSpec(b=b, d=d, seed=seed))
+        R = SketchMatrix(SketchSpec(b=b, d=d, seed=seed))
         samples[seed] = R.desketch(R.sketch(x))
     mean = samples.mean(axis=0)
     se = samples.std(axis=0, ddof=1) / np.sqrt(n_seeds)
@@ -219,7 +223,7 @@ def test_inner_product_concentration():
     violations = 0
     trials = 200
     for seed in range(trials):
-        R = sample_sketch(SketchSpec(b=b, d=d, seed=seed))
+        R = SketchMatrix(SketchSpec(b=b, d=d, seed=seed))
         approx = R.sketch(g) @ R.sketch(h)
         if abs(approx - exact) > bound:
             violations += 1
@@ -250,7 +254,7 @@ def test_spec_validation():
     seed=st.integers(min_value=0, max_value=2**31 - 1),
 )
 def test_shapes_property(b, d, seed):
-    R = sample_sketch(SketchSpec(b=b, d=d, seed=seed))
+    R = SketchMatrix(SketchSpec(b=b, d=d, seed=seed))
     y = R.sketch(np.ones(d))
     assert y.shape == (b,)
     assert R.desketch(y).shape == (d,)
@@ -259,6 +263,6 @@ def test_shapes_property(b, d, seed):
 @settings(max_examples=20, deadline=None)
 @given(scale=st.floats(min_value=-1e3, max_value=1e3, allow_nan=False))
 def test_homogeneity_property(scale):
-    R = sample_sketch(SketchSpec(b=8, d=40, seed=9))
+    R = SketchMatrix(SketchSpec(b=8, d=40, seed=9))
     x = np.random.default_rng(4).standard_normal(40)
     assert np.allclose(R.sketch(scale * x), scale * R.sketch(x), rtol=1e-12, atol=1e-12)

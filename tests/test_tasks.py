@@ -186,6 +186,30 @@ def test_quadratic_shard_grad_is_bitwise_the_np_mean_form():
         assert np.array_equal(task.grad(theta, idx), ref), size
 
 
+def test_client_grad_batch_rows_are_single_client_grads():
+    # an (N, d) stack with N ragged index arrays: row i is iterate i's
+    # gradient over index array i.  Logistic rows keep their bits; the
+    # quadratic batch is one GEMM over bitwise-equal segment means, so its
+    # rows agree to rounding, and a one-row stack is the vector call exactly
+    rng = np.random.default_rng(5)
+    quad, _ = make_federated_quadratic(
+        np.linspace(0.5, 2.0, 12), seed=3, clients=16, heterogeneity=0.5
+    )
+    logreg, _ = make_logreg(n=60, d=12, clients=3, seed=3)
+    for task, exact in ((quad, False), (logreg, True)):
+        idx = [rng.choice(task.n, size=k, replace=False) for k in (1, 5, 3, 8)]
+        thetas = rng.standard_normal((4, 12))
+        batch = task.grad(thetas, idx)
+        assert batch.shape == (4, 12)
+        for i in range(4):
+            one = task.grad(thetas[i], idx[i])
+            if exact:
+                assert np.array_equal(batch[i], one), (task.name, i)
+            else:
+                assert np.allclose(batch[i], one, rtol=1e-13, atol=1e-15), (task.name, i)
+        assert np.array_equal(task.grad(thetas[:1], idx[:1])[0], task.grad(thetas[0], idx[0]))
+
+
 def test_quadratic_loss_is_bitwise_the_np_mean_form():
     task, H, centers = fed_small_quadratic()
     rng = np.random.default_rng(22)
