@@ -50,8 +50,7 @@ _SAMPLER_TAG = 0xC11E
 _LOCAL_TAG = 0x10CA
 _NOISE_TAG = 0x401E
 
-# Rounds keyed per pass: the key arrays stay small for any number of rounds.
-_KEY_CHUNK = 256
+_KEY_CHUNK = 256  # rounds keyed per pass: the key arrays stay small for any number of rounds
 
 _OPTIMIZERS = ("gd", "amsgrad", "adam")
 
@@ -238,20 +237,20 @@ def round_compressor(cfg: FedConfig, d: int, round_idx: int, keys, rng) -> Compr
 
 
 def _round_keys(cfg: FedConfig, rng: np.random.Generator):
-    """Per round: (round, selected clients, their minibatch and noise stream
-    keys, the sketch's block keys or None), computed _KEY_CHUNK rounds at a
-    time, one pass per role, once the chunk's clients are drawn."""
+    """Per round: (round, clients, their minibatch and noise keys, the sketch's
+    block keys), None where the run draws no noise or sketch; keyed _KEY_CHUNK
+    rounds at a time, one pass per role, after the chunk's clients are drawn."""
     for start in range(0, cfg.rounds, _KEY_CHUNK):
         rounds = np.arange(start, min(start + _KEY_CHUNK, cfg.rounds))
         chosen = np.array([
             client_sampler(rng, key, cfg.clients, cfg.clients_per_round)
             for key in philox_keys((cfg.master_seed, _SAMPLER_TAG), (rounds,))
         ])
-        col = rounds[:, None]
+        col, unused = rounds[:, None], [None] * len(rounds)
         local = philox_keys((cfg.master_seed, _LOCAL_TAG), (chosen, col))
-        noise = philox_keys((cfg.mechanism.noise_seed, _NOISE_TAG), (chosen, col))
-        sketch = ([None] * len(rounds) if cfg.sketch_b is None
-                  else block_keys((cfg.master_seed, col), cfg.sketch_b))
+        noise = unused if cfg.mechanism.sigma_g == 0.0 else philox_keys(
+            (cfg.mechanism.noise_seed, _NOISE_TAG), (chosen, col))
+        sketch = unused if cfg.sketch_b is None else block_keys((cfg.master_seed, col), cfg.sketch_b)
         yield from zip(rounds.tolist(), chosen.tolist(), local, noise, sketch)
 
 
@@ -328,9 +327,10 @@ def run_federation(
                 f"the run diverged in round {t}: the iterate or its metrics are non-finite; "
                 f"lower the step sizes (eta_local = {cfg.eta_local}, eta_global = {cfg.eta_global})"
             )
-        clip_rate = float(np.count_nonzero(clipped) / len(clipped))
-        records.append(RoundRecord(t, train_loss, grad_norm_sq, test_metric, clip_rate,
-                                   _epsilon_spent(cfg, t + 1)))
+        records.append(RoundRecord(
+            round=t, train_loss=train_loss, grad_norm_sq=grad_norm_sq, test_metric=test_metric,
+            clip_activation_rate=float(np.count_nonzero(clipped) / len(clipped)),
+            epsilon_spent=_epsilon_spent(cfg, t + 1)))
     return FederationResult(records, theta)
 
 

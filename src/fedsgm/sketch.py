@@ -26,9 +26,9 @@ from .errors import DimensionMismatchError
 # layout of every sketch, so it is part of the on-disk/replay contract.
 BLOCK_ROWS = 512
 
-# R @ x is summed over SKETCH_DEPTH-column pieces in order, so the bits do not
-# depend on the BLAS thread count (OpenBLAS's Haswell DGEMM blocks the inner
-# dimension at 256; a whole product splits differently across threads).
+# R @ x is summed over SKETCH_DEPTH-column pieces in order: one whole product
+# rounds differently at 1 and 2 BLAS threads, a 256-column piece does not
+# (test_simulate_rerun_bytes_do_not_depend_on_blas_threads pins this).
 SKETCH_DEPTH = 256
 
 # Sketches with at most this many entries keep their row blocks in memory;

@@ -20,7 +20,6 @@ from fedsgm.fedsim import (
     client_local_update,
     client_privatize,
     client_sampler,
-    local_stream,
     noise_stream,
     records_to_csv,
     run_federation,
@@ -65,10 +64,6 @@ def sample(clients, clients_per_round, round_idx, seed):
     return client_sampler(
         new_generator(), sampler_keys(seed, round_idx), clients, clients_per_round
     )
-
-
-def minibatch_stream(seed, client, round_idx):
-    return local_stream(new_generator(), local_keys(seed, client, round_idx))
 
 
 def small_fed_config(**over):
