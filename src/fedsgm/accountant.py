@@ -6,7 +6,7 @@ The chain, for one federated round observed through the mechanism:
          eps_rdp = alpha^2 tau^4 / ((alpha-1) b sigma_g^4),
      valid in the regime 2 tau^2 / (b sigma_g^2) < 1.
   2. RDP converts to (eps, delta0)-DP at the optimal order, which has a
-     closed form (`sgm_step_dp`).
+     closed form; `sgm_pipeline` evaluates it.
   3. Poisson-style subsampling at rate q amplifies to
      eps' = log(1 + q (e^eps - 1)), delta' = q delta0.
   4. T-fold strong composition with slack delta' gives the total budget.
@@ -40,20 +40,6 @@ _EPS_OVERFLOW = 700.0
 # Both calibrations bisect until the bracket on sigma is narrower than this
 # share of its upper end, which they return.
 CALIBRATION_REL_TOL = 1e-4
-
-
-@dataclass(frozen=True)
-class RdpPoint:
-    """One point on a Renyi-DP curve: the guarantee is (alpha, epsilon)-RDP."""
-
-    alpha: float
-    epsilon: float
-
-    def __post_init__(self):
-        if not self.alpha > 1.0:
-            raise ConfigurationError(f"alpha must be > 1, got {self.alpha}")
-        if not self.epsilon >= 0.0:
-            raise ConfigurationError(f"epsilon must be >= 0, got {self.epsilon}")
 
 
 @dataclass(frozen=True)
@@ -166,53 +152,9 @@ def rdp_bound_validity(alpha: float, tau: float, b: int, sigma_g: float) -> bool
     return r <= 1.5 / (alpha * alpha - 1.0)
 
 
-def rdp_to_dp(point: RdpPoint, delta: float) -> DpPoint:
-    """Standard conversion: (alpha, eps)-RDP implies (eps + log(1/delta)/(alpha-1), delta)-DP."""
-    if not 0.0 < delta < 1.0:
-        raise ConfigurationError(f"delta must be in (0,1), got {delta}")
-    return DpPoint(point.epsilon + math.log(1.0 / delta) / (point.alpha - 1.0), delta)
-
-
 # ---------------------------------------------------------------------------
-# Per-release DP at the optimal order
+# Subsampling and composition
 # ---------------------------------------------------------------------------
-
-
-def sgm_optimal_alpha(tau: float, b: int, sigma_g: float, delta0: float) -> float:
-    """The Renyi order minimizing the per-release DP epsilon.
-
-    Minimizing h(alpha) = A alpha^2/(alpha-1) + log(1/delta0)/(alpha-1) with
-    A = tau^4/(b sigma_g^4) gives alpha* = 1 + sqrt(1 + log(1/delta0)/A).
-    tau = 0 has no finite optimizer (any order gives eps 0): returns inf.
-    Raises ParameterRegimeError outside the accounting regime r < 1.
-    """
-    if not 0.0 < delta0 < 1.0:
-        raise ConfigurationError(f"delta0 must be in (0,1), got {delta0}")
-    if tau == 0.0:
-        return math.inf
-    r = sensitivity_ratio(tau, b, sigma_g)
-    if r >= 1.0:
-        raise ParameterRegimeError(
-            f"2*tau^2/(b*sigma_g^2) = {r:.6g} >= 1; accounting regime violated"
-        )
-    A = tau**4 / (b * sigma_g**4)
-    return 1.0 + math.sqrt(1.0 + math.log(1.0 / delta0) / A)
-
-
-def sgm_step_dp(tau: float, b: int, sigma_g: float, delta0: float) -> DpPoint:
-    """Best (eps0, delta0)-DP guarantee for one release, optimized over orders.
-
-    Evaluating the RDP bound at alpha* = sgm_optimal_alpha and converting
-    gives eps0 = 2 A alpha* with A = tau^4/(b sigma_g^4).  tau = 0 is
-    perfectly private: eps0 = 0.
-    """
-    if not 0.0 < delta0 < 1.0:
-        raise ConfigurationError(f"delta0 must be in (0,1), got {delta0}")
-    if tau == 0.0:
-        return DpPoint(0.0, delta0)
-    alpha_star = sgm_optimal_alpha(tau, b, sigma_g, delta0)
-    A = tau**4 / (b * sigma_g**4)
-    return DpPoint(2.0 * A * alpha_star, delta0)
 
 
 def subsample_dp(point: DpPoint, p: float) -> DpPoint:
@@ -318,17 +260,27 @@ def sgm_pipeline(params: AccountantParams, delta: float) -> PipelineTrace:
 
     The total delta is split evenly into a composition slack delta' = delta/2
     and a per-release delta0 = delta/(2 q T), so the final ledger line lands
-    on (eps_total, delta) exactly: q T delta0 + delta' = delta.
+    on (eps_total, delta) exactly: q T delta0 + delta' = delta.  The release
+    is the RDP bound converted at the order minimizing
+    A alpha^2/(alpha-1) + log(1/delta0)/(alpha-1), A = tau^4/(b sigma_g^4):
+    alpha* = 1 + sqrt(1 + log(1/delta0)/A) and eps0 = 2 A alpha*.  Raises
+    ParameterRegimeError outside the regime r = 2 tau^2/(b sigma_g^2) < 1.
     """
     if not 0.0 < delta < 1.0:
         raise ConfigurationError(f"delta must be in (0,1), got {delta}")
     delta0, delta_slack = delta_split(delta, params.q, params.T)
-    if not delta0 < 1.0:
+    if not 0.0 < delta0 < 1.0:
         raise ConfigurationError(
-            f"per-release delta0 = {delta0:.3g} >= 1; delta too large for (q, T)"
+            f"per-release delta0 = {delta0:.3g} is outside (0,1); delta does not fit (q, T)"
         )
-    alpha_star = sgm_optimal_alpha(params.tau, params.b, params.sigma_g, delta0)
-    released = sgm_step_dp(params.tau, params.b, params.sigma_g, delta0)
+    r = sensitivity_ratio(params.tau, params.b, params.sigma_g)
+    if r >= 1.0:
+        raise ParameterRegimeError(
+            f"2*tau^2/(b*sigma_g^2) = {r:.6g} >= 1; accounting regime violated"
+        )
+    A = params.tau**4 / (params.b * params.sigma_g**4)
+    alpha_star = 1.0 + math.sqrt(1.0 + math.log(1.0 / delta0) / A)
+    released = DpPoint(2.0 * A * alpha_star, delta0)
     sampled = subsample_dp(released, params.q)
     composed = strong_compose(sampled, params.T, delta_slack)
     return PipelineTrace(

@@ -30,7 +30,6 @@ from .accountant import (
     calibrate_sgm_sigma,
     delta_split,
     rdp_bound_validity,
-    sgm_optimal_alpha,
     sgm_pipeline,
 )
 from .config import (
@@ -185,20 +184,20 @@ def cmd_accountant(args) -> int:
 
 def _run_one(cfg: dict):
     task, partition = build_task(cfg)
-    sigma = resolve_sigma_g(cfg)
-    fed_cfg = build_fed_config(cfg, sigma)
+    fed_cfg = build_fed_config(cfg, resolve_sigma_g(cfg))
     result = run_federation(fed_cfg, task, partition)
-    return task, sigma, fed_cfg, result
+    return task, fed_cfg, result
 
 
-def _manifest_dicts(cfg: dict, sigma: float, result):
+def _manifest_dicts(cfg: dict, fed_cfg, result):
+    sigma = fed_cfg.mechanism.sigma_g
     config_dict = {s: dict(v) for s, v in cfg.items()}
     config_dict["mechanism"]["sigma_g_resolved"] = sigma
     final_eps = result.records[-1].epsilon_spent if result.records else math.inf
     accountant_meta = {
         "q": cfg["federation"]["clients_per_round"] / cfg["federation"]["clients"],
         "rounds": cfg["federation"]["rounds"],
-        "b_effective": effective_sketch_dim(cfg),
+        "b_effective": fed_cfg.sketch_b,  # None for an unsketched run: no b enters its epsilon
         "tau": cfg["mechanism"]["tau"],
         "sigma_g": sigma,
         "delta": cfg["accountant"]["delta"],
@@ -211,7 +210,7 @@ def cmd_simulate(config_path, overrides=(), out_dir=None) -> int:
     cfg = load_config(config_path, overrides)
     if out_dir is not None:
         cfg["output"]["dir"] = out_dir
-    task, sigma, fed_cfg, result = _run_one(cfg)
+    task, fed_cfg, result = _run_one(cfg)
 
     out_dir = cfg["output"]["dir"]
     prefix = cfg["output"]["prefix"]
@@ -219,7 +218,7 @@ def cmd_simulate(config_path, overrides=(), out_dir=None) -> int:
     csv_path = os.path.join(out_dir, f"{prefix}.csv")
     manifest_path = os.path.join(out_dir, f"{prefix}-manifest.json")
     write_round_csv(csv_path, result.records)
-    config_dict, accountant_meta = _manifest_dicts(cfg, sigma, result)
+    config_dict, accountant_meta = _manifest_dicts(cfg, fed_cfg, result)
     write_manifest(manifest_path, config_dict, accountant_meta)
 
     last = result.records[-1]
@@ -243,7 +242,7 @@ def _sweep_rows(config_path, axis, values, reps, overrides):
             cfg = load_config(config_path, all_overrides)
             seed = cfg["federation"]["master_seed"] + rep
             cfg["federation"]["master_seed"] = seed
-            _, _, _, result = _run_one(cfg)
+            _, _, result = _run_one(cfg)
             last = result.records[-1]
             metrics = (
                 last.train_loss,
@@ -358,7 +357,8 @@ def cmd_diagnose(config_path, overrides=()) -> int:
         f"{'clipping ACTIVE' if clip_active else 'clipping inactive'}"
     )
     print(f"optimizer: {opt_kind} (sigma_g = {sigma:.6g})")
-    delta0, _ = delta_split(cfg["accountant"]["delta"], N / fed["clients"], T)
+    q, delta = N / fed["clients"], cfg["accountant"]["delta"]
+    delta0, _ = delta_split(delta, q, T)
     print(f"accounting regime at delta0 = delta/(2qT) = {delta0:.4g}:")
     if sigma == 0.0:
         print("  r, alpha*, alpha*^2 r: n/a (sigma_g = 0, no privacy)")
@@ -366,7 +366,8 @@ def cmd_diagnose(config_path, overrides=()) -> int:
         r = sensitivity_ratio(tau, b, sigma)
         print(f"  r = 2 tau^2/(b sigma_g^2) = {r:.4g}")
         try:
-            alpha = sgm_optimal_alpha(tau, b, sigma, delta0)
+            params = AccountantParams(q=q, T=T, tau=tau, b=b, sigma_g=sigma)
+            alpha = sgm_pipeline(params, delta).alpha_star
         except ParameterRegimeError:
             print("  alpha*: n/a (r >= 1, outside the accounting regime)")
         else:

@@ -94,6 +94,8 @@ class FedConfig:
             raise ConfigurationError(f"sketch_b must be >= 1, got {self.sketch_b}")
         if not 0.0 < self.delta < 1.0:
             raise ConfigurationError(f"delta must be in (0,1), got {self.delta}")
+        if self.master_seed < 0:
+            raise ConfigurationError(f"master_seed must be >= 0, got {self.master_seed}")
 
     @property
     def q(self) -> float:
@@ -187,12 +189,12 @@ def client_privatize(
     the N flags say which rows were clipped.
     """
     scaled = np.asarray(deltas, dtype=np.float64) / eta_local
-    clipped = np.array([np.linalg.norm(row) > mech.tau for row in scaled])
-    sketched = compressor.sketch(np.array([clip(row, mech.tau) for row in scaled]).T).T
+    rows, clipped = zip(*(clip(row, mech.tau) for row in scaled))
+    sketched = compressor.sketch(np.array(rows).T).T
     if mech.sigma_g != 0.0:
         noise = np.array([noise_stream(rng, key).standard_normal(compressor.b) for key in keys])
         sketched = sketched + mech.sigma_g * noise
-    return eta_local * sketched, clipped
+    return eta_local * sketched, np.array(clipped)
 
 
 def server_round(

@@ -35,20 +35,23 @@ class MechanismConfig:
             raise ConfigurationError(f"tau must be positive, got {self.tau}")
         if not (self.sigma_g >= 0) or math.isinf(self.sigma_g):
             raise ConfigurationError(f"sigma_g must be finite >= 0, got {self.sigma_g}")
+        if self.noise_seed < 0:
+            raise ConfigurationError(f"noise_seed must be >= 0, got {self.noise_seed}")
 
 
-def clip(v: np.ndarray, tau: float) -> np.ndarray:
+def clip(v: np.ndarray, tau: float) -> tuple[np.ndarray, bool]:
     """Scale v onto the L2 ball of radius tau: v * min(1, tau/||v||).
 
-    Idempotent, positively homogeneous (clip(c*v, c*tau) == c*clip(v, tau)
-    for c > 0), and the zero vector is a fixed point.  tau = inf is a no-op.
+    Returns the clipped copy and whether ||v|| > tau (False for a NaN norm).
+    The copy is idempotent, positively homogeneous (c*v at c*tau gives c times
+    the copy for c > 0), and the zero vector is a fixed point.  tau = inf is a no-op.
     """
     if not (tau >= 0):
         raise ConfigurationError(f"tau must be >= 0, got {tau}")
     v = np.asarray(v, dtype=np.float64)
     norm = float(np.linalg.norm(v))
     if norm == 0.0 or norm <= tau:
-        return v.copy()
+        return v.copy(), False
     scale = tau / norm
     out = v * scale
     # Guarantee the post-condition ||out|| <= tau exactly: the rescaled norm
@@ -56,7 +59,7 @@ def clip(v: np.ndarray, tau: float) -> np.ndarray:
     while float(np.linalg.norm(out)) > tau:
         scale = np.nextafter(scale, 0.0)
         out = v * scale
-    return out
+    return out, norm > tau
 
 
 def sensitivity_ratio(tau: float, b: int, sigma_g: float) -> float:

@@ -21,18 +21,14 @@ from scipy.special import gammaln, logsumexp
 from fedsgm.accountant import (
     AccountantParams,
     DpPoint,
-    RdpPoint,
     baseline_gm_epsilon,
     calibrate_baseline_sigma,
     calibrate_sgm_sigma,
     f_alpha,
-    rdp_to_dp,
     renyi_divergence_sgm,
     sgm_epsilon,
-    sgm_optimal_alpha,
     sgm_pipeline,
     sgm_rdp_bound,
-    sgm_step_dp,
     strong_compose,
     rdp_bound_validity,
     subsample_dp,
@@ -62,10 +58,6 @@ def vision_params(sigma_g):
 
 
 def test_point_validation():
-    with pytest.raises(ConfigurationError):
-        RdpPoint(alpha=1.0, epsilon=0.5)
-    with pytest.raises(ConfigurationError):
-        RdpPoint(alpha=2.0, epsilon=-0.1)
     with pytest.raises(ConfigurationError):
         DpPoint(epsilon=0.5, delta=0.0)
     with pytest.raises(ConfigurationError):
@@ -247,68 +239,92 @@ def test_validity_region_scales_with_alpha():
 
 
 # ---------------------------------------------------------------------------
-# RDP -> DP conversion
+# release at the optimal order (the first stage of sgm_pipeline)
+
+# delta = 1e-5 at the vision point gives delta0 = delta/(2 q T) = 1.5625e-6
+DELTA0_VISION = 1.5625e-6
 
 
-def test_rdp_to_dp_pinned():
-    out = rdp_to_dp(RdpPoint(alpha=2.0, epsilon=0.0), math.exp(-1.0))
-    assert out.epsilon == pytest.approx(1.0, rel=1e-12)
-    out = rdp_to_dp(RdpPoint(alpha=11.0, epsilon=0.5), 1e-5)
-    assert out.epsilon == pytest.approx(1.651292546497023, rel=1e-12)
-    assert out.delta == 1e-5
-
-
-def test_rdp_to_dp_limit_delta_to_one():
-    eps = rdp_to_dp(RdpPoint(alpha=2.0, epsilon=0.0), 1.0 - 1e-12).epsilon
-    assert eps < 1e-11
-
-
-# ---------------------------------------------------------------------------
-# optimal single-release DP
+def release(params, delta=1e-5):
+    """(alpha*, release stage) of the pipeline trace."""
+    trace = sgm_pipeline(params, delta)
+    return trace.alpha_star, trace.stages[0]
 
 
 def test_optimal_alpha_pinned():
-    alpha = sgm_optimal_alpha(1.0, B_VISION, 0.1013, 1.5625e-6)
+    alpha, stage = release(vision_params(0.1013))
+    assert stage.delta == DELTA0_VISION
     assert alpha == pytest.approx(24.751292460134582, rel=1e-12)
 
 
 def test_optimal_alpha_refuses_outside_regime():
-    # r = 2 tau^2/(b sigma^2) >= 1 has no licensed order, as in sgm_step_dp;
-    # tau = inf used to collapse the closed form to alpha* = 2
+    # r = 2 tau^2/(b sigma^2) >= 1 has no licensed order; tau = inf used to
+    # collapse the closed form to alpha* = 2.  q = T = 1 and delta = 2e-6 put
+    # delta0 at 1e-6.
     for tau, b, sigma in ((math.inf, 10, 0.7), (1.0, 2, 1.0), (1.0, 6, 0.3)):
+        params = AccountantParams(q=1.0, T=1, tau=tau, b=b, sigma_g=sigma)
         with pytest.raises(ParameterRegimeError, match="accounting regime violated"):
-            sgm_optimal_alpha(tau, b, sigma, 1e-6)
-    assert math.isfinite(sgm_optimal_alpha(1.0, 3, 1.0, 1e-6))  # r = 2/3
+            sgm_pipeline(params, 2e-6)
+    r_two_thirds = AccountantParams(q=1.0, T=1, tau=1.0, b=3, sigma_g=1.0)
+    assert math.isfinite(sgm_pipeline(r_two_thirds, 2e-6).alpha_star)
 
 
 def test_step_dp_pinned():
-    out = sgm_step_dp(1.0, B_VISION, 0.1013, 1.5625e-6)
-    assert out.epsilon == pytest.approx(1.175249580107307, rel=1e-12)
-    assert out.delta == 1.5625e-6
-    out2 = sgm_step_dp(1.0, B_VISION, 0.2265, 1.5625e-6)
-    assert out2.epsilon == pytest.approx(0.22728843627035022, rel=1e-12)
+    _, stage = release(vision_params(0.1013))
+    assert stage.name == "release"
+    assert stage.eps == pytest.approx(1.175249580107307, rel=1e-12)
+    assert stage.delta == DELTA0_VISION
+    _, stage2 = release(vision_params(0.2265))
+    assert stage2.eps == pytest.approx(0.22728843627035022, rel=1e-12)
+
+
+def converted_bound_min(tau, b, sigma, delta0, alphas):
+    """min over alphas of sgm_rdp_bound(alpha) + log(1/delta0)/(alpha - 1)."""
+    log_term = math.log(1.0 / delta0)
+    return min(sgm_rdp_bound(float(a), tau, b, sigma) + log_term / (float(a) - 1.0) for a in alphas)
 
 
 def test_step_dp_matches_dense_grid_search():
     # Closed-form alpha* must hit the minimum of
     # eps(alpha) = bound(alpha) + log(1/delta0)/(alpha - 1)
     # over a dense alpha grid.
-    tau, b, sigma, delta0 = 1.0, B_VISION, 0.1013, 1.5625e-6
-    closed = sgm_step_dp(tau, b, sigma, delta0).epsilon
-    log_term = math.log(1.0 / delta0)
+    tau, b, sigma = 1.0, B_VISION, 0.1013
+    _, stage = release(vision_params(sigma))
     grid = np.arange(1.01, 200.0 + 1e-9, 0.01)
-    grid_eps = [
-        sgm_rdp_bound(float(a), tau, b, sigma) + log_term / (float(a) - 1.0)
-        for a in grid
-    ]
-    assert closed <= min(grid_eps) + 1e-6
+    assert stage.eps <= converted_bound_min(tau, b, sigma, DELTA0_VISION, grid) + 1e-6
 
 
 def test_step_dp_regime_error_and_zero_tau():
     with pytest.raises(ParameterRegimeError):
-        sgm_step_dp(1.0, 1, 1.0, 1e-6)
-    out = sgm_step_dp(0.0, 100, 1.0, 1e-6)
-    assert out.epsilon == 0.0
+        sgm_pipeline(AccountantParams(q=1.0, T=1, tau=1.0, b=1, sigma_g=1.0), 2e-6)
+    # tau = 0 (a release that carries no data) never reaches the chain
+    with pytest.raises(ConfigurationError, match="tau must be positive"):
+        AccountantParams(q=1.0, T=1, tau=0.0, b=100, sigma_g=1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    q=st.floats(min_value=0.01, max_value=1.0),
+    T=st.integers(min_value=1, max_value=5000),
+    tau=st.floats(min_value=1e-3, max_value=1e3),
+    b=st.integers(min_value=1, max_value=1_000_000),
+    r=st.floats(min_value=1e-6, max_value=0.99),
+    delta=st.floats(min_value=1e-10, max_value=1e-2),
+)
+def test_release_stage_is_the_bound_at_its_optimal_order(q, T, tau, b, r, delta):
+    # sigma_g from the drawn sensitivity ratio r = 2 tau^2/(b sigma_g^2) < 1
+    sigma = tau * math.sqrt(2.0 / (b * r))
+    params = AccountantParams(q=q, T=T, tau=tau, b=b, sigma_g=sigma)
+    trace = sgm_pipeline(params, delta)
+    stage, alpha = trace.stages[0], trace.alpha_star
+    assert stage.eps == 2.0 * (tau**4 / (b * sigma**4)) * alpha
+    # alpha* is where the bound's DP conversion is smallest: no order on a
+    # dense grid spanning alpha* - 1 by a factor of 100 either side beats it
+    alphas = 1.0 + (alpha - 1.0) * np.geomspace(0.01, 100.0, 2001)
+    assert stage.eps <= converted_bound_min(tau, b, sigma, stage.delta, alphas) * (1 + 1e-12)
+    at_alpha = converted_bound_min(tau, b, sigma, stage.delta, [alpha])
+    assert at_alpha == pytest.approx(stage.eps, rel=1e-12)
+    assert sgm_epsilon(params, delta) == trace.stages[-1].eps
 
 
 # ---------------------------------------------------------------------------

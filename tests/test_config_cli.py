@@ -6,6 +6,7 @@ out-of-regime requests.  Numeric outputs are checked against the same
 frozen oracles used in test_accountant.
 """
 
+import itertools
 import json
 import math
 import os
@@ -576,9 +577,21 @@ def test_simulate_noisy_identity_mode_exits_1(tmp_path, capsys, sigma):
     assert rc == 0
     manifest = json.loads((tmp_path / "z" / "run-manifest.json").read_text())
     assert manifest["accountant"]["epsilon_total"] == "inf"
+    assert manifest["accountant"]["b_effective"] is None  # no b enters its accounting
 
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_readme_calibrate_example_matches_the_cli(capsys):
+    # the README shows the command's stdout as the "# " lines right under it
+    lines = (REPO_ROOT / "README.md").read_text().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("fed-sgm calibrate "))
+    shown = [line[2:] for line in itertools.takewhile(
+        lambda line: line.startswith("# "), lines[start + 1:])]
+    assert len(shown) == 3
+    assert main(lines[start].split()[1:]) == 0
+    assert capsys.readouterr().out.splitlines() == shown
 
 
 def test_shipped_configs_validate():

@@ -101,6 +101,8 @@ def test_fed_config_validation():
                 small_fed_config(**{name: value})
     with pytest.raises(ConfigurationError):
         small_fed_config(optimizer="lbfgs")
+    with pytest.raises(ConfigurationError, match="master_seed"):
+        small_fed_config(master_seed=-3)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +250,7 @@ def test_privatize_matrix_matches_per_client_reference(monkeypatch, mode):
     assert payloads.shape == (n_clients, R.b)
     for i, rng in enumerate(streams()):
         scaled = deltas[i] / eta
-        ref = eta * (R.sketch(clip(scaled, mech.tau)) + mech.sigma_g * rng.standard_normal(R.b))
+        ref = eta * (R.sketch(clip(scaled, mech.tau)[0]) + mech.sigma_g * rng.standard_normal(R.b))
         assert np.linalg.norm(payloads[i] - ref) <= 1e-12 * np.linalg.norm(ref)
         assert clipped[i] == (np.linalg.norm(scaled) > mech.tau)
     assert clipped.tolist() == [False, True, False, False, False]

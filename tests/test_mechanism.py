@@ -58,6 +58,8 @@ def test_config_validation():
         MechanismConfig(tau=1.0, sigma_g=-0.1)
     with pytest.raises(ConfigurationError):
         MechanismConfig(tau=1.0, sigma_g=math.inf)
+    with pytest.raises(ConfigurationError, match="noise_seed"):
+        MechanismConfig(tau=1.0, sigma_g=0.5, noise_seed=-1)
 
 
 def test_config_accepts_numpy_ints_and_zero_noise():
@@ -74,18 +76,22 @@ def test_config_accepts_numpy_ints_and_zero_noise():
 
 def test_clip_inside_ball_is_identity():
     v = np.array([0.3, 0.4])
-    out = clip(v, 1.0)
+    out, clipped = clip(v, 1.0)
     assert np.array_equal(out, v)
+    assert clipped is False
 
 
 def test_clip_rescales_to_boundary():
-    out = clip(np.array([3.0, 4.0]), 1.0)
+    out, clipped = clip(np.array([3.0, 4.0]), 1.0)
+    assert clipped is True
     assert np.allclose(out, [0.6, 0.8], rtol=0, atol=1e-15)
     assert np.linalg.norm(out) == pytest.approx(1.0)
 
 
 def test_clip_zero_vector():
-    assert np.array_equal(clip(np.zeros(5), 1.0), np.zeros(5))
+    out, clipped = clip(np.zeros(5), 1.0)
+    assert np.array_equal(out, np.zeros(5))
+    assert clipped is False
 
 
 @settings(max_examples=100, deadline=None)
@@ -98,17 +104,20 @@ def test_clip_zero_vector():
     tau=st.floats(min_value=1e-6, max_value=1e3, allow_nan=False),
 )
 def test_clip_idempotent_and_bounded(v, tau):
-    once = clip(v, tau)
+    once, clipped = clip(v, tau)
+    assert clipped == (np.linalg.norm(v) > tau)
     assert np.linalg.norm(once) <= tau * (1 + 1e-12)
-    assert np.array_equal(clip(once, tau), once)
+    twice, clipped_again = clip(once, tau)
+    assert np.array_equal(twice, once)
+    assert clipped_again is False
 
 
 @settings(max_examples=50, deadline=None)
 @given(c=st.floats(min_value=1e-3, max_value=1e3, allow_nan=False))
 def test_clip_homogeneous(c):
     v = np.array([2.0, -3.0, 6.0])  # norm 7
-    lhs = clip(c * v, c * 2.0)
-    rhs = c * clip(v, 2.0)
+    lhs = clip(c * v, c * 2.0)[0]
+    rhs = c * clip(v, 2.0)[0]
     assert np.allclose(lhs, rhs, rtol=1e-12, atol=0)
 
 
