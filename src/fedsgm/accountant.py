@@ -5,14 +5,16 @@ The chain, for one federated round observed through the mechanism:
   1. One mechanism release is (alpha, eps_rdp)-RDP with
          eps_rdp = alpha^2 tau^4 / ((alpha-1) b sigma_g^4),
      valid in the regime 2 tau^2 / (b sigma_g^2) < 1.
-  2. RDP converts to (eps, delta0)-DP at the optimal order, which has a
-     closed form; `sgm_pipeline` evaluates it.
-  3. Poisson-style subsampling at rate q amplifies to
-     eps' = log(1 + q (e^eps - 1)), delta' = q delta0.
+  2. RDP converts to (eps0, delta0)-DP at the optimal order, which has a
+     closed form.
+  3. Each round `client_sampler` draws N of the C clients, a fixed-size
+     sample without replacement; the chain amplifies at q = N/C to
+     eps1 = log(1 + q (e^eps0 - 1)), delta1 = q delta0.
   4. T-fold strong composition with slack delta' gives the total budget.
 
-`sgm_epsilon` wires 2-4 together with the delta split delta0 = delta/(2 q T),
-delta' = delta/2, so the reported guarantee is exactly (eps_total, delta).
+`sgm_pipeline` runs steps 2-4 in one function with the delta split
+delta0 = delta/(2 q T), delta' = delta/2, so the reported guarantee is exactly
+(eps_total, delta); `sgm_epsilon` is its last line.
 
 A non-sketched baseline (`baseline_gm_epsilon`) accounts the subsampled
 Gaussian mechanism through integer-order RDP for noise comparisons.
@@ -33,8 +35,8 @@ from .errors import (
 )
 from .mechanism import sensitivity_ratio
 
-# Above this per-release epsilon the composed budget is astronomically large;
-# short-circuit to inf instead of overflowing exp().
+# Above this subsampled per-round epsilon the composed budget is astronomically
+# large; short-circuit to inf instead of overflowing exp().
 _EPS_OVERFLOW = 700.0
 
 # Both calibrations bisect until the bracket on sigma is narrower than this
@@ -44,7 +46,7 @@ CALIBRATION_REL_TOL = 1e-4
 
 @dataclass(frozen=True)
 class DpPoint:
-    """An (epsilon, delta)-DP guarantee."""
+    """An (epsilon, delta)-DP guarantee: the target that the calibrations meet."""
 
     epsilon: float
     delta: float
@@ -143,53 +145,11 @@ def rdp_bound_validity(alpha: float, tau: float, b: int, sigma_g: float) -> bool
     Comparing the series of alpha*log(1-r) - log(1-alpha*r) with alpha^2 r^2 / 2
     term by term shows the cubic term flips the inequality once
     r > 3/(2 (alpha^2 - 1)) (up to higher-order corrections); inside this
-    region every term is dominated.  Calibrated deployments sit far inside:
-    there alpha* ~ sqrt(b) sigma^2 sqrt(log(1/delta0))/tau^2 gives
-    alpha^2 r ~ log(1/delta0) * 2/... << 1 only loosely, but r itself is
-    O(1/b), so the product alpha^2 r stays well below 3/2.
+    region every term is dominated.  `sgm_pipeline` does not check the region
+    at its alpha*, so its epsilon is proven only where this holds.
     """
     r = sensitivity_ratio(tau, b, sigma_g)
     return r <= 1.5 / (alpha * alpha - 1.0)
-
-
-# ---------------------------------------------------------------------------
-# Subsampling and composition
-# ---------------------------------------------------------------------------
-
-
-def subsample_dp(point: DpPoint, p: float) -> DpPoint:
-    """Privacy amplification by sampling each participant with probability p.
-
-    (eps, delta) on the sampled set becomes
-    (log(1 + p (e^eps - 1)), p delta) overall.  Evaluated in log space, so
-    very large eps (where e^eps overflows) degrades gracefully.
-    """
-    if not 0.0 < p <= 1.0:
-        raise ConfigurationError(f"p must be in (0,1], got {p}")
-    if p == 1.0 or math.isinf(point.epsilon):
-        return DpPoint(point.epsilon, p * point.delta)
-    # log(1 + p(e^eps - 1)) = log((1-p) + p e^eps); mathematically >= 0 but
-    # the log-space sum can land an ulp below zero when eps == 0.
-    eps_amp = float(np.logaddexp(math.log1p(-p), math.log(p) + point.epsilon))
-    return DpPoint(max(0.0, eps_amp), p * point.delta)
-
-
-def strong_compose(point: DpPoint, k: int, delta_prime: float) -> DpPoint:
-    """Advanced composition of k releases of an (eps, delta)-DP mechanism.
-
-    Returns (sqrt(2 k log(1/delta')) eps + k eps (e^eps - 1),
-             k delta + delta').
-    """
-    if k < 1:
-        raise ConfigurationError(f"k must be >= 1, got {k}")
-    if not 0.0 < delta_prime < 1.0:
-        raise ConfigurationError(f"delta_prime must be in (0,1), got {delta_prime}")
-    eps = point.epsilon
-    delta_total = k * point.delta + delta_prime
-    if eps > _EPS_OVERFLOW or math.isinf(eps):
-        return DpPoint(math.inf, delta_total)
-    eps_total = math.sqrt(2.0 * k * math.log(1.0 / delta_prime)) * eps + k * eps * math.expm1(eps)
-    return DpPoint(eps_total, delta_total)
 
 
 # ---------------------------------------------------------------------------
@@ -256,39 +216,62 @@ def delta_split(delta: float, q: float, T: int) -> tuple[float, float]:
 
 
 def sgm_pipeline(params: AccountantParams, delta: float) -> PipelineTrace:
-    """Full accounting pipeline with the delta split baked in.
+    """The whole chain, steps 2-4, with the delta split baked in.
 
     The total delta is split evenly into a composition slack delta' = delta/2
     and a per-release delta0 = delta/(2 q T), so the final ledger line lands
     on (eps_total, delta) exactly: q T delta0 + delta' = delta.  The release
     is the RDP bound converted at the order minimizing
     A alpha^2/(alpha-1) + log(1/delta0)/(alpha-1), A = tau^4/(b sigma_g^4):
-    alpha* = 1 + sqrt(1 + log(1/delta0)/A) and eps0 = 2 A alpha*.  Raises
+    alpha* = 1 + sqrt(1 + log(1/delta0)/A) and eps0 = 2 A alpha*.  Where A is
+    so small that alpha* overflows, eps0 = 2 A + 2 sqrt(A^2 + A log(1/delta0)),
+    the same value written without alpha*, which tends to 0 with A.  Raises
     ParameterRegimeError outside the regime r = 2 tau^2/(b sigma_g^2) < 1.
     """
     if not 0.0 < delta < 1.0:
         raise ConfigurationError(f"delta must be in (0,1), got {delta}")
-    delta0, delta_slack = delta_split(delta, params.q, params.T)
+    q, T = params.q, params.T
+    delta0, delta_slack = delta_split(delta, q, T)
     if not 0.0 < delta0 < 1.0:
         raise ConfigurationError(
             f"per-release delta0 = {delta0:.3g} is outside (0,1); delta does not fit (q, T)"
         )
     r = sensitivity_ratio(params.tau, params.b, params.sigma_g)
-    if r >= 1.0:
+    if not r < 1.0:
         raise ParameterRegimeError(
             f"2*tau^2/(b*sigma_g^2) = {r:.6g} >= 1; accounting regime violated"
         )
-    A = params.tau**4 / (params.b * params.sigma_g**4)
-    alpha_star = 1.0 + math.sqrt(1.0 + math.log(1.0 / delta0) / A)
-    released = DpPoint(2.0 * A * alpha_star, delta0)
-    sampled = subsample_dp(released, params.q)
-    composed = strong_compose(sampled, params.T, delta_slack)
+    try:
+        A = params.tau**4 / (params.b * params.sigma_g**4)
+    except (OverflowError, ZeroDivisionError):  # tau^4 or sigma_g^4 leaves the float range
+        A = 0.0
+    if A == 0.0:  # the same A from r, which is below 1: A = r^2 b / 4
+        A = r * r * params.b / 4.0
+    log_inv_delta0 = math.log(1.0 / delta0)
+    order_term = log_inv_delta0 / A if A > 0.0 else math.inf
+    alpha_star = 1.0 + math.sqrt(1.0 + order_term)
+    if order_term < math.inf:
+        eps0 = 2.0 * A * alpha_star
+    else:
+        eps0 = 2.0 * A + 2.0 * math.sqrt(A * A + A * log_inv_delta0)
+    # amplification at rate q (Balle, Barthe and Gaboardi 2018) in log space,
+    # log((1-q) + q e^eps0), which can land an ulp below zero at eps0 == 0
+    if q == 1.0:
+        eps1 = eps0
+    else:
+        eps1 = max(0.0, float(np.logaddexp(math.log1p(-q), math.log(q) + eps0)))
+    delta1 = q * delta0
+    # T-fold strong composition with slack delta'
+    if eps1 > _EPS_OVERFLOW:
+        eps = math.inf
+    else:
+        eps = math.sqrt(2.0 * T * math.log(1.0 / delta_slack)) * eps1 + T * eps1 * math.expm1(eps1)
     return PipelineTrace(
         alpha_star=alpha_star,
         stages=(
-            PipelineStage("release", released.epsilon, released.delta),
-            PipelineStage("subsampled", sampled.epsilon, sampled.delta),
-            PipelineStage("composed", composed.epsilon, composed.delta),
+            PipelineStage("release", eps0, delta0),
+            PipelineStage("subsampled", eps1, delta1),
+            PipelineStage("composed", eps, T * delta1 + delta_slack),
         ),
     )
 

@@ -152,6 +152,12 @@ def _cross_validate(cfg: dict):
     task = cfg["task"]
     if task["kind"] == "logreg" and task["n"] is None:
         raise ConfigurationError("task.n is required for logreg tasks")
+    fed = cfg["federation"]
+    if fed["clients_per_round"] > fed["clients"]:
+        raise ConfigurationError(
+            f"federation.clients_per_round = {fed['clients_per_round']} exceeds "
+            f"federation.clients = {fed['clients']}"
+        )
     sk = cfg["sketch"]
     if sk["mode"] == "gaussian" and sk["b"] is None:
         raise ConfigurationError("sketch.b is required when sketch.mode is \"gaussian\"")

@@ -68,5 +68,9 @@ def sensitivity_ratio(tau: float, b: int, sigma_g: float) -> float:
         return 0.0
     if sigma_g <= 0.0:
         raise ParameterRegimeError("sigma_g must be positive when tau > 0")
-    return 2.0 * tau * tau / (b * sigma_g * sigma_g)
+    den = b * sigma_g * sigma_g
+    if den == 0.0 or den == math.inf:  # sigma_g^2 under- or overflows; tau/sigma_g does not
+        u = tau / sigma_g
+        return 2.0 * u * u / b
+    return 2.0 * tau * tau / den
 

@@ -49,7 +49,6 @@ class Partition:
 
     assignments: tuple
     n: int
-    mode: str = "iid"
 
     def __post_init__(self):
         seen = np.concatenate([np.asarray(a) for a in self.assignments])
@@ -146,9 +145,7 @@ def label_skew_partition(
         if not shards[c]:
             donor = max(range(num_clients), key=lambda k: len(shards[k]))
             shards[c].append(shards[donor].pop())
-    return Partition(
-        tuple(np.sort(np.array(s, dtype=int)) for s in shards), n, mode="label_skew"
-    )
+    return Partition(tuple(np.sort(np.array(s, dtype=int)) for s in shards), n)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy import integrate, stats
 from scipy.special import gammaln, logsumexp
 
@@ -29,9 +29,7 @@ from fedsgm.accountant import (
     sgm_epsilon,
     sgm_pipeline,
     sgm_rdp_bound,
-    strong_compose,
     rdp_bound_validity,
-    subsample_dp,
 )
 from fedsgm.errors import (
     CalibrationError,
@@ -328,51 +326,150 @@ def test_release_stage_is_the_bound_at_its_optimal_order(q, T, tau, b, r, delta)
 
 
 # ---------------------------------------------------------------------------
-# subsampling and composition
+# subsampling and composition (the later stages of sgm_pipeline)
+
+
+def ref_release(q, T, tau, b, sigma, delta):
+    """The release stage as the closed form: (alpha*, eps0, delta0)."""
+    delta0 = 0.5 * delta / (q * T)
+    A = tau**4 / (b * sigma**4)
+    alpha = 1.0 + math.sqrt(1.0 + math.log(1.0 / delta0) / A)
+    return alpha, 2.0 * A * alpha, delta0
+
+
+def ref_subsample(eps, delta, p):
+    """Amplification by sampling at rate p: (log(1 + p (e^eps - 1)), p delta)."""
+    if p == 1.0 or math.isinf(eps):
+        return eps, p * delta
+    return max(0.0, float(np.logaddexp(math.log1p(-p), math.log(p) + eps))), p * delta
+
+
+def ref_compose(eps, delta, k, delta_prime):
+    """k-fold strong composition: (sqrt(2 k log(1/delta')) eps + k eps (e^eps - 1),
+    k delta + delta'), inf past eps = 700 where e^eps would overflow."""
+    delta_total = k * delta + delta_prime
+    if eps > 700.0 or math.isinf(eps):
+        return math.inf, delta_total
+    return math.sqrt(2.0 * k * math.log(1.0 / delta_prime)) * eps + k * eps * math.expm1(eps), delta_total
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    q=st.one_of(st.just(1.0), st.floats(min_value=1e-4, max_value=1.0)),
+    T=st.integers(min_value=1, max_value=5000),
+    tau=st.floats(min_value=1e-3, max_value=1e3),
+    b=st.integers(min_value=1, max_value=1_000_000),
+    r=st.floats(min_value=1e-6, max_value=0.99),
+    delta=st.floats(min_value=1e-10, max_value=1e-2),
+)
+@example(q=1.0, T=500, tau=1.0, b=400_000, r=0.05, delta=1e-5)
+@example(q=0.0064, T=500, tau=1.0, b=400_000, r=0.9, delta=1e-5)  # past the overflow cut
+def test_pipeline_stages_equal_the_reference(q, T, tau, b, r, delta):
+    assume(delta < 2.0 * q * T)  # delta0 = delta/(2 q T) below 1
+    sigma = tau * math.sqrt(2.0 / (b * r))
+    trace = sgm_pipeline(AccountantParams(q=q, T=T, tau=tau, b=b, sigma_g=sigma), delta)
+    alpha, eps0, delta0 = ref_release(q, T, tau, b, sigma, delta)
+    sampled = ref_subsample(eps0, delta0, q)
+    composed = ref_compose(*sampled, T, 0.5 * delta)
+    assert trace.alpha_star == alpha
+    assert [(s.eps, s.delta) for s in trace.stages] == [(eps0, delta0), sampled, composed]
+    if b == 400_000 and r == 0.9:
+        assert sampled[0] > 700.0 and composed[0] == math.inf
+
+
+def stages(sigma, q=Q_VISION, T=T_VISION, b=B_VISION, delta=1e-5):
+    """(release, subsampled, composed) stages of the pipeline trace."""
+    return sgm_pipeline(AccountantParams(q=q, T=T, tau=1.0, b=b, sigma_g=sigma), delta).stages
 
 
 def test_subsample_pinned():
-    out = subsample_dp(DpPoint(1.176, 1e-6), 0.0064)
-    assert out.epsilon == pytest.approx(0.014242935439834, rel=1e-10)
-    assert out.delta == pytest.approx(0.0064 * 1e-6, rel=1e-15)
+    # oracle values from 50-digit evaluation of the formulas
+    eps, delta = ref_subsample(1.176, 1e-6, 0.0064)
+    assert eps == pytest.approx(0.014242935439834, rel=1e-10)
+    assert delta == pytest.approx(0.0064 * 1e-6, rel=1e-15)
+    _, sampled, _ = stages(0.1013)
+    assert sampled.name == "subsampled"
+    assert sampled.eps == pytest.approx(0.014227593884722856, rel=1e-10)
+    assert sampled.delta == pytest.approx(Q_VISION * DELTA0_VISION, rel=1e-15)
+    assert stages(0.2265)[1].eps == pytest.approx(0.0016318956286992557, rel=1e-10)
 
 
 def test_subsample_identity_and_zero():
-    pt = DpPoint(0.7, 1e-6)
-    assert subsample_dp(pt, 1.0) == pt
-    assert subsample_dp(DpPoint(0.0, 1e-6), 0.3).epsilon == 0.0
+    release, sampled, _ = stages(0.2265, q=1.0)
+    assert (sampled.eps, sampled.delta) == (release.eps, release.delta)
+    # a release below an ulp of log(1) subsamples to exactly 0
+    release, sampled, _ = stages(1e75, q=0.3)
+    assert 0.0 < release.eps < 1e-150 and sampled.eps == 0.0
 
 
 def test_subsample_shrinks_epsilon():
-    pt = DpPoint(2.0, 1e-6)
-    assert subsample_dp(pt, 0.1).epsilon < pt.epsilon
+    release, sampled, _ = stages(0.5, q=0.1, b=1000)
+    assert release.eps > 1.0 and sampled.eps < release.eps
 
 
 def test_strong_compose_pinned():
-    out = strong_compose(DpPoint(0.01425, 1e-8), 500, 5e-6)
-    assert out.epsilon == pytest.approx(1.6766137312851446, rel=1e-10)
-    assert out.delta == pytest.approx(500 * 1e-8 + 5e-6, rel=1e-15)
-    out2 = strong_compose(DpPoint(0.001633, 1e-8), 500, 5e-6)
-    assert out2.epsilon == pytest.approx(0.18175006406998653, rel=1e-10)
+    eps, delta = ref_compose(0.01425, 1e-8, 500, 5e-6)
+    assert eps == pytest.approx(1.6766137312851446, rel=1e-10)
+    assert delta == pytest.approx(500 * 1e-8 + 5e-6, rel=1e-15)
+    assert ref_compose(0.001633, 1e-8, 500, 5e-6)[0] == pytest.approx(0.18175006406998653, rel=1e-10)
+    _, sampled, composed = stages(0.2265)
+    assert composed.name == "composed"
+    assert composed.eps == pytest.approx(0.18162624688054262, rel=1e-10)
+    assert composed.delta == pytest.approx(T_VISION * sampled.delta + 5e-6, rel=1e-15)
 
 
 def test_strong_compose_zero_and_monotone():
-    assert strong_compose(DpPoint(0.0, 1e-8), 100, 1e-6).epsilon == 0.0
-    e1 = strong_compose(DpPoint(0.01, 1e-8), 100, 1e-6).epsilon
-    e2 = strong_compose(DpPoint(0.01, 1e-8), 200, 1e-6).epsilon
-    e3 = strong_compose(DpPoint(0.02, 1e-8), 100, 1e-6).epsilon
+    assert stages(1e80)[2].eps == 0.0
+    # grows with the rounds and with the subsampled epsilon (less noise)
+    e1 = stages(0.5, q=0.1, T=100, b=1000)[2].eps
+    e2 = stages(0.5, q=0.1, T=200, b=1000)[2].eps
+    e3 = stages(0.4, q=0.1, T=100, b=1000)[2].eps
     assert e1 < e2 and e1 < e3
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    eps=st.floats(min_value=0.0, max_value=5.0),
-    p=st.floats(min_value=1e-4, max_value=1.0),
+    q=st.floats(min_value=1e-4, max_value=1.0),
+    r=st.floats(min_value=1e-6, max_value=0.99),
+    b=st.integers(min_value=1, max_value=1_000_000),
 )
-def test_subsample_never_amplifies(eps, p):
-    out = subsample_dp(DpPoint(eps, 1e-7), p)
-    assert out.epsilon <= eps + 1e-12
-    assert out.delta <= 1e-7
+def test_subsample_never_amplifies(q, r, b):
+    release, sampled, _ = stages(math.sqrt(2.0 / (b * r)), q=q, T=10, b=b)
+    assert sampled.eps <= release.eps + 1e-12
+    assert sampled.delta <= release.delta
+
+
+def test_chain_depends_on_tau_over_sigma_past_the_float_range():
+    # tau^2 and sigma_g^2 underflow at 1e-170 and overflow at 1e200
+    ref = sgm_epsilon(vision_params(1.0), 1e-5)
+    for s in (1e-170, 1e200):
+        params = AccountantParams(q=Q_VISION, T=T_VISION, tau=s, b=B_VISION, sigma_g=s)
+        assert sgm_epsilon(params, 1e-5) == pytest.approx(ref, rel=1e-12)
+    # r = 2 at b = 1, which inf/inf used to turn into a nan that passed the check
+    with pytest.raises(ParameterRegimeError):
+        sgm_pipeline(AccountantParams(q=1.0, T=1, tau=1e200, b=1, sigma_g=1e200), 2e-6)
+
+
+@pytest.mark.parametrize(
+    "q, T, tau, b",
+    [(4 / 16, 100, 1.0, 16), (Q_VISION, T_VISION, 1.0, B_VISION), (Q_VISION, T_VISION, 1e-160, B_VISION)],
+)
+def test_composed_epsilon_answers_up_to_the_largest_sigma(q, T, tau, b):
+    # A = tau^4/(b sigma^4) underflows to 0, or sigma^4 or 1/A overflows, long
+    # before sigma = 1e300; the chain takes the limit eps0 -> 0 there
+    floor = math.sqrt(2.0 / b) * tau
+    sigmas = np.geomspace(1.01 * floor, 1e300, 1500)
+    traces = [sgm_pipeline(AccountantParams(q=q, T=T, tau=tau, b=b, sigma_g=float(s)), 1e-5)
+              for s in sigmas]
+    eps = [t.epsilon for t in traces]
+    for t in traces:
+        # inf only past the overflow cut of the composition, never nan
+        assert math.isfinite(t.epsilon) == (t.stages[1].eps <= 700.0)
+    assert all(e2 <= e1 for e1, e2 in zip(eps, eps[1:]))
+    # eps0 = 0 subsamples to log((1-q) + q), which may round an ulp above 0
+    assert traces[-1].stages[0].eps == 0.0 and eps[-1] < 1e-12
+    if b == 16:
+        assert all(math.isfinite(e) for e in eps)
 
 
 # ---------------------------------------------------------------------------

@@ -367,6 +367,20 @@ def test_cli_accountant_baseline(capsys):
     assert record["epsilon"] == pytest.approx(1.6320274630619949, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "sigma, tau",
+    [("1e75", "1"), ("3e75", "1"), ("1e76", "1"), ("1e80", "1"), ("1", "1e-160")],
+)
+def test_cli_accountant_answers_where_the_closed_form_leaves_the_float_range(capsys, sigma, tau):
+    # A = tau^4/(b sigma^4) underflows, makes log(1/delta0)/A overflow, or
+    # sigma^4 itself overflows; the chain reports the limit eps -> 0
+    args = ["--delta", "1e-5", "--q", "0.0064", "--T", "500", "--tau", tau, "--b", "400000"]
+    assert main(["accountant", "--sigma", sigma, *args]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert re.search(r"composed +eps = 0 ", out)
+
+
 def test_cli_missing_argument_exits_1(capsys):
     rc = main(["calibrate", "--eps", "1.0"])
     assert rc == 1
@@ -710,6 +724,19 @@ def test_diagnose_bad_sketch_dim_exits_1(capsys, b):
     rc = main(["diagnose", str(REPO_ROOT / "configs" / "logreg.json"), "--override", f"sketch.b={b}"])
     assert rc == 1
     assert f"sketch.b must be >= 1, got {b}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["diagnose", "simulate"])
+def test_more_clients_per_round_than_clients_exits_1(tmp_path, capsys, command):
+    # caught by the config check before anything runs or prints
+    logreg = str(REPO_ROOT / "configs" / "logreg.json")
+    rc = main([command, logreg, "--override", "federation.clients_per_round=40",
+               *(["--out-dir", str(tmp_path)] if command == "simulate" else [])])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert out == ""
+    assert "federation.clients_per_round = 40 exceeds federation.clients = 20" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_diagnose_reports_bound_validity(capsys):

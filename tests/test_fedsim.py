@@ -604,6 +604,7 @@ def test_records_csv_shape():
         clients_per_round=2,
         rounds=2,
         mechanism=MechanismConfig(tau=1.0, sigma_g=1.0, noise_seed=9),
+        sketch_b=4,  # r = 2 tau^2/(b sigma_g^2) = 0.5: a finite epsilon column
     )
     result = run_federation(cfg, task, part)
     text = records_to_csv(result.records)
@@ -618,3 +619,4 @@ def test_records_csv_shape():
     for line in lines[2:]:
         for field in line.split(","):
             float(field)
+        assert 0.0 < float(line.split(",")[-1]) < math.inf

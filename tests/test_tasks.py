@@ -49,7 +49,6 @@ def finite_diff_grad_check(task, theta, directions=20, h=1e-6, rel_tol=1e-5, see
 def test_iid_partition_covers_disjointly():
     part = iid_partition(103, 5, seed=1)
     assert part.num_clients == 5
-    assert part.mode == "iid"
     all_idx = np.concatenate([part.client_indices(c) for c in range(5)])
     assert sorted(all_idx.tolist()) == list(range(103))
     sizes = [len(part.client_indices(c)) for c in range(5)]
@@ -71,7 +70,6 @@ def test_partition_rejects_empty_shard():
 def test_label_skew_partition_valid_and_skewed():
     labels = np.repeat([-1.0, 1.0], 100)
     part = label_skew_partition(labels, 8, concentration=0.1, seed=3)
-    assert part.mode == "label_skew"
     assert sorted(np.concatenate(part.assignments).tolist()) == list(range(200))
     # strong skew: at least one client nearly single-class
     fractions = [
