@@ -45,6 +45,7 @@ def main() -> int:
         eta_local=0.04,
         batch_size=1,
         sketch_b=args.b,
+        delta=args.delta,
         master_seed=17,
     )
     runs = {

@@ -378,7 +378,7 @@ def baseline_gm_epsilon(sigma: float, q: float, T: int, delta: float) -> float:
     all integer orders 2..256 are evaluated at once in log space, and the
     T-round composition is converted to (eps, delta)-DP at the best order.
     """
-    if sigma <= 0.0:
+    if not sigma > 0.0:  # also rejects NaN
         raise ConfigurationError(f"sigma must be positive, got {sigma}")
     if not 0.0 < q <= 1.0:
         raise ConfigurationError(f"q must be in (0,1], got {q}")

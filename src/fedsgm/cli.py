@@ -32,13 +32,7 @@ from .accountant import (
     rdp_bound_validity,
     sgm_pipeline,
 )
-from .config import (
-    build_fed_config,
-    build_task,
-    effective_sketch_dim,
-    load_config,
-    resolve_sigma_g,
-)
+from .config import build_fed_config, build_task, load_config
 from .errors import (
     CalibrationError,
     ConfigurationError,
@@ -171,7 +165,7 @@ def cmd_accountant(args) -> int:
     if args.json:
         print(json.dumps(record, indent=2, sort_keys=True))
     else:
-        print(f"alpha* = {trace.alpha_star:.4f}")
+        print(f"alpha* = {trace.alpha_star:.6g}")
         for s in trace.stages:
             print(f"  {s.name:<11} eps = {s.eps:<12.6g} delta = {s.delta:.6g}")
     return 0
@@ -184,7 +178,7 @@ def cmd_accountant(args) -> int:
 
 def _run_one(cfg: dict):
     task, partition = build_task(cfg)
-    fed_cfg = build_fed_config(cfg, resolve_sigma_g(cfg))
+    fed_cfg = build_fed_config(cfg)
     result = run_federation(fed_cfg, task, partition)
     return task, fed_cfg, result
 
@@ -195,12 +189,12 @@ def _manifest_dicts(cfg: dict, fed_cfg, result):
     config_dict["mechanism"]["sigma_g_resolved"] = sigma
     final_eps = result.records[-1].epsilon_spent if result.records else math.inf
     accountant_meta = {
-        "q": cfg["federation"]["clients_per_round"] / cfg["federation"]["clients"],
-        "rounds": cfg["federation"]["rounds"],
-        "b_effective": fed_cfg.sketch_b,  # None for an unsketched run: no b enters its epsilon
-        "tau": cfg["mechanism"]["tau"],
+        "q": fed_cfg.q,
+        "rounds": fed_cfg.rounds,
+        "b_effective": fed_cfg.sketch_b,
+        "tau": fed_cfg.mechanism.tau,
         "sigma_g": sigma,
-        "delta": cfg["accountant"]["delta"],
+        "delta": fed_cfg.delta,
         "epsilon_total": _json_safe(final_eps),
     }
     return config_dict, accountant_meta
@@ -308,26 +302,25 @@ def cmd_sweep(config_path, axis, values, reps=1, overrides=(), out_dir=None) -> 
 def cmd_diagnose(config_path, overrides=()) -> int:
     cfg = load_config(config_path, overrides)
     task, partition = build_task(cfg)
-    fed = cfg["federation"]
-    mech = cfg["mechanism"]
-    opt_kind = cfg["optimizer"]["kind"]
-    sigma = resolve_sigma_g(cfg)
-    K = fed["local_steps"]
-    N = fed["clients_per_round"]
-    T = fed["rounds"]
-    b = effective_sketch_dim(cfg)
-    eta_l, eta_g = fed["eta_local"], fed["eta_global"]
+    fed_cfg = build_fed_config(cfg)
+    opt_kind = fed_cfg.optimizer
+    sigma = fed_cfg.mechanism.sigma_g
+    K = fed_cfg.local_steps
+    N = fed_cfg.clients_per_round
+    T = fed_cfg.rounds
+    b = fed_cfg.sketch_b
+    eta_l, eta_g = fed_cfg.eta_local, fed_cfg.eta_global
     eta = eta_g * eta_l
-    tau = mech["tau"]
+    tau = fed_cfg.mechanism.tau
 
     I = intrinsic_dimension(task)  # raises ResourceLimitError for d > 500
 
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(fed["master_seed"])))
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(fed_cfg.master_seed)))
     probes = [task.theta0] + [
         task.theta0 + 0.1 * rng.standard_normal(task.d) for _ in range(2)
     ]
     G, sigma_s = estimate_G_and_sigma_s(
-        task, partition, probes, fed["batch_size"], seed=fed["master_seed"]
+        task, partition, probes, fed_cfg.batch_size, seed=fed_cfg.master_seed
     )
 
     clip_active = tau < K * G
@@ -357,7 +350,7 @@ def cmd_diagnose(config_path, overrides=()) -> int:
         f"{'clipping ACTIVE' if clip_active else 'clipping inactive'}"
     )
     print(f"optimizer: {opt_kind} (sigma_g = {sigma:.6g})")
-    q, delta = N / fed["clients"], cfg["accountant"]["delta"]
+    q, delta = fed_cfg.q, fed_cfg.delta
     delta0, _ = delta_split(delta, q, T)
     print(f"accounting regime at delta0 = delta/(2qT) = {delta0:.4g}:")
     if sigma == 0.0:

@@ -4,8 +4,9 @@ A run config is a single JSON file with sections {task, federation,
 mechanism, sketch, optimizer, accountant, output}.  Unknown sections or keys
 are rejected with their dotted path; privacy-critical keys (mechanism.tau,
 mechanism.sigma_g, accountant.delta) have no defaults and must be explicit.
-mechanism.sigma_g may be the string "calibrate", in which case the noise is
-calibrated to accountant.target_epsilon before the run.
+Every run is sketched: sketch.b is required.  mechanism.sigma_g may be the
+string "calibrate"; `build_fed_config`, the one path from a config to a run,
+then calibrates the noise to accountant.target_epsilon.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ _SCHEMA = {
         "noise_seed": _Field("int", default=0, minimum=0),
     },
     "sketch": {
-        "mode": _Field("str", default="gaussian", choices=("gaussian", "identity")),
+        "mode": _Field("str", default="gaussian", choices=("gaussian",)),
         "b": _Field("int", default=None, minimum=1),
     },
     "optimizer": {
@@ -88,6 +89,9 @@ _REQUIRED_SECTIONS = ("task", "federation", "mechanism", "accountant")
 
 def _coerce(path: str, spec: _Field, value):
     if value is None:
+        # JSON null means "absent" only on optional keys that default to None
+        if spec.required or spec.default is not None:
+            raise ConfigurationError(f"{path}: null is not a valid value")
         return None
     if spec.typ == "str":
         if not isinstance(value, str):
@@ -158,9 +162,8 @@ def _cross_validate(cfg: dict):
             f"federation.clients_per_round = {fed['clients_per_round']} exceeds "
             f"federation.clients = {fed['clients']}"
         )
-    sk = cfg["sketch"]
-    if sk["mode"] == "gaussian" and sk["b"] is None:
-        raise ConfigurationError("sketch.b is required when sketch.mode is \"gaussian\"")
+    if cfg["sketch"]["b"] is None:
+        raise ConfigurationError("sketch.b is required")
     mech = cfg["mechanism"]
     if mech["sigma_g"] == "calibrate" and cfg["accountant"]["target_epsilon"] is None:
         raise ConfigurationError(
@@ -168,11 +171,6 @@ def _cross_validate(cfg: dict):
         )
     if isinstance(mech["sigma_g"], float) and mech["sigma_g"] < 0:
         raise ConfigurationError("mechanism.sigma_g must be >= 0")
-    if sk["mode"] == "identity" and mech["sigma_g"] != 0.0:
-        raise ConfigurationError(
-            "sketch.mode = \"identity\" requires mechanism.sigma_g = 0: the accountant "
-            f"covers sketched releases only, got mechanism.sigma_g = {mech['sigma_g']!r}"
-        )
     if mech["tau"] <= 0:
         raise ConfigurationError("mechanism.tau must be positive")
 
@@ -255,31 +253,22 @@ def build_task(cfg: dict):
     )
 
 
-def effective_sketch_dim(cfg: dict) -> int:
-    sk = cfg["sketch"]
-    return sk["b"] if sk["mode"] == "gaussian" else cfg["task"]["d"]
-
-
-def resolve_sigma_g(cfg: dict) -> float:
-    """The run's sigma_g: explicit, or calibrated to the accountant target."""
+def build_fed_config(cfg: dict) -> FedConfig:
+    """The run a validated config describes; sigma_g = "calibrate" is solved
+    for accountant.target_epsilon at the run's q, T, tau and b."""
+    fed = cfg["federation"]
     mech = cfg["mechanism"]
-    if mech["sigma_g"] != "calibrate":
-        return float(mech["sigma_g"])
-    fed = cfg["federation"]
-    target = DpPoint(cfg["accountant"]["target_epsilon"], cfg["accountant"]["delta"])
-    return calibrate_sgm_sigma(
-        target,
-        q=fed["clients_per_round"] / fed["clients"],
-        T=fed["rounds"],
-        tau=mech["tau"],
-        b=effective_sketch_dim(cfg),
-    )
-
-
-def build_fed_config(cfg: dict, sigma_g: float) -> FedConfig:
-    fed = cfg["federation"]
     opt = cfg["optimizer"]
-    sk = cfg["sketch"]
+    acc = cfg["accountant"]
+    sigma_g = mech["sigma_g"]
+    if sigma_g == "calibrate":
+        sigma_g = calibrate_sgm_sigma(
+            DpPoint(acc["target_epsilon"], acc["delta"]),
+            q=fed["clients_per_round"] / fed["clients"],
+            T=fed["rounds"],
+            tau=mech["tau"],
+            b=cfg["sketch"]["b"],
+        )
     return FedConfig(
         clients=fed["clients"],
         clients_per_round=fed["clients_per_round"],
@@ -288,16 +277,12 @@ def build_fed_config(cfg: dict, sigma_g: float) -> FedConfig:
         eta_local=fed["eta_local"],
         eta_global=fed["eta_global"],
         batch_size=fed["batch_size"],
-        mechanism=MechanismConfig(
-            tau=cfg["mechanism"]["tau"],
-            sigma_g=sigma_g,
-            noise_seed=cfg["mechanism"]["noise_seed"],
-        ),
-        sketch_b=sk["b"] if sk["mode"] == "gaussian" else None,
+        mechanism=MechanismConfig(tau=mech["tau"], sigma_g=sigma_g, noise_seed=mech["noise_seed"]),
+        sketch_b=cfg["sketch"]["b"],
         optimizer=opt["kind"],
         beta1=opt["beta1"],
         beta2=opt["beta2"],
         opt_eps=opt["eps"],
-        delta=cfg["accountant"]["delta"],
+        delta=acc["delta"],
         master_seed=fed["master_seed"],
     )

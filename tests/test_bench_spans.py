@@ -145,3 +145,33 @@ def test_benchmark_bracket_tolerance_is_the_calibrations():
         and any(isinstance(t, ast.Name) and t.id == "REL_TOL" for t in node.targets)
     ]
     assert values == [CALIBRATION_REL_TOL]
+
+
+# Prints the configs that run.py writes for the simulate workloads; run.py is
+# imported in its own process because it sets BLAS thread variables in os.environ.
+RUN_CONFIGS_SCRIPT = """
+import json
+import run
+print(json.dumps({name: make(1) for name, make in run.FED_WORKLOADS.items()}))
+"""
+
+
+def test_benchmark_and_shipped_configs_load(tmp_path):
+    # a schema change that rejects a benchmark config breaks every benchmark run
+    from fedsgm.config import load_config
+
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(REPO_ROOT / "perfbench"), str(REPO_ROOT / "src")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", RUN_CONFIGS_SCRIPT], capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    configs = json.loads(proc.stdout)
+    assert sorted(configs) == ["fed_dense", "fed_small"]
+    paths = sorted((REPO_ROOT / "configs").glob("*.json"))
+    assert len(paths) >= 2
+    for name, cfg in configs.items():
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(cfg))
+    for path in paths:
+        load_config(str(path))

@@ -21,13 +21,7 @@ import pytest
 
 from fedsgm.accountant import DpPoint, calibrate_sgm_sigma
 from fedsgm.cli import main
-from fedsgm.config import (
-    build_task,
-    effective_sketch_dim,
-    load_config,
-    resolve_sigma_g,
-    validate_config,
-)
+from fedsgm.config import build_fed_config, build_task, load_config, validate_config
 from fedsgm.errors import ConfigurationError
 
 
@@ -162,6 +156,31 @@ def test_cross_validation_errors(over, fragment):
         validate_config(small_config(**over))
 
 
+@pytest.mark.parametrize(
+    "section, key",
+    [
+        ("task", "d"),
+        ("federation", "clients"),
+        ("federation", "rounds"),
+        ("federation", "eta_local"),
+        ("mechanism", "tau"),
+        ("mechanism", "sigma_g"),
+        ("accountant", "delta"),
+    ],
+)
+def test_null_is_rejected_with_the_key(tmp_path, capsys, section, key):
+    path = write_config(tmp_path, small_config(**{section: {key: None}}))
+    assert main(["diagnose", path]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"{section}.{key}: null is not a valid value" in err
+
+
+def test_null_means_absent_on_optional_keys():
+    cfg = validate_config(small_config(task={"n": None}, accountant={"target_epsilon": None}))
+    assert cfg["task"]["n"] is None and cfg["accountant"]["target_epsilon"] is None
+
+
 def test_sigma_g_rejects_unknown_strings():
     raw = small_config(mechanism={"sigma_g": "auto"})
     with pytest.raises(ConfigurationError, match="calibrate"):
@@ -198,9 +217,8 @@ def test_override_can_add_optional_section(tmp_path):
     raw = small_config(mechanism={"sigma_g": 0.0})
     del raw["sketch"]
     path = write_config(tmp_path, raw)
-    cfg = load_config(path, ["sketch.mode=identity"])
-    assert cfg["sketch"]["mode"] == "identity"
-    assert effective_sketch_dim(cfg) == 8
+    cfg = load_config(path, ["sketch.b=4"])
+    assert cfg["sketch"] == {"mode": "gaussian", "b": 4}
 
 
 @pytest.mark.parametrize(
@@ -230,18 +248,9 @@ def test_build_task_quadratic_shape():
     assert partition.num_clients == 4
 
 
-def test_effective_sketch_dim_follows_mode():
-    gaussian = validate_config(small_config())
-    identity = validate_config(
-        small_config(sketch={"mode": "identity", "b": None}, mechanism={"sigma_g": 0.0})
-    )
-    assert effective_sketch_dim(gaussian) == 4
-    assert effective_sketch_dim(identity) == 8
-
-
 def test_resolve_sigma_g_passthrough_and_calibration():
     explicit = validate_config(small_config())
-    assert resolve_sigma_g(explicit) == 0.9
+    assert build_fed_config(explicit).mechanism.sigma_g == 0.9
 
     cfg = validate_config(
         small_config(
@@ -249,7 +258,7 @@ def test_resolve_sigma_g_passthrough_and_calibration():
             accountant={"target_epsilon": 2.0},
         )
     )
-    sigma = resolve_sigma_g(cfg)
+    sigma = build_fed_config(cfg).mechanism.sigma_g
     expected = calibrate_sgm_sigma(DpPoint(2.0, 1e-5), q=0.5, T=3, tau=1.0, b=4)
     assert sigma == expected
     assert math.isfinite(sigma) and sigma > 0
@@ -365,6 +374,22 @@ def test_cli_accountant_baseline(capsys):
     assert record["mechanism"] == "baseline"
     assert "sampled-gaussian" in record["method"]
     assert record["epsilon"] == pytest.approx(1.6320274630619949, rel=1e-12)
+
+
+@pytest.mark.parametrize("q", ["1", "0.0064"])
+def test_cli_accountant_baseline_nan_sigma_exits_1(capsys, q):
+    args = ["--delta", "1e-5", "--q", q, "--T", "500", "--tau", "1", "--b", "400000"]
+    assert main(["accountant", "--mechanism", "baseline", "--sigma", "nan", *args]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "sigma must be positive, got nan" in err
+
+
+def test_cli_accountant_prints_alpha_star_in_six_significant_digits(capsys):
+    assert main(["accountant", "--sigma", "1e75", *VISION_ARGS]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "alpha* = 2.31251e+153"
+    assert main(["accountant", "--sigma", "0.2265", *VISION_ARGS]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "alpha* = 119.641"
 
 
 @pytest.mark.parametrize(
@@ -573,25 +598,16 @@ def test_simulate_sigma_zero_ablation_recorded(tmp_path, capsys):
     assert manifest["accountant"]["epsilon_total"] == "inf"
 
 
-@pytest.mark.parametrize("sigma", ["0.9", "calibrate"])
+@pytest.mark.parametrize("sigma", ["0.9", "calibrate", "0"])
 def test_simulate_noisy_identity_mode_exits_1(tmp_path, capsys, sigma):
-    # the accountant covers sketched releases only: an unsketched noisy run
-    # would report an epsilon its analysis does not prove
+    # a run config always sketches: the unsketched release, noisy or not, is
+    # reachable only from the library (FedConfig(sketch_b=None))
     path = write_config(tmp_path, small_config(accountant={"target_epsilon": 4.0}))
     overrides = ["--override", "sketch.mode=identity", "--override", f"mechanism.sigma_g={sigma}"]
     rc = main(["simulate", path, *overrides, "--out-dir", str(tmp_path / "o")])
     assert rc == 1
-    assert "sketch.mode" in capsys.readouterr().err
+    assert "sketch.mode: 'identity' not in ('gaussian',)" in capsys.readouterr().err
     assert not list(tmp_path.rglob("*.csv"))
-    # without noise the unsketched run is the non-private ablation it was
-    with pytest.warns(UserWarning, match="epsilon = inf"):
-        rc = main(["simulate", path, "--override", "sketch.mode=identity",
-                   "--override", "mechanism.sigma_g=0", "--out-dir", str(tmp_path / "z")])
-    capsys.readouterr()
-    assert rc == 0
-    manifest = json.loads((tmp_path / "z" / "run-manifest.json").read_text())
-    assert manifest["accountant"]["epsilon_total"] == "inf"
-    assert manifest["accountant"]["b_effective"] is None  # no b enters its accounting
 
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -724,6 +740,23 @@ def test_diagnose_bad_sketch_dim_exits_1(capsys, b):
     rc = main(["diagnose", str(REPO_ROOT / "configs" / "logreg.json"), "--override", f"sketch.b={b}"])
     assert rc == 1
     assert f"sketch.b must be >= 1, got {b}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ("federation.local_steps=0", "local_steps, rounds, batch_size must be >= 1"),
+        ("federation.batch_size=0", "local_steps, rounds, batch_size must be >= 1"),
+        ("federation.eta_local=0", "eta_local must be finite and positive, got 0.0"),
+    ],
+)
+def test_diagnose_applies_the_run_checks(capsys, override, message):
+    # diagnose reads the run from the same FedConfig that simulate runs
+    quadratic = str(REPO_ROOT / "configs" / "quadratic.json")
+    assert main(["diagnose", quadratic, "--override", override]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("command", ["diagnose", "simulate"])

@@ -1,11 +1,17 @@
-"""Smoke tests: each script in scripts/ runs end to end on tiny arguments."""
+"""Smoke tests: each script in scripts/ runs end to end on tiny arguments.
 
+The convergence script's epsilon ledger is also checked against its calibration.
+"""
+
+import csv
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from fedsgm.accountant import CALIBRATION_REL_TOL
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -23,6 +29,11 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
     ],
 )
 def test_script_runs(tmp_path, script, args, header):
+    proc = _run_script(tmp_path, script, args)
+    assert any(header in line for line in proc.stdout.splitlines()[:3]), proc.stdout
+
+
+def _run_script(tmp_path, script, args):
     env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
     proc = subprocess.run(
         [sys.executable, str(REPO_ROOT / "scripts" / script), *args],
@@ -33,4 +44,16 @@ def test_script_runs(tmp_path, script, args, header):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert any(header in line for line in proc.stdout.splitlines()[:3]), proc.stdout
+    return proc
+
+
+def test_convergence_ledger_uses_the_calibration_delta(tmp_path):
+    # sigma_g is calibrated to eps = 8 at delta = 1e-6; the CSV's epsilon
+    # must be accounted at that delta too, not at FedConfig's default
+    eps = 8.0
+    _run_script(tmp_path, "convergence_experiment.py",
+                ["--eps", str(eps), "--delta", "1e-6", "--rounds", "20", "--d", "20", "--b", "5"])
+    with open(tmp_path / "runs" / "convergence-gd.csv") as fh:
+        rows = list(csv.reader(line for line in fh if not line.startswith("#")))
+    final = float(rows[-1][rows[0].index("epsilon_spent")])
+    assert eps * (1 - CALIBRATION_REL_TOL) <= final <= eps
