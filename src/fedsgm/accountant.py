@@ -16,8 +16,8 @@ The chain, for one federated round observed through the mechanism:
 delta0 = delta/(2 q T), delta' = delta/2, so the reported guarantee is exactly
 (eps_total, delta); `sgm_epsilon` is its last line.
 
-A non-sketched baseline (`baseline_gm_epsilon`) accounts the subsampled
-Gaussian mechanism through integer-order RDP for noise comparisons.
+A non-sketched baseline (`baseline_gm_epsilon`) sums the subsampled Gaussian's
+integer-order RDP over a packed (alpha, k <= alpha) table, for noise comparisons.
 """
 
 from __future__ import annotations
@@ -352,17 +352,15 @@ def calibrate_sgm_sigma(
 # ---------------------------------------------------------------------------
 
 
-# log C(alpha, k) for the integer orders alpha = 2..256 (rows) and k = 0..256
-# (columns), masked to -inf where k > alpha.
+# The (alpha, k) pairs, 0 <= k <= alpha, of the orders alpha = 2..256 packed row
+# after row (33,150 entries): row i (alpha = i + 2) starts at _ROW_START[i].
 _ALPHAS = np.arange(2.0, 257.0)
-_K = np.arange(257.0)
-_ALPHA_MINUS_K = _ALPHAS[:, None] - _K
+_ROW_SIZE = np.arange(3, 258)
+_K = np.concatenate([np.arange(size, dtype=float) for size in _ROW_SIZE])
+_ROW_START = np.flatnonzero(_K == 0.0)
+_ALPHA_MINUS_K = np.repeat(_ALPHAS, _ROW_SIZE) - _K
 _LOG_FACT = np.array([math.lgamma(n + 1.0) for n in range(257)])
-_LOG_BINOM = np.where(
-    _ALPHA_MINUS_K >= 0,
-    _LOG_FACT[2:, None] - _LOG_FACT - _LOG_FACT[np.maximum(_ALPHA_MINUS_K, 0).astype(int)],
-    -np.inf,
-)
+_LOG_BINOM = np.concatenate([_LOG_FACT[a] - _LOG_FACT[: a + 1] - _LOG_FACT[a::-1] for a in range(2, 257)])
 
 
 def baseline_gm_epsilon(sigma: float, q: float, T: int, delta: float) -> float:
@@ -375,8 +373,9 @@ def baseline_gm_epsilon(sigma: float, q: float, T: int, delta: float) -> float:
       RDP(alpha) = log( sum_{k=0}^{alpha} C(alpha,k) (1-q)^(alpha-k) q^k
                         * exp((k^2 - k) / (2 sigma^2)) ) / (alpha - 1);
 
-    all integer orders 2..256 are evaluated at once in log space, and the
-    T-round composition is converted to (eps, delta)-DP at the best order.
+    all integer orders 2..256 are evaluated at once in log space over the
+    packed (alpha, k <= alpha) table; the T-round composition is converted to
+    (eps, delta)-DP at the best order, inf where a noise term overflows.
     """
     if not sigma > 0.0:  # also rejects NaN
         raise ConfigurationError(f"sigma must be positive, got {sigma}")
@@ -386,20 +385,19 @@ def baseline_gm_epsilon(sigma: float, q: float, T: int, delta: float) -> float:
         raise ConfigurationError(f"T must be >= 1, got {T}")
     if not 0.0 < delta < 1.0:
         raise ConfigurationError(f"delta must be in (0,1), got {delta}")
-    if q == 1.0:
-        # only the k = alpha term survives
-        rdp = _ALPHAS / (2.0 * sigma * sigma)
-    else:
-        terms = (
-            _LOG_BINOM
-            + _K * math.log(q)
-            + _ALPHA_MINUS_K * math.log1p(-q)
-            + (_K * _K - _K) / (2.0 * sigma * sigma)
-        )
-        peak = terms.max(axis=1, keepdims=True)
-        rdp = (peak[:, 0] + np.log(np.exp(terms - peak).sum(axis=1))) / (_ALPHAS - 1.0)
-        # a term that overflows (sigma^2 near underflow) leaves inf - inf = nan
-        rdp[np.isnan(rdp)] = np.inf
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # see the nan rule
+        if q == 1.0:
+            rdp = _ALPHAS / (2.0 * sigma * sigma)  # only the k = alpha term survives
+        else:
+            terms = _LOG_BINOM + _K * math.log(q) + _ALPHA_MINUS_K * math.log1p(-q)
+            terms += (_K * _K - _K) / (2.0 * sigma * sigma)
+            peak = np.maximum.reduceat(terms, _ROW_START)
+            terms -= np.repeat(peak, _ROW_SIZE)
+            # exp is slow on subnormals; terms under e^-700 of the peak vanish in the sum
+            np.exp(np.maximum(terms, -700.0, out=terms), out=terms)
+            rdp = (peak + np.log(np.add.reduceat(terms, _ROW_START))) / (_ALPHAS - 1.0)
+            # a term that overflows (sigma^2 near underflow) leaves inf - inf = nan
+            rdp[np.isnan(rdp)] = np.inf
     return float(np.min(T * rdp + math.log(1.0 / delta) / (_ALPHAS - 1.0)))
 
 

@@ -90,6 +90,8 @@ class FedConfig:
             raise ConfigurationError(
                 f"unknown optimizer {self.optimizer!r}; expected one of {_OPTIMIZERS}"
             )
+        if self.optimizer != "gd":  # the moment optimizers' own range checks
+            MomentState.init(0, beta1=self.beta1, beta2=self.beta2, eps=self.opt_eps)
         if self.sketch_b is not None and self.sketch_b < 1:
             raise ConfigurationError(f"sketch_b must be >= 1, got {self.sketch_b}")
         if not 0.0 < self.delta < 1.0:

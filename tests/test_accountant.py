@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -19,6 +20,11 @@ from scipy import integrate, stats
 from scipy.special import gammaln, logsumexp
 
 from fedsgm.accountant import (
+    _ALPHA_MINUS_K,
+    _ALPHAS,
+    _K,
+    _LOG_BINOM,
+    _ROW_START,
     AccountantParams,
     DpPoint,
     baseline_gm_epsilon,
@@ -608,6 +614,68 @@ def _baseline_epsilon_per_order(sigma, q, T, delta):
     return best
 
 
+def test_baseline_table_packs_each_pair_once():
+    # row alpha - 2 holds k = 0..alpha, rows one after another
+    sizes = np.arange(3, 258)
+    assert _K.size == _ALPHA_MINUS_K.size == _LOG_BINOM.size == sizes.sum() == 33_150
+    assert np.array_equal(_ROW_START, np.concatenate(([0], np.cumsum(sizes)[:-1])))
+    alphas = _ALPHAS[np.repeat(np.arange(255), sizes)]
+    assert np.array_equal(_ALPHA_MINUS_K, alphas - _K)
+    pairs = set(zip(alphas.astype(int).tolist(), _K.astype(int).tolist()))
+    assert len(pairs) == _K.size
+    assert pairs == {(a, k) for a in range(2, 257) for k in range(a + 1)}
+    assert np.allclose(_LOG_BINOM, gammaln(alphas + 1) - gammaln(_K + 1) - gammaln(alphas - _K + 1))
+
+
+def _baseline_epsilon_fsum(sigma, q, T, delta):
+    """Reference: a log-sum-exp per integer order, summed with math.fsum."""
+    best = math.inf
+    for alpha in range(2, 257):
+        if q == 1.0:
+            rdp = alpha / (2.0 * sigma * sigma)
+        else:
+            terms = [
+                math.lgamma(alpha + 1) - math.lgamma(k + 1) - math.lgamma(alpha - k + 1)
+                + k * math.log(q) + (alpha - k) * math.log1p(-q) + (k * k - k) / (2.0 * sigma * sigma)
+                for k in range(alpha + 1)
+            ]
+            peak = max(terms)
+            rdp = (peak + math.log(math.fsum(math.exp(t - peak) for t in terms))) / (alpha - 1)
+        best = min(best, T * rdp + math.log(1.0 / delta) / (alpha - 1))
+    return best
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    sigma=st.floats(min_value=0.1, max_value=20.0),
+    q=st.one_of(st.just(1.0), st.floats(min_value=1e-4, max_value=1.0, exclude_min=True)),
+    T=st.integers(min_value=1, max_value=5000),
+)
+@example(sigma=1.0, q=4 / 625, T=500)
+@example(sigma=1.0, q=1.0, T=500)
+def test_baseline_matches_fsum_reference(sigma, q, T):
+    assert baseline_gm_epsilon(sigma, q, T, 1e-5) == pytest.approx(
+        _baseline_epsilon_fsum(sigma, q, T, 1e-5), rel=1e-12
+    )
+
+
+# calibrate_baseline_sigma at the benchmark's ten calibration solves (delta = 1e-5);
+# the baseline ignores b, so the four solves of the b grid at eps = 1.6 share one row
+@pytest.mark.parametrize(
+    "eps, q, T, sigma",
+    [
+        (2.75, 4 / 625, 500, 0.8004926757812499),
+        (1.60, 4 / 625, 500, 1.0103217468261718),
+        (0.42, 4 / 625, 500, 2.015022735595703),
+        (0.18, 4 / 625, 500, 3.9995118408203125),
+        (4.0, 4 / 16, 100, 3.4547261962890627),
+        (8.0, 8 / 64, 300, 1.7198666992187497),
+    ],
+)
+def test_baseline_calibration_pinned(eps, q, T, sigma):
+    assert calibrate_baseline_sigma(DpPoint(eps, 1e-5), q=q, T=T) == sigma
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     sigma=st.floats(min_value=0.3, max_value=50.0),
@@ -629,8 +697,22 @@ def test_cli_import_leaves_scipy_out():
 
 
 def test_baseline_infinite_when_noise_term_overflows():
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert baseline_gm_epsilon(1e-160, 0.5, 1, 1e-5) == math.inf
+    assert baseline_gm_epsilon(1e-160, 0.5, 1, 1e-5) == math.inf
+
+
+@pytest.mark.parametrize("sigma, q", [(1e-160, 0.5), (1e-200, 1.0)])
+def test_baseline_overflow_is_silent(sigma, q):
+    # the noise term overflows (q < 1) or divides by sigma^2 = 0 (q = 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert baseline_gm_epsilon(sigma, q, 1, 1e-5) == math.inf
+    argv = ["accountant", "--mechanism", "baseline", "--sigma", str(sigma), "--q", str(q),
+            "--T", "1", "--delta", "1e-5", "--tau", "1", "--b", "10"]
+    proc = subprocess.run([sys.executable, "-m", "fedsgm.cli", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout == "baseline subsampled Gaussian: eps = inf at delta = 1e-05\n"
 
 
 def test_baseline_vanishes_with_noise():

@@ -760,6 +760,29 @@ def test_diagnose_applies_the_run_checks(capsys, override, message):
 
 
 @pytest.mark.parametrize("command", ["diagnose", "simulate"])
+@pytest.mark.parametrize(
+    "kind, key, value, message",
+    [
+        ("adam", "beta1", "2", "beta1 must be in [0,1), got 2.0"),
+        ("amsgrad", "beta2", "1", "beta2 must be in [0,1), got 1.0"),
+        ("adam", "eps", "0", "eps must be positive, got 0.0"),
+    ],
+)
+def test_optimizer_range_checks_apply_to_every_command(tmp_path, capsys, command, kind, key,
+                                                       value, message):
+    # the moment optimizers' ranges are checked by FedConfig, which both commands build
+    quadratic = str(REPO_ROOT / "configs" / "quadratic.json")
+    rc = main([command, quadratic, "--override", f"optimizer.kind={kind}",
+               "--override", f"optimizer.{key}={value}",
+               *(["--out-dir", str(tmp_path)] if command == "simulate" else [])])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["diagnose", "simulate"])
 def test_more_clients_per_round_than_clients_exits_1(tmp_path, capsys, command):
     # caught by the config check before anything runs or prints
     logreg = str(REPO_ROOT / "configs" / "logreg.json")
