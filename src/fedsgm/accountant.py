@@ -17,12 +17,15 @@ delta0 = delta/(2 q T), delta' = delta/2, so the reported guarantee is exactly
 (eps_total, delta); `sgm_epsilon` is its last line.
 
 A non-sketched baseline (`baseline_gm_epsilon`) sums the subsampled Gaussian's
-integer-order RDP over a packed (alpha, k <= alpha) table, for noise comparisons.
+integer-order RDP over a packed (alpha, k <= alpha) table, for noise comparisons;
+the sigma-free part of that table is built once per q and kept for the next call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -295,14 +298,14 @@ def _solve_sigma(target: DpPoint, eps_at, lo: float, hi: float, cap: float, too_
     CALIBRATION_REL_TOL * hi, and the feasible end hi is returned.
     """
     target_eps = target.epsilon
-    if not target_eps > 0.0 or math.isnan(target_eps):
-        raise CalibrationError(f"target epsilon must be positive, got {target_eps}")
+    if not 0.0 < target_eps < math.inf:  # also rejects NaN
+        raise CalibrationError(f"target epsilon must be positive and finite, got {target_eps}")
     while not eps_at(hi) <= target_eps:
         hi *= 2.0
         if hi > cap:
             raise CalibrationError(too_high(hi))
     while (hi - lo) > CALIBRATION_REL_TOL * hi:
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * lo + 0.5 * hi  # the bits of 0.5 * (lo + hi) on normal floats; lo + hi may overflow
         if eps_at(mid) <= target_eps:
             hi = mid
         else:
@@ -324,7 +327,7 @@ def calibrate_sgm_sigma(
     the right, so bisection against the regime floor converges to the unique
     crossing.  The returned sigma satisfies sgm_epsilon(sigma) <= target
     epsilon and the regime constraint strictly.  tau = inf violates the
-    regime at every sigma_g.
+    regime at every sigma_g, and a sigma_g past the largest float is infeasible.
     """
     # sigma_g is what the solve sets; the placeholder only passes the check
     params = AccountantParams(q=q, T=T, tau=tau, b=b, sigma_g=math.inf)
@@ -342,7 +345,8 @@ def calibrate_sgm_sigma(
 
     floor = math.sqrt(2.0 / b) * tau  # infeasible by construction (regime boundary)
     return _solve_sigma(
-        target, eps_at, lo=floor, hi=2.0 * floor, cap=math.ldexp(2.0 * floor, 199),
+        target, eps_at, lo=floor, hi=2.0 * floor,
+        cap=min(2.0 * floor * 2.0**199, sys.float_info.max),  # sigma_g stays a finite float
         too_high=lambda hi: f"no sigma_g up to {hi:.3g} meets eps={target.epsilon} (q={q}, T={T})",
     )
 
@@ -361,6 +365,19 @@ _ROW_START = np.flatnonzero(_K == 0.0)
 _ALPHA_MINUS_K = np.repeat(_ALPHAS, _ROW_SIZE) - _K
 _LOG_FACT = np.array([math.lgamma(n + 1.0) for n in range(257)])
 _LOG_BINOM = np.concatenate([_LOG_FACT[a] - _LOG_FACT[: a + 1] - _LOG_FACT[a::-1] for a in range(2, 257)])
+_K_SQ_MINUS_K = _K * _K - _K
+
+
+@functools.lru_cache(maxsize=1)
+def _q_table(q: float) -> np.ndarray:
+    """The sigma-free part of the packed terms at q, log C(alpha,k) q^k (1-q)^(alpha-k).
+
+    A calibration evaluates one q many times, so the last table is kept; it
+    is read-only, since every later call at q shares it.
+    """
+    table = _LOG_BINOM + _K * math.log(q) + _ALPHA_MINUS_K * math.log1p(-q)
+    table.flags.writeable = False
+    return table
 
 
 def baseline_gm_epsilon(sigma: float, q: float, T: int, delta: float) -> float:
@@ -374,7 +391,8 @@ def baseline_gm_epsilon(sigma: float, q: float, T: int, delta: float) -> float:
                         * exp((k^2 - k) / (2 sigma^2)) ) / (alpha - 1);
 
     all integer orders 2..256 are evaluated at once in log space over the
-    packed (alpha, k <= alpha) table; the T-round composition is converted to
+    packed (alpha, k <= alpha) table, whose sigma-free part comes from the
+    one-q cache `_q_table`; the T-round composition is converted to
     (eps, delta)-DP at the best order, inf where a noise term overflows.
     """
     if not sigma > 0.0:  # also rejects NaN
@@ -385,12 +403,13 @@ def baseline_gm_epsilon(sigma: float, q: float, T: int, delta: float) -> float:
         raise ConfigurationError(f"T must be >= 1, got {T}")
     if not 0.0 < delta < 1.0:
         raise ConfigurationError(f"delta must be in (0,1), got {delta}")
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # see the nan rule
+    # an overflowing noise term is inf (see the nan rule), and so is T * rdp past the float range
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         if q == 1.0:
             rdp = _ALPHAS / (2.0 * sigma * sigma)  # only the k = alpha term survives
         else:
-            terms = _LOG_BINOM + _K * math.log(q) + _ALPHA_MINUS_K * math.log1p(-q)
-            terms += (_K * _K - _K) / (2.0 * sigma * sigma)
+            terms = _K_SQ_MINUS_K / (2.0 * sigma * sigma)
+            terms += _q_table(q)  # the same bits as table + noise: addition commutes
             peak = np.maximum.reduceat(terms, _ROW_START)
             terms -= np.repeat(peak, _ROW_SIZE)
             # exp is slow on subnormals; terms under e^-700 of the peak vanish in the sum
@@ -398,7 +417,7 @@ def baseline_gm_epsilon(sigma: float, q: float, T: int, delta: float) -> float:
             rdp = (peak + np.log(np.add.reduceat(terms, _ROW_START))) / (_ALPHAS - 1.0)
             # a term that overflows (sigma^2 near underflow) leaves inf - inf = nan
             rdp[np.isnan(rdp)] = np.inf
-    return float(np.min(T * rdp + math.log(1.0 / delta) / (_ALPHAS - 1.0)))
+        return float(np.min(T * rdp + math.log(1.0 / delta) / (_ALPHAS - 1.0)))
 
 
 def calibrate_baseline_sigma(target: DpPoint, q: float, T: int) -> float:

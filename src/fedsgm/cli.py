@@ -14,6 +14,7 @@ parameter-regime violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -83,8 +84,8 @@ def _add_accounting_args(p, with_sigma: bool):
 
 
 def cmd_calibrate(args) -> int:
-    if not args.eps > 0 or math.isnan(args.eps):
-        raise CalibrationError(f"target epsilon must be positive, got {args.eps}")
+    if not 0.0 < args.eps < math.inf:  # also rejects NaN
+        raise CalibrationError(f"target epsilon must be positive and finite, got {args.eps}")
     target = DpPoint(args.eps, args.delta)
     sigma = calibrate_sgm_sigma(target, args.q, args.T, args.tau, args.b)
     achieved = sgm_pipeline(
@@ -382,7 +383,9 @@ def cmd_diagnose(config_path, overrides=()) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parse_args keeps no state."""
     parser = _Parser(prog="fed-sgm", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=f"fed-sgm {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -25,6 +25,7 @@ from fedsgm.accountant import (
     _K,
     _LOG_BINOM,
     _ROW_START,
+    _q_table,
     AccountantParams,
     DpPoint,
     baseline_gm_epsilon,
@@ -581,6 +582,37 @@ def test_calibrate_infinite_tau_violates_the_regime():
         calibrate_sgm_sigma(DpPoint(1.6, 1e-5), q=Q_VISION, T=T_VISION, tau=math.inf, b=B_VISION)
 
 
+def test_calibrate_scales_with_tau_up_to_the_float_range():
+    # sigma_g is tau times the tau = 1 answer; the doubling's cap used to
+    # overflow math.ldexp at tau = 1e300, and at tau = 5e307 the bisection's
+    # midpoint 0.5 * (lo + hi) would overflow to inf
+    target = DpPoint(4.0, 1e-5)
+    unit = calibrate_sgm_sigma(target, q=0.25, T=100, tau=1.0, b=16)
+    sigma = calibrate_sgm_sigma(target, q=0.25, T=100, tau=1e300, b=16)
+    assert sigma == 2.7788813126855115e300
+    assert sigma / 1e300 == pytest.approx(unit, rel=1e-15)
+    sigma = calibrate_sgm_sigma(target, q=0.25, T=100, tau=5e307, b=16)
+    assert math.isfinite(sigma)
+    assert sigma / 5e307 == pytest.approx(unit, rel=1e-15)
+
+
+def test_calibrate_refuses_a_sigma_past_the_float_range():
+    # the answer would be 2.78e308, above the largest float
+    with pytest.raises(CalibrationError, match="no sigma_g up to inf"):
+        calibrate_sgm_sigma(DpPoint(4.0, 1e-5), q=0.25, T=100, tau=1e308, b=16)
+
+
+@pytest.mark.parametrize("solve", ["sgm", "baseline"])
+def test_calibration_rejects_an_infinite_target(solve):
+    # DpPoint accepts eps = inf, which every sigma meets; the solve refuses it
+    target = DpPoint(math.inf, 1e-5)
+    with pytest.raises(CalibrationError, match="positive and finite, got inf"):
+        if solve == "sgm":
+            calibrate_sgm_sigma(target, q=0.25, T=100, tau=1.0, b=16)
+        else:
+            calibrate_baseline_sigma(target, q=0.25, T=100)
+
+
 # ---------------------------------------------------------------------------
 # baseline subsampled-Gaussian accountant
 
@@ -625,6 +657,54 @@ def test_baseline_table_packs_each_pair_once():
     assert len(pairs) == _K.size
     assert pairs == {(a, k) for a in range(2, 257) for k in range(a + 1)}
     assert np.allclose(_LOG_BINOM, gammaln(alphas + 1) - gammaln(_K + 1) - gammaln(alphas - _K + 1))
+
+
+def _baseline_epsilon_uncached(sigma, q, T, delta):
+    """Reference: the packed evaluation with its q table rebuilt on every call."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if q == 1.0:
+            rdp = _ALPHAS / (2.0 * sigma * sigma)
+        else:
+            terms = _LOG_BINOM + _K * math.log(q) + _ALPHA_MINUS_K * math.log1p(-q)
+            terms += (_K * _K - _K) / (2.0 * sigma * sigma)
+            peak = np.maximum.reduceat(terms, _ROW_START)
+            terms -= np.repeat(peak, np.arange(3, 258))
+            np.exp(np.maximum(terms, -700.0, out=terms), out=terms)
+            rdp = (peak + np.log(np.add.reduceat(terms, _ROW_START))) / (_ALPHAS - 1.0)
+            rdp[np.isnan(rdp)] = np.inf
+        return float(np.min(T * rdp + math.log(1.0 / delta) / (_ALPHAS - 1.0)))
+
+
+_BASELINE_Q = st.one_of(st.just(1.0), st.floats(min_value=1e-5, max_value=1.0, exclude_min=True))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    q_pair=st.lists(_BASELINE_Q, min_size=2, max_size=2, unique=True),
+    # the second range overflows the noise term (sigma^2 near or under the float floor)
+    sigmas=st.lists(st.one_of(st.floats(min_value=0.05, max_value=100.0),
+                              st.floats(min_value=1e-200, max_value=1e-150)),
+                    min_size=2, max_size=6),
+    T=st.integers(min_value=1, max_value=10_000),
+    delta=st.floats(min_value=1e-12, max_value=1e-2),
+)
+@example(q_pair=[4 / 625, 0.25], sigmas=[1.0, 1e-160, 4.0, 1.0], T=500, delta=1e-5)
+@example(q_pair=[1.0, 0.5], sigmas=[1e-200, 1.0, 1e-153], T=10_000, delta=1e-5)
+def test_baseline_cached_table_keeps_every_bit(q_pair, sigmas, T, delta):
+    # consecutive calls alternate between two q, so a stale one-q table fails
+    for i, sigma in enumerate(sigmas):
+        q = q_pair[i % 2]
+        assert baseline_gm_epsilon(sigma, q, T, delta) == _baseline_epsilon_uncached(sigma, q, T, delta)
+
+
+def test_baseline_q_table_is_shared_and_read_only():
+    table = _q_table(0.25)
+    assert _q_table(0.25) is table
+    with pytest.raises(ValueError, match="read-only"):
+        table[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        table += 1.0
+    assert baseline_gm_epsilon(1.0, 0.25, 100, 1e-5) == _baseline_epsilon_uncached(1.0, 0.25, 100, 1e-5)
 
 
 def _baseline_epsilon_fsum(sigma, q, T, delta):

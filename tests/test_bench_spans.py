@@ -175,3 +175,20 @@ def test_benchmark_and_shipped_configs_load(tmp_path):
         paths[-1].write_text(json.dumps(cfg))
     for path in paths:
         load_config(str(path))
+
+
+def test_calib_workload_smoke(tmp_path):
+    # the benchmark's calib workload end to end, run from a directory whose
+    # src links to this checkout, so perfbench_out/ is written under tmp_path
+    (tmp_path / "src").symlink_to(REPO_ROOT / "src")
+    proc = subprocess.run(
+        [sys.executable, str(REPO_ROOT / "perfbench" / "run.py"), "--workload", "calib",
+         "--seed", "1", "--seconds", "0"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    # ROADMAP item 1: the checks find 3 of the 10 solves unsound
+    assert result["failed"] / result["attempted"] <= 0.3
+    assert (tmp_path / "perfbench_out" / "calib" / "result.json").is_file()

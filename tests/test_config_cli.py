@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from fedsgm.accountant import DpPoint, calibrate_sgm_sigma
-from fedsgm.cli import main
+from fedsgm.cli import build_parser, main
 from fedsgm.config import build_fed_config, build_task, load_config, validate_config
 from fedsgm.errors import ConfigurationError
 
@@ -294,6 +294,29 @@ def test_cli_calibrate_infeasible_target_exits_2(capsys):
     assert "infeasible" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("eps", ["0", "nan", "inf", "1e309"])
+def test_cli_calibrate_non_finite_or_zero_target_exits_2(capsys, eps):
+    # an infinite target used to print the regime floor as sigma_g and a
+    # non-JSON "Infinity" record
+    rc = main(["calibrate", "--eps", eps, "--delta", "1e-5", "--q", "0.25", "--T", "100",
+               "--tau", "1", "--b", "16", "--json"])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("infeasible: target epsilon must be positive and finite, got ")
+
+
+def test_cli_calibrate_huge_tau(capsys):
+    args = ["--eps", "4", "--delta", "1e-5", "--q", "0.25", "--T", "100", "--b", "16", "--json"]
+    assert main(["calibrate", *args, "--tau", "1e300"]) == 0
+    assert json.loads(capsys.readouterr().out)["sigma_g"] == 2.7788813126855115e300
+    # sigma_g would be 2.78e308: refused, never printed as inf
+    assert main(["calibrate", *args, "--tau", "1e308"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("infeasible: no sigma_g up to inf meets eps=4.0")
+
+
 @pytest.mark.parametrize("b", ["0", "-5"])
 def test_cli_calibrate_bad_sketch_dim_exits_1(capsys, b):
     rc = main(["calibrate", "--eps", "1", "--delta", "1e-5", "--q", "0.1", "--T", "10",
@@ -505,6 +528,26 @@ def test_simulate_override_recorded_in_manifest(tmp_path, capsys):
     assert manifest["config"]["mechanism"]["sigma_g"] == 0.8
     assert manifest["config"]["mechanism"]["sigma_g_resolved"] == 0.8
     assert manifest["accountant"]["sigma_g"] == 0.8
+
+
+def test_reused_parser_carries_nothing_between_calls(tmp_path, capsys):
+    # main builds its parser once per process; an override or an option of
+    # one call must not leak into the next
+    assert build_parser() is build_parser()
+    path = write_config(tmp_path, small_config())
+    assert main(["simulate", path, "--override", "federation.rounds=2",
+                 "--out-dir", str(tmp_path / "a")]) == 0
+    assert main(["simulate", path, "--out-dir", str(tmp_path / "b")]) == 0
+    first, second = (json.loads((tmp_path / d / "run-manifest.json").read_text()) for d in "ab")
+    assert first["accountant"]["rounds"] == 2
+    assert second["accountant"]["rounds"] == 3
+    assert second["config"]["federation"]["rounds"] == 3
+    capsys.readouterr()
+    assert main(["accountant", "--mechanism", "baseline", "--sigma", "1.0", *VISION_ARGS,
+                 "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["mechanism"] == "baseline"
+    assert main(["accountant", "--sigma", "1.0", *VISION_ARGS, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["mechanism"] == "sgm"
 
 
 def test_simulate_calibrated_sigma_recorded(tmp_path, capsys):
