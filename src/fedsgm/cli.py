@@ -250,10 +250,12 @@ def _sweep_rows(config_path, axis, values, reps, overrides):
             rows.append((value, str(rep), str(seed)) + tuple(repr(v) for v in metrics))
         arr = np.array(finals)
         mean = arr.mean(axis=0)
-        if len(finals) > 1:
-            stderr = arr.std(axis=0, ddof=1) / math.sqrt(len(finals))
-        else:
-            stderr = np.zeros(arr.shape[1])
+        # a metric with one value in every rep (one rep, or epsilon = inf in
+        # each) has stderr 0; its spread would be inf - inf = nan
+        varied = (arr != arr[0]).any(axis=0)
+        stderr = np.zeros(arr.shape[1])
+        if varied.any():
+            stderr[varied] = arr[:, varied].std(axis=0, ddof=1) / math.sqrt(len(finals))
         rows.append((value, "mean", "") + tuple(repr(float(v)) for v in mean))
         rows.append((value, "stderr", "") + tuple(repr(float(v)) for v in stderr))
     return rows

@@ -65,6 +65,11 @@ def block_keys(seed: SeedLike, b: int) -> np.ndarray:
     return philox_keys(seed + (_SKETCH_TAG,), (np.arange(-(-b // BLOCK_ROWS)),))
 
 
+def keeps_blocks(b: int, d: int) -> bool:
+    """Whether a b x d sketch keeps its row blocks (b * d <= DENSE_MAX_ENTRIES)."""
+    return b * d <= DENSE_MAX_ENTRIES
+
+
 def _gen_block(spec: SketchSpec, rng: np.random.Generator, key, block: int) -> np.ndarray:
     """Rows [block*BLOCK_ROWS, ...) of the matrix, drawn from rng reset to the
     block's key; identical bits on every call."""
@@ -97,7 +102,7 @@ class SketchMatrix:
         self.spec = spec
         self._keys = block_keys(spec.seed, spec.b) if keys is None else keys
         self._rng = new_generator() if rng is None else rng
-        self._kept = list(self.iter_blocks()) if spec.b * spec.d <= DENSE_MAX_ENTRIES else None
+        self._kept = list(self.iter_blocks()) if keeps_blocks(spec.b, spec.d) else None
 
     @property
     def b(self) -> int:

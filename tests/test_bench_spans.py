@@ -15,7 +15,8 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-# Runs a small simulate under the installed tracer and prints its call counts.
+# Runs a small simulate under the installed tracer and prints its call
+# counts, sketch rows and span self times.
 SCRIPT = """
 import json, sys
 from spans import Tracer
@@ -23,7 +24,8 @@ tracer = Tracer()
 tracer.install()
 from fedsgm.cli import main
 code = main(["simulate", sys.argv[1], "--out-dir", sys.argv[2]])
-print(json.dumps({"code": code, "calls": tracer.calls, "rows": tracer.sketch_rows}))
+print(json.dumps({"code": code, "calls": tracer.calls, "rows": tracer.sketch_rows,
+                  "self_s": tracer.self_s}))
 """
 
 # Every round of a sketched run passes through each of these spans.
@@ -44,13 +46,14 @@ ROUND_SPANS = (
 )
 
 
-def test_tracer_installs_and_sees_every_layer(tmp_path):
+def traced_simulate(tmp_path, d, b):
+    """SCRIPT's report of a 3-round logreg run of dimension d, sketch size b."""
     config = {
-        "task": {"kind": "logreg", "d": 8, "n": 80},
+        "task": {"kind": "logreg", "d": d, "n": 80},
         "federation": {"clients": 4, "clients_per_round": 2, "local_steps": 2, "rounds": 3,
                        "eta_local": 0.5, "eta_global": 0.1, "batch_size": 5},
         "mechanism": {"tau": 1.0, "sigma_g": 2.0},
-        "sketch": {"mode": "gaussian", "b": 4},
+        "sketch": {"mode": "gaussian", "b": b},
         "optimizer": {"kind": "amsgrad"},
         "accountant": {"delta": 1e-5},
     }
@@ -65,6 +68,11 @@ def test_tracer_installs_and_sees_every_layer(tmp_path):
     assert proc.returncode == 0, proc.stderr  # an AttributeError names the missing attribute
     report = json.loads(proc.stdout.strip().splitlines()[-1])
     assert report["code"] == 0
+    return report
+
+
+def test_tracer_installs_and_sees_every_layer(tmp_path):
+    report = traced_simulate(tmp_path, d=8, b=4)
     calls = report["calls"]
     missing = [name for name in ROUND_SPANS if calls.get(name, 0) == 0]
     assert missing == [], calls
@@ -74,6 +82,19 @@ def test_tracer_installs_and_sees_every_layer(tmp_path):
     assert calls["tasks.eval"] == 3 * 3
     assert calls["sketch.generate"] == calls["sketch.apply"] == calls["sketch.desketch"] == 3
     assert report["rows"] == 3 * 4  # a kept sketch is generated once per round
+
+
+def test_tracer_on_the_draw_ahead_path(tmp_path):
+    # b*d = 65536 draws rounds 1 and 2 on the worker thread, which opens no
+    # span: a span opened there would corrupt the tracer's one span stack
+    from fedsgm.fedsim import _AHEAD_MIN_ENTRIES
+
+    assert 512 * 128 >= _AHEAD_MIN_ENTRIES
+    report = traced_simulate(tmp_path, d=512, b=128)
+    calls = report["calls"]
+    assert calls["sketch.generate"] == calls["sketch.apply"] == calls["sketch.desketch"] == 3
+    assert report["rows"] == 3 * 128
+    assert {name: s for name, s in report["self_s"].items() if s < 0} == {}
 
 
 # Runs one calibrate solve under the installed tracer and prints its call counts.

@@ -721,6 +721,21 @@ def test_sweep_single_rep_has_zero_stderr(tmp_path, capsys):
     assert all(float(v) == 0.0 for v in stderr_row[4:])
 
 
+def test_sweep_with_infinite_epsilon_in_every_rep(tmp_path, capsys):
+    # sigma_g = 0 reports epsilon = inf in both reps: its stderr is 0.0, and
+    # no numpy warning (inf - inf) escapes under filterwarnings = error
+    out_dir = tmp_path / "sw"
+    with pytest.warns(UserWarning, match="epsilon = inf"):
+        rc = main(["sweep", str(REPO_ROOT / "configs" / "quadratic.json"), "--axis",
+                   "mechanism.sigma_g", "--values", "0", "--reps", "2", "--out-dir", str(out_dir)])
+    capsys.readouterr()
+    assert rc == 0
+    mean, stderr = (ln.split(",") for ln in
+                    (out_dir / "quadratic-sweep.csv").read_text().splitlines()[-2:])
+    assert (mean[2], mean[-1]) == ("mean", "inf")
+    assert (stderr[2], stderr[-1]) == ("stderr", "0.0")
+
+
 def test_sweep_empty_values_exits_1(tmp_path, capsys):
     path = write_config(tmp_path, small_config())
     rc = main(["sweep", path, "--axis", "federation.eta_local", "--values", " , "])

@@ -4,7 +4,9 @@ Runs with sigma_g = 0 are non-private ablations; the accountant reports
 epsilon = inf with a warning, which several tests capture on purpose.
 """
 
+import json
 import math
+import threading
 import warnings
 
 import numpy as np
@@ -285,6 +287,91 @@ def test_streamed_round_generates_the_sketch_twice(monkeypatch):
     monkeypatch.setattr(sketch_module, "DENSE_MAX_ENTRIES", 1)
     run_federation(cfg, task, part)
     assert sum(rows) == 2 * 600
+
+
+def counted_draws(monkeypatch, fail_round=None):
+    """Record (round, rows, drawn on the main thread) for each generated
+    sketch block; the draw of round fail_round raises instead."""
+    drawn = []
+    gen_block = sketch_module._gen_block
+
+    def counted(spec, rng, key, block):
+        on_main = threading.current_thread() is threading.main_thread()
+        if spec.seed[1] == fail_round:
+            drawn.append((spec.seed[1], 0, on_main))
+            raise RuntimeError(f"no sketch for round {fail_round}")
+        out = gen_block(spec, rng, key, block)
+        drawn.append((spec.seed[1], out.shape[0], on_main))
+        return out
+
+    monkeypatch.setattr(sketch_module, "_gen_block", counted)
+    return drawn
+
+
+def test_drawn_ahead_and_inline_runs_give_the_same_bytes(monkeypatch, tmp_path, capsys):
+    # the gate just below b*d draws rounds 1.. on the worker, just above it
+    # draws every round inline; each round's b rows are drawn once, and no
+    # round past the last is drawn
+    from fedsgm.cli import main
+
+    b, d, rounds = 24, 40, 4
+    config = {
+        "task": {"kind": "logreg", "d": d, "n": 200, "seed": 4},
+        "federation": {"clients": 10, "clients_per_round": 4, "local_steps": 2, "rounds": rounds,
+                       "eta_local": 0.5, "eta_global": 0.1, "batch_size": 5, "master_seed": 6},
+        "mechanism": {"tau": 1.0, "sigma_g": 2.0, "noise_seed": 7},
+        "sketch": {"mode": "gaussian", "b": b},
+        "optimizer": {"kind": "amsgrad"},
+        "accountant": {"delta": 1e-5},
+    }
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    outputs = {}
+    for gate, ahead in ((b * d - 1, True), (b * d + 1, False)):
+        monkeypatch.setattr(fedsim, "_AHEAD_MIN_ENTRIES", gate)
+        drawn = counted_draws(monkeypatch)
+        assert main(["simulate", str(path), "--out-dir", str(tmp_path / "out")]) == 0
+        capsys.readouterr()
+        outputs[ahead] = [(tmp_path / "out" / name).read_bytes()
+                          for name in ("run.csv", "run-manifest.json")]
+        assert sorted((t, rows) for t, rows, _ in drawn) == [(t, b) for t in range(rounds)]
+        assert {t for t, _, on_main in drawn if not on_main} == (
+            set(range(1, rounds)) if ahead else set())
+    assert outputs[True] == outputs[False]
+
+
+@pytest.mark.parametrize("outcome", ["completes", "diverges", "draw_raises"])
+def test_draw_ahead_leaves_no_thread_behind(monkeypatch, outcome):
+    # a run that ends in an error joins the worker too; the error of a draw
+    # on the worker reaches the caller at the round that needs the sketch
+    task, part = make_federated_quadratic(np.linspace(0.5, 2.0, 40), seed=3, clients=6,
+                                          heterogeneity=0.5)
+    cfg = small_fed_config(
+        clients=6, clients_per_round=3, rounds=4, sketch_b=8,
+        eta_global=1e200 if outcome == "diverges" else 0.5,
+        mechanism=MechanismConfig(tau=1.0, sigma_g=1.0, noise_seed=5),
+    )
+    expected = None
+    if outcome == "diverges":  # the message of the inline run
+        with pytest.raises(ConfigurationError, match="diverged in round 0") as inline:
+            run_federation(cfg, task, part)
+        expected = str(inline.value)
+    monkeypatch.setattr(fedsim, "_AHEAD_MIN_ENTRIES", 1)
+    drawn = counted_draws(monkeypatch, fail_round=2 if outcome == "draw_raises" else None)
+    threads = threading.active_count()
+    if outcome == "completes":
+        assert len(run_federation(cfg, task, part).records) == cfg.rounds
+    elif outcome == "diverges":
+        with pytest.raises(ConfigurationError) as ahead:
+            run_federation(cfg, task, part)
+        assert str(ahead.value) == expected
+    else:
+        with pytest.raises(RuntimeError, match="no sketch for round 2"):
+            run_federation(cfg, task, part)
+        assert max(t for t, _, _ in drawn) == 2
+    assert threading.active_count() == threads
+    if outcome != "diverges":
+        assert not all(on_main for _, _, on_main in drawn)
 
 
 @pytest.mark.parametrize("kind", ["quadratic", "logreg"])
