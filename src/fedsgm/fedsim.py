@@ -18,6 +18,17 @@ own, so the bytes of a run do not depend on it.  It draws ahead only where
 two sketches fit under DENSE_MAX_ENTRIES, so at most two are alive, and never
 past the last round.
 
+Each round's iterate theta_{t+1} is scored on the full data (train loss,
+||grad L||^2, test metric), but not at once: the loop keeps a window of
+pending rounds and scores them together, in one pass over the data, once
+task.eval_window of them are pending, at the last round, or as soon as an
+iterate is non-finite.  The records are then appended in round order with the
+numbers of a round-by-round run.  Rounds trained from a pending iterate are
+speculative: a numpy warning raises in them instead, and the round is
+trained again once the window is scored, so that a run whose pending iterate
+diverged reports that round, as a round-by-round run would, and any other
+run warns as one would.
+
 The server never sees a raw d-dimensional client delta: `server_round`
 rejects a payload matrix whose rows are not b-dimensional.
 
@@ -35,6 +46,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+import threading
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -254,9 +266,9 @@ def round_compressor(cfg: FedConfig, d: int, round_idx: int, keys, rng, ahead=No
     """Fresh sketch per round, seeded by (master_seed, round), its blocks'
     Philox keys (`block_keys`) drawn by rng; or the identity.
 
-    ahead, when given, is the future of this round's sketch drawn on the
-    worker from the same keys: the call only waits for it, and re-raises
-    what the draw raised."""
+    ahead, when given, is this round's sketch being drawn ahead from the
+    same keys: the call only waits for it, and re-raises what the draw
+    raised."""
     if ahead is not None:
         return ahead.result()
     if cfg.sketch_b is None:
@@ -264,17 +276,56 @@ def round_compressor(cfg: FedConfig, d: int, round_idx: int, keys, rng, ahead=No
     return SketchMatrix(_round_spec(cfg, d, round_idx), keys, rng)
 
 
-def _ahead_pool(cfg: FedConfig, d: int):
-    """A one-thread pool that draws the run's sketches one round ahead, or
-    None where they are drawn inline: no sketch, one round, a regenerated or
-    small sketch, or one of which two would not be kept."""
-    if cfg.sketch_b is None or cfg.rounds == 1:
-        return None
-    if cfg.sketch_b * d < _AHEAD_MIN_ENTRIES or not keeps_blocks(2 * cfg.sketch_b, d):
-        return None
-    from concurrent.futures import ThreadPoolExecutor  # ~7 ms to import, paid on this path only
+class _SketchAhead(threading.Thread):
+    """The run's worker thread, which draws a kept sketch from its block keys
+    while the main thread runs the round before.  result() waits for the
+    sketch last submitted and re-raises what its draw raised; close() lets a
+    draw in progress finish, drops one not started, and joins the thread.
 
-    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="fedsgm-sketch")
+    One thread serves the whole run.  A thread per sketch took fed_dense's
+    peak RSS from 434 to 449 MB (2 vCPUs, glibc): a round that only waits
+    for its sketch starts the next thread before the last has fully exited,
+    so a draw can land in a fresh malloc arena."""
+
+    def __init__(self):
+        super().__init__(name="fedsgm-sketch")
+        self._job = self._out = None
+        self._submitted, self._drawn = threading.Semaphore(0), threading.Semaphore(0)
+        self.start()
+
+    def submit(self, spec: SketchSpec, keys):
+        self._job = (spec, keys)
+        self._submitted.release()
+
+    def run(self):
+        while self._submitted.acquire() and self._job is not None:
+            job, self._job = self._job, None
+            try:
+                self._out = (SketchMatrix(*job), None)
+            except BaseException as exc:  # re-raised on the main thread by result()
+                self._out = (None, exc)
+            self._drawn.release()
+
+    def result(self) -> SketchMatrix:
+        self._drawn.acquire()
+        (sketch, error), self._out = self._out, None
+        if error is not None:
+            raise error
+        return sketch
+
+    def close(self):
+        self._job = None
+        self._submitted.release()
+        self.join()
+
+
+def _draws_ahead(cfg: FedConfig, d: int) -> bool:
+    """Whether the run's sketches are drawn one round ahead; they are drawn
+    inline for no sketch, one round, a regenerated or small sketch, or one of
+    which two would not be kept."""
+    if cfg.sketch_b is None or cfg.rounds == 1:
+        return False
+    return cfg.sketch_b * d >= _AHEAD_MIN_ENTRIES and keeps_blocks(2 * cfg.sketch_b, d)
 
 
 def _with_next(items):
@@ -303,6 +354,65 @@ def _round_keys(cfg: FedConfig, rng: np.random.Generator):
             (cfg.mechanism.noise_seed, _NOISE_TAG), (chosen, col))
         sketch = unused if cfg.sketch_b is None else block_keys((cfg.master_seed, col), cfg.sketch_b)
         yield from zip(rounds.tolist(), chosen.tolist(), local, noise, sketch)
+
+
+def _train_round(cfg, task, theta, moments, shards, compressor, local, noise, local_rng, noise_rng):
+    """One round from theta: the clients' local updates, their private
+    payloads and the server's step; returns (theta_{t+1}, moments, clip flags)."""
+    deltas = client_local_update(
+        theta, task, shards, cfg.local_steps, cfg.eta_local, local, local_rng, cfg.batch_size
+    )
+    payloads, clipped = client_privatize(
+        deltas, cfg.eta_local, cfg.mechanism, compressor, noise, noise_rng
+    )
+    return (*server_round(theta, payloads, compressor, cfg, moments), clipped)
+
+
+def _speculative_round(round_args, score_pending):
+    """_train_round(*round_args) from a pending iterate.  A numpy warning
+    raises in it instead; the pending rounds are then scored, which raises
+    if one diverged, and the round is trained again and warns as it would
+    have without the window."""
+    reported = {kind: "raise" for kind, mode in np.geterr().items() if mode != "ignore"}
+    try:
+        with np.errstate(**reported):
+            return _train_round(*round_args)
+    except FloatingPointError:
+        score_pending()
+        return _train_round(*round_args)
+
+
+def _score(cfg: FedConfig, task: Task, window: list) -> list:
+    """The records of the pending rounds in window, (t, theta_{t+1}, clip
+    flags) each, in round order.  Their iterates go through the task's
+    full-data grad and evaluate as one stack (a single iterate as a vector);
+    raises at the first round whose iterate or metrics are non-finite."""
+    thetas = [theta for _, theta, _ in window]
+    stack = thetas[0] if len(thetas) == 1 else np.array(thetas)
+    # a diverging run overflows here; the check below reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        grads = task.grad(stack)
+        losses, metrics = task.evaluate(stack)
+        if len(thetas) == 1:  # one result each, as for a stack of one
+            grads, losses, metrics = [grads], [losses], [metrics]
+        norms = [float(g @ g) for g in grads]
+    records = []
+    for (t, theta, clipped), grad_norm_sq, train_loss, test_metric in zip(
+        window, norms, losses, metrics
+    ):
+        train_loss, test_metric = float(train_loss), float(test_metric)
+        if not (
+            np.isfinite(theta).all() and np.isfinite([train_loss, grad_norm_sq, test_metric]).all()
+        ):
+            raise ConfigurationError(
+                f"the run diverged in round {t}: the iterate or its metrics are non-finite; "
+                f"lower the step sizes (eta_local = {cfg.eta_local}, eta_global = {cfg.eta_global})"
+            )
+        records.append(RoundRecord(
+            round=t, train_loss=train_loss, grad_norm_sq=grad_norm_sq, test_metric=test_metric,
+            clip_activation_rate=float(np.count_nonzero(clipped) / len(clipped)),
+            epsilon_spent=_epsilon_spent(cfg, t + 1)))
+    return records
 
 
 def _epsilon_spent(cfg: FedConfig, rounds_done: int) -> float:
@@ -351,46 +461,41 @@ def run_federation(
     moments = None if cfg.optimizer == "gd" else MomentState.init(
         d, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.opt_eps
     )
-    records = []
+    records, pending = [], []  # pending: (t, theta_{t+1}, clip flags), not yet scored
+
+    def score_pending():
+        window, pending[:] = pending[:], []
+        records.extend(_score(cfg, task, window))
+
     sampler_rng, local_rng, noise_rng, sketch_rng = (new_generator() for _ in range(4))
     shards = [partition.client_indices(c) for c in range(cfg.clients)]
     keyed = _with_next(_round_keys(cfg, sampler_rng))
-    pool, ahead = _ahead_pool(cfg, d), None
+    worker, ahead = (_SketchAhead() if _draws_ahead(cfg, d) else None), None
     try:
         for (t, clients, local, noise, sketch), following in keyed:
             # the previous round's sketch is released here, before the next is drawn
             compressor = round_compressor(cfg, d, t, sketch, sketch_rng, ahead)
-            if pool is not None and following is not None:
+            if worker is not None and following is not None:
                 next_t, *_, next_keys = following
-                ahead = pool.submit(SketchMatrix, _round_spec(cfg, d, next_t), next_keys)
-            deltas = client_local_update(
-                theta, task, [shards[c] for c in clients], cfg.local_steps, cfg.eta_local,
-                local, local_rng, cfg.batch_size,
-            )
-            payloads, clipped = client_privatize(
-                deltas, cfg.eta_local, cfg.mechanism, compressor, noise, noise_rng
-            )
-            theta, moments = server_round(theta, payloads, compressor, cfg, moments)
-
-            # a diverging run overflows here; the check below reports it
-            with np.errstate(over="ignore", invalid="ignore"):
-                g = task.grad(theta)
-                grad_norm_sq = float(g @ g)
-                train_loss, test_metric = task.evaluate(theta)
-            if not (
-                np.isfinite(theta).all() and np.isfinite([train_loss, grad_norm_sq, test_metric]).all()
-            ):
-                raise ConfigurationError(
-                    f"the run diverged in round {t}: the iterate or its metrics are non-finite; "
-                    f"lower the step sizes (eta_local = {cfg.eta_local}, eta_global = {cfg.eta_global})"
-                )
-            records.append(RoundRecord(
-                round=t, train_loss=train_loss, grad_norm_sq=grad_norm_sq, test_metric=test_metric,
-                clip_activation_rate=float(np.count_nonzero(clipped) / len(clipped)),
-                epsilon_spent=_epsilon_spent(cfg, t + 1)))
+                worker.submit(_round_spec(cfg, d, next_t), next_keys)
+                ahead = worker
+            round_args = (cfg, task, theta, moments, [shards[c] for c in clients], compressor,
+                          local, noise, local_rng, noise_rng)
+            if pending:
+                theta, moments, clipped = _speculative_round(round_args, score_pending)
+            else:
+                theta, moments, clipped = _train_round(*round_args)
+            pending.append((t, theta, clipped))
+            full = len(pending) == task.eval_window or following is None
+            if full or not np.isfinite(theta).all():
+                score_pending()
+    except Exception:
+        if pending:  # a pending round that diverged is reported first, as unwindowed
+            score_pending()
+        raise
     finally:
-        if pool is not None:  # waits for a draw still running, cancels one not started
-            pool.shutdown(cancel_futures=True)
+        if worker is not None:
+            worker.close()
     return FederationResult(records, theta)
 
 

@@ -34,6 +34,11 @@ _ROW_BLOCK_BYTES = 1 << 20
 # group another way, so aligned blocks give every row the bits of one
 # X @ theta; the 65-row blocks of an unaligned 1 MiB at d = 2000 do not.
 _ROW_BLOCK_ALIGN = 16
+# The logistic task scores a window of iterates (Task.eval_window) in one
+# pass over X.  Per iterate the window keeps its n + n_test margins and four
+# d-vectors (the iterate, its gradient and a block's terms); it holds as many
+# iterates as fit this budget, and at least one.
+_EVAL_WINDOW_BYTES = 4 << 20
 
 # estimate_G_and_sigma_s: minibatch draws per (probe, client), and the tail
 # quantile its sub-Gaussian fit matches
@@ -73,9 +78,15 @@ class Task:
     loss/grad take an optional index array and average over it (all samples
     when omitted); grad also takes an (N, d) stack with N index arrays, one
     gradient per row.  hessian is the full-data Hessian at theta, or None when
-    unavailable.  The logistic task keeps its last full-data margin X @ theta
-    in a one-slot cache keyed by theta's values, so full-data grad, loss and
-    hessian at one iterate share one read of X.
+    unavailable.
+
+    eval_window is how many iterates the full-data grad, loss and test_metric
+    take at once, as a (W, d) stack with one result per row; 1 means vectors
+    only.  The logistic task derives it from its data and scores a stack in
+    one pass over X, each iterate through the BLAS calls it would take alone.
+    It keeps its last full-data margins in a one-slot cache keyed by the
+    stack's values, so full-data grad, loss and hessian at one stack share
+    one read of X.
     """
 
     name: str
@@ -88,6 +99,7 @@ class Task:
     minimum_value: float = math.nan
     test_metric: Optional[Callable] = None
     test_metric_name: str = "loss"
+    eval_window: int = 1
 
     def __post_init__(self):
         self._metric_is_loss = self.test_metric is None
@@ -95,10 +107,11 @@ class Task:
             self.test_metric = lambda theta: float(self.loss(theta))
             self.test_metric_name = "loss"
 
-    def evaluate(self, theta) -> tuple[float, float]:
-        """Full-data (train loss, test metric); a default metric reuses the loss."""
-        loss = float(self.loss(theta))
-        return loss, (loss if self._metric_is_loss else float(self.test_metric(theta)))
+    def evaluate(self, theta):
+        """Full-data (train loss, test metric) at an iterate, or one of each per
+        row of a stack; a default metric reuses the loss."""
+        loss = self.loss(theta)
+        return loss, (loss if self._metric_is_loss else self.test_metric(theta))
 
 
 def _client_batch(theta, idx):
@@ -253,21 +266,38 @@ def _sigmoid(z):
     return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
+def _per_iterate(theta, values):
+    """One value per row of the stack theta: a float for a vector, else an array."""
+    return values[0] if np.ndim(theta) == 1 else np.array(values)
+
+
 def _logreg_task(X: np.ndarray, y: np.ndarray, X_test, y_test) -> Task:
     n, d = X.shape
     if set(np.unique(y)) - {-1.0, 1.0}:
         raise ConfigurationError("labels must be in {-1, +1}")
+    n_test = 0 if X_test is None else len(X_test)
 
-    # Full-data passes walk these row blocks: a block's margin, its
-    # coefficients and its share of X^T c (or of X^T W X) are computed while
-    # the block is in cache.
+    # Full-data passes walk these row blocks: a block's margins, coefficients
+    # and share of X^T c (or of X^T W X) are computed, for every iterate of
+    # the stack, while the block is in cache.
     rows = _ROW_BLOCK_BYTES // (X.itemsize * d) // _ROW_BLOCK_ALIGN * _ROW_BLOCK_ALIGN
     rows = max(rows, _ROW_BLOCK_ALIGN)
-    blocks = [(s, X[s], y[s]) for s in (slice(lo, lo + rows) for lo in range(0, n, rows))]
 
-    # One-slot cache of the full-data margin z = X @ theta.  run_federation
-    # scores each iterate with grad then loss; the cache lets them share one
-    # read of X.  The key is theta's values (a stored copy compared with
+    def row_blocks(*arrays):
+        return [(s, *(a[s] for a in arrays))
+                for s in (slice(lo, lo + rows) for lo in range(0, len(arrays[0]), rows))]
+
+    blocks = row_blocks(X, y)
+
+    def block_margins(zb, Xb, stack):
+        # one GEMV per iterate, as for a vector alone: the bits do not depend
+        # on the stack
+        for theta_j, z_j in zip(stack, zb):
+            z_j[...] = Xb @ theta_j
+
+    # One-slot cache of the full-data margins Z = stack @ X^T.  run_federation
+    # scores a window with grad then loss; the cache lets them share one read
+    # of X.  The key is the stack's values (a stored copy compared with
     # np.array_equal, never id(theta)), so a caller that changes theta in
     # place gets fresh numbers.  A hit runs the same block loop and skips only
     # the margin products, so no result depends on the call order.  Client
@@ -275,22 +305,24 @@ def _logreg_task(X: np.ndarray, y: np.ndarray, X_test, y_test) -> Task:
     cached_theta, cached_z = None, None
 
     def full_blocks(theta):
-        """(X, y, z) row blocks at theta; fills the cache on a miss."""
+        """(X, y, margins) row blocks at a stack of iterates, one margin row
+        per iterate (a vector is a stack of one); fills the cache on a miss."""
         nonlocal cached_theta, cached_z
-        hit = cached_theta is not None and np.array_equal(theta, cached_theta)
-        z = cached_z if hit else np.empty(n)
+        stack = np.atleast_2d(theta)
+        hit = cached_theta is not None and np.array_equal(stack, cached_theta)
+        z = cached_z if hit else np.empty((len(stack), n))
         for s, Xb, yb in blocks:
             if not hit:
-                z[s] = Xb @ theta
-            yield Xb, yb, z[s]
+                block_margins(z[:, s], Xb, stack)
+            yield Xb, yb, z[:, s]
         if not hit:
             z.flags.writeable = False  # shared by every full-data caller
-            cached_theta, cached_z = np.array(theta), z
+            cached_theta, cached_z = np.array(stack), z
 
     def full_margin(theta):
         for _ in full_blocks(theta):
             pass
-        return cached_z
+        return cached_z.reshape(np.shape(theta)[:-1] + (n,))
 
     def block_sum(terms):
         # starts from the first block's term, not from zeros (0.0 + -0.0 is
@@ -302,15 +334,19 @@ def _logreg_task(X: np.ndarray, y: np.ndarray, X_test, y_test) -> Task:
 
     def loss(theta, idx=None):
         if idx is None:
-            yi, z = y, full_margin(theta)
-        else:
-            idx = np.asarray(idx)
-            yi, z = y[idx], X[idx] @ theta
-        return float(np.mean(np.logaddexp(0.0, -yi * z)))
+            z = np.atleast_2d(full_margin(theta))
+            return _per_iterate(theta, [float(np.mean(np.logaddexp(0.0, -y * z_j))) for z_j in z])
+        idx = np.asarray(idx)
+        yi = y[idx]
+        return float(np.mean(np.logaddexp(0.0, -yi * (X[idx] @ theta))))
 
     def grad(theta, idx=None):
         if idx is None:
-            return block_sum(Xb.T @ coefficients(yb, zb) for Xb, yb, zb in full_blocks(theta)) / n
+            sums = block_sum(
+                np.array([Xb.T @ coefficients(yb, z_j) for z_j in zb])
+                for Xb, yb, zb in full_blocks(theta)
+            )
+            return (sums / n).reshape(np.shape(theta))
         rows, idx = _client_batch(theta, idx)  # a client at a time: its rows stay in cache
         out = np.empty_like(rows)
         for i, (theta_i, idx_i) in enumerate(zip(rows, idx)):
@@ -326,11 +362,16 @@ def _logreg_task(X: np.ndarray, y: np.ndarray, X_test, y_test) -> Task:
             p = _sigmoid(zb)
             return (Xb * (p * (1.0 - p))[:, None]).T @ Xb
 
-        return block_sum(term(Xb, zb) for Xb, _, zb in full_blocks(theta)) / n
+        return block_sum(term(Xb, zb[0]) for Xb, _, zb in full_blocks(theta)) / n
 
     def test_accuracy(theta):
-        return float(np.mean(np.sign(X_test @ theta) == y_test))
+        stack = np.atleast_2d(theta)
+        z = np.empty((len(stack), n_test))
+        for s, Xb in test_blocks:
+            block_margins(z[:, s], Xb, stack)
+        return _per_iterate(theta, [float(np.mean(np.sign(z_j) == y_test)) for z_j in z])
 
+    test_blocks = None if X_test is None else row_blocks(X_test)
     return Task(
         name="logreg",
         d=d,
@@ -339,8 +380,9 @@ def _logreg_task(X: np.ndarray, y: np.ndarray, X_test, y_test) -> Task:
         grad=grad,
         hessian=hessian,
         theta0=np.zeros(d),
-        test_metric=test_accuracy,
+        test_metric=None if X_test is None else test_accuracy,
         test_metric_name="test_accuracy",
+        eval_window=max(1, _EVAL_WINDOW_BYTES // (X.itemsize * (n + n_test + 4 * d))),
     )
 
 

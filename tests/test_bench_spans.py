@@ -77,9 +77,13 @@ def test_tracer_installs_and_sees_every_layer(tmp_path):
     missing = [name for name in ROUND_SPANS if calls.get(name, 0) == 0]
     assert missing == [], calls
     assert calls["fedsim.loop"] == 1
-    # grad, loss and test_metric per round; a fused evaluation that bypassed
-    # the wrapped attributes would drop the largest fed_dense layer from the trace
-    assert calls["tasks.eval"] == 3 * 3
+    # grad, loss and test_metric per window of rounds; a fused evaluation that
+    # bypassed the wrapped attributes would drop the largest fed_dense layer
+    # from the trace
+    from fedsgm.tasks import make_logreg
+
+    window = make_logreg(n=80, d=8, clients=4)[0].eval_window
+    assert calls["tasks.eval"] == 3 * -(-3 // window)
     assert calls["sketch.generate"] == calls["sketch.apply"] == calls["sketch.desketch"] == 3
     assert report["rows"] == 3 * 4  # a kept sketch is generated once per round
 

@@ -4,16 +4,22 @@ Runs with sigma_g = 0 are non-private ablations; the accountant reports
 epsilon = inf with a warning, which several tests capture on purpose.
 """
 
+import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fedsgm import fedsim
 from fedsgm import sketch as sketch_module
+from fedsgm import tasks as tasks_module
 from fedsgm._philox import new_generator, philox_keys
 from fedsgm.accountant import AccountantParams, sgm_epsilon
 from fedsgm.errors import ConfigurationError, DimensionMismatchError
@@ -372,6 +378,188 @@ def test_draw_ahead_leaves_no_thread_behind(monkeypatch, outcome):
     assert threading.active_count() == threads
     if outcome != "diverges":
         assert not all(on_main for _, _, on_main in drawn)
+
+
+def test_sketch_worker_hands_over_each_sketch_in_order():
+    # the worker and the main thread share the job and its result through
+    # two semaphores; with thread switches forced often, every result is
+    # the sketch of its own submission, and close() ends a worker whose last
+    # draw was never waited for
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    worker = fedsim._SketchAhead()
+    try:
+        for t in range(200):
+            spec = SketchSpec(b=3, d=4, seed=(5, t))
+            worker.submit(spec, None)
+            sketch = worker.result()
+            assert sketch.spec is spec
+            if t % 50 == 0:
+                x = np.arange(4.0)
+                assert np.array_equal(sketch.sketch(x), SketchMatrix(spec).sketch(x))
+        worker.submit(SketchSpec(b=3, d=4, seed=(5, 200)), None)
+    finally:
+        sys.setswitchinterval(interval)
+        worker.close()
+    worker.join(timeout=10)
+    assert not worker.is_alive()
+
+
+def test_draw_ahead_imports_no_thread_pool(tmp_path):
+    # the worker is a plain thread; concurrent.futures took 5 ms to import
+    config = {
+        "task": {"kind": "logreg", "d": 512, "n": 80},
+        "federation": {"clients": 4, "clients_per_round": 2, "local_steps": 1, "rounds": 3,
+                       "eta_local": 0.5, "eta_global": 0.1, "batch_size": 5},
+        "mechanism": {"tau": 1.0, "sigma_g": 2.0},
+        "sketch": {"mode": "gaussian", "b": 128},
+        "accountant": {"delta": 1e-5},
+    }
+    assert 512 * 128 >= fedsim._AHEAD_MIN_ENTRIES  # drawn ahead
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    code = ("import sys\nfrom fedsgm.cli import main\n"
+            "rc = main(['simulate', sys.argv[1], '--out-dir', sys.argv[2]])\n"
+            "print(rc, 'concurrent.futures' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    proc = subprocess.run([sys.executable, "-c", code, str(path), str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-2:] == ["0", "False"]
+
+
+# A logistic run whose train and test sets span 7 row blocks of 32 rows, over
+# 7 rounds: not a multiple of a 3-round window.
+WINDOW_N, WINDOW_N_TEST, WINDOW_D, WINDOW_B, WINDOW_ROUNDS = 200, 200, 40, 24, 7
+
+
+def set_eval_window(monkeypatch, window):
+    """Row blocks of 32 rows, and the byte budget of a `window`-iterate window."""
+    monkeypatch.setattr(tasks_module, "_ROW_BLOCK_BYTES", 32 * 8 * WINDOW_D)
+    monkeypatch.setattr(tasks_module, "_EVAL_WINDOW_BYTES",
+                        window * 8 * (WINDOW_N + WINDOW_N_TEST + 4 * WINDOW_D))
+
+
+def windowed_logreg(monkeypatch, window):
+    set_eval_window(monkeypatch, window)
+    task, part = make_logreg(n=WINDOW_N, d=WINDOW_D, clients=10, seed=4)
+    assert task.eval_window == window
+    cfg = small_fed_config(
+        clients=10, clients_per_round=4, rounds=WINDOW_ROUNDS, sketch_b=WINDOW_B,
+        batch_size=5, optimizer="amsgrad",
+        mechanism=MechanismConfig(tau=1.0, sigma_g=2.0, noise_seed=7),
+    )
+    return task, part, cfg
+
+
+def test_eval_window_keeps_the_bytes(monkeypatch, tmp_path, capsys):
+    # windows of 1, 3 and all rounds score the same numbers, with the sketch
+    # drawn ahead or inline; the windows are full but for the last
+    from fedsgm.cli import main
+
+    config = {
+        "task": {"kind": "logreg", "d": WINDOW_D, "n": WINDOW_N, "seed": 4},
+        "federation": {"clients": 10, "clients_per_round": 4, "local_steps": 2,
+                       "rounds": WINDOW_ROUNDS, "eta_local": 0.5, "eta_global": 0.1,
+                       "batch_size": 5, "master_seed": 6},
+        "mechanism": {"tau": 1.0, "sigma_g": 2.0, "noise_seed": 7},
+        "sketch": {"mode": "gaussian", "b": WINDOW_B},
+        "optimizer": {"kind": "amsgrad"},
+        "accountant": {"delta": 1e-5},
+    }
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    score = fedsim._score
+    windows = []
+
+    def counted_score(cfg, task, window):
+        windows.append(len(window))
+        return score(cfg, task, window)
+
+    monkeypatch.setattr(fedsim, "_score", counted_score)
+    outputs = set()
+    for window, ahead in itertools.product((1, 3, WINDOW_ROUNDS + 1), (True, False)):
+        set_eval_window(monkeypatch, window)
+        gate = 1 if ahead else WINDOW_B * WINDOW_D + 1
+        monkeypatch.setattr(fedsim, "_AHEAD_MIN_ENTRIES", gate)
+        windows.clear()
+        assert main(["simulate", str(path), "--out-dir", str(tmp_path / "out")]) == 0
+        capsys.readouterr()
+        outputs.add(tuple((tmp_path / "out" / name).read_bytes()
+                          for name in ("run.csv", "run-manifest.json")))
+        assert windows == {1: [1] * 7, 3: [3, 3, 1]}.get(window, [7])
+    assert len(outputs) == 1
+
+
+def set_server_iterate(monkeypatch, at_round, value):
+    """server_round whose step in round at_round returns an iterate full of value."""
+    step = fedsim.server_round
+
+    def server(theta, payloads, compressor, cfg, moments):
+        theta, moments = step(theta, payloads, compressor, cfg, moments)
+        if compressor.spec.seed[1] == at_round:
+            theta = np.full_like(theta, value)
+        return theta, moments
+
+    monkeypatch.setattr(fedsim, "server_round", server)
+
+
+@pytest.mark.parametrize("value,draw_fails", [(math.nan, False), (1e308, False), (1e308, True)])
+def test_divergence_inside_a_window(monkeypatch, value, draw_fails):
+    # round 4 is the middle of the window of rounds 3-5.  A nan iterate is
+    # scored at once; a finite one whose loss overflows is trained from in
+    # round 5, which overflows too and raises (a round-by-round run would
+    # never train it) until round 4 is scored; and a failed draw of round
+    # 5's sketch waits for round 4's score too.  Each way the run stops with
+    # the round-by-round message, warns of nothing, and leaves no thread.
+    set_server_iterate(monkeypatch, 4, value)
+    monkeypatch.setattr(fedsim, "_AHEAD_MIN_ENTRIES", 1)
+    counted_draws(monkeypatch, fail_round=5 if draw_fails else None)
+    train = fedsim._train_round
+    trained = []  # (round, whether its training raised)
+
+    def recorded_train(*args):
+        trained.append([args[5].spec.seed[1], True])
+        out = train(*args)
+        trained[-1][1] = False
+        return out
+
+    monkeypatch.setattr(fedsim, "_train_round", recorded_train)
+    messages = []
+    for window in (1, 3):
+        trained.clear()
+        task, part, cfg = windowed_logreg(monkeypatch, window)
+        threads = threading.active_count()
+        with pytest.raises(ConfigurationError, match="diverged in round 4") as err:
+            run_federation(cfg, task, part)
+        assert threading.active_count() == threads
+        messages.append(str(err.value))
+        speculated = window == 3 and value == 1e308 and not draw_fails
+        assert trained == [[t, False] for t in range(5)] + ([[5, True]] if speculated else [])
+    assert messages[0] == messages[1]
+
+
+def test_a_speculative_round_that_warns_is_trained_again(monkeypatch):
+    # a numpy warning in round 4, trained from the pending iterate of round
+    # 3, raises there; once round 3 is scored, round 4 is trained again and
+    # warns as in a round-by-round run, which it then matches
+    privatize = fedsim.client_privatize
+
+    def warning_privatize(deltas, eta_local, mech, compressor, keys, rng):
+        if compressor.spec.seed[1] == 4:
+            np.array([1e308]) * 10.0
+        return privatize(deltas, eta_local, mech, compressor, keys, rng)
+
+    monkeypatch.setattr(fedsim, "client_privatize", warning_privatize)
+    runs = []
+    for window in (1, 3):
+        task, part, cfg = windowed_logreg(monkeypatch, window)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = run_federation(cfg, task, part)
+        assert [str(w.message) for w in caught] == ["overflow encountered in multiply"]
+        runs.append((records_to_csv(result.records), result.theta.tobytes()))
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("kind", ["quadratic", "logreg"])

@@ -421,9 +421,73 @@ def test_logreg_hessian_holds_one_row_block_at_a_time(monkeypatch):
     assert peak < 2 * tasks_module._ROW_BLOCK_BYTES
 
 
+def _windowed_logreg(monkeypatch, n, d, rows, seed=13):
+    """A logistic task whose train and test sets both span several `rows`-row
+    blocks, and a stack of three iterates."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((2 * n, d)) / math.sqrt(d)
+    y = np.where(rng.random(2 * n) < 0.5, -1.0, 1.0)
+    with monkeypatch.context() as m:
+        if rows is not None:
+            m.setattr(tasks_module, "_ROW_BLOCK_BYTES", rows * 8 * d)
+        task = _logreg_task(X[:n], y[:n], X[n:], y[n:])
+    return task, X[n:], y[n:], 0.5 * rng.standard_normal((3, d))
+
+
+@pytest.mark.parametrize("n,d,rows", MULTI_BLOCK_SHAPES)
+def test_logreg_stack_rows_keep_each_iterates_bits(monkeypatch, n, d, rows):
+    # a stack's full-data grad, loss and test metric are, row by row, those
+    # of its iterates alone, bit for bit, in either call order
+    task, X_test, y_test, stack = _windowed_logreg(monkeypatch, n, d, rows)
+    assert len(_row_blocks(task)) > 2
+    g, loss, metric = task.grad(stack), task.loss(stack), task.test_metric(stack)
+    assert g.shape == (3, d) and loss.shape == metric.shape == (3,)
+    for j, theta in enumerate(stack):
+        assert task.loss(theta) == loss[j]
+        assert task.grad(theta).tobytes() == g[j].tobytes()
+        assert task.test_metric(theta) == metric[j] == np.mean(np.sign(X_test @ theta) == y_test)
+    loss_first, *_ = _windowed_logreg(monkeypatch, n, d, rows)
+    assert loss_first.loss(stack).tobytes() == loss.tobytes()
+    assert loss_first.grad(stack).tobytes() == g.tobytes()
+    assert task.grad(stack[:1]).tobytes() == g[:1].tobytes()  # a stack of one
+
+
+def test_logreg_window_holds_its_margins_and_two_row_blocks(monkeypatch):
+    # one windowed pass keeps the window's margins and d-vectors, never an
+    # n x d temporary (16 MB here; a block is under 1 MiB)
+    n, d = 20000, 100
+    rng = np.random.default_rng(14)
+    X = rng.standard_normal((n, d)) / math.sqrt(d)
+    y = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    task = _logreg_task(X, y, X[:4000], y[:4000])
+    stack = 0.5 * rng.standard_normal((task.eval_window, d))
+    assert task.eval_window > 1
+    tracemalloc.start()
+    try:
+        task.grad(stack)
+        task.evaluate(stack)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < tasks_module._EVAL_WINDOW_BYTES + 2 * tasks_module._ROW_BLOCK_BYTES
+
+
+def test_eval_window_fits_its_budget():
+    # the logistic task's window fits the budget at d = 2000 (the benchmark's
+    # fed_dense shape), and never drops below one iterate; the quadratic task
+    # scores one iterate at a time
+    budget = tasks_module._EVAL_WINDOW_BYTES
+    task = _logreg_task(np.ones((200, 2000)), np.ones(200), np.ones((50, 2000)), np.ones(50))
+    per_iterate = 8 * (200 + 50 + 4 * 2000)
+    assert task.eval_window == budget // per_iterate
+    assert _logreg_task(np.ones((2, budget // 32)), np.ones(2), None, None).eval_window == 1
+    assert make_federated_quadratic([2.0, 1.0], seed=1)[0].eval_window == 1
+
+
 def test_logreg_full_data_grad_bits_do_not_depend_on_blas_threads():
     # one X @ theta of this shape splits its rows between two threads and
-    # changes bits; its 128-row blocks (and the 107-row tail) do not
+    # changes bits; its 128-row blocks (and the 107-row tail) do not, for one
+    # iterate or a stack of three
     code = (
         "import hashlib, math, numpy as np\n"
         "from fedsgm.tasks import _logreg_task\n"
@@ -433,7 +497,8 @@ def test_logreg_full_data_grad_bits_do_not_depend_on_blas_threads():
         "y = np.where(rng.random(n) < 0.5, -1.0, 1.0)\n"
         "task = _logreg_task(X, y, X[:10], y[:10])\n"
         "g = task.grad(0.5 * rng.standard_normal(d))\n"
-        "print(hashlib.sha256(g.tobytes()).hexdigest())\n"
+        "G = task.grad(0.5 * rng.standard_normal((3, d)))\n"
+        "print(hashlib.sha256(g.tobytes() + G.tobytes()).hexdigest())\n"
     )
     digests = []
     for threads in ("1", "2"):
