@@ -201,15 +201,23 @@ def _manifest_dicts(cfg: dict, fed_cfg, result):
     return config_dict, accountant_meta
 
 
+def _make_out_dir(out_dir: str):
+    """Create the output directory before the run, so a bad one fails first."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot create output directory {out_dir}: {exc.strerror}")
+
+
 def cmd_simulate(config_path, overrides=(), out_dir=None) -> int:
     cfg = load_config(config_path, overrides)
     if out_dir is not None:
         cfg["output"]["dir"] = out_dir
-    task, fed_cfg, result = _run_one(cfg)
-
     out_dir = cfg["output"]["dir"]
     prefix = cfg["output"]["prefix"]
-    os.makedirs(out_dir, exist_ok=True)
+    _make_out_dir(out_dir)
+    task, fed_cfg, result = _run_one(cfg)
+
     csv_path = os.path.join(out_dir, f"{prefix}.csv")
     manifest_path = os.path.join(out_dir, f"{prefix}-manifest.json")
     write_round_csv(csv_path, result.records)
@@ -268,10 +276,10 @@ def cmd_sweep(config_path, axis, values, reps=1, overrides=(), out_dir=None) -> 
     if reps < 1:
         raise ConfigurationError(f"--reps must be >= 1, got {reps}")
     cfg0 = load_config(config_path, overrides)
-    rows = _sweep_rows(config_path, axis, values, reps, overrides)
     if out_dir is None:
         out_dir = cfg0["output"]["dir"]
-    os.makedirs(out_dir, exist_ok=True)
+    _make_out_dir(out_dir)
+    rows = _sweep_rows(config_path, axis, values, reps, overrides)
     path = os.path.join(out_dir, f"{cfg0['output']['prefix']}-sweep.csv")
     header = ",".join(
         (

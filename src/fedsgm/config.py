@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -49,13 +50,13 @@ _SCHEMA = {
         "label_noise": _Field("number", default=0.05),
     },
     "federation": {
-        "clients": _Field("int", required=True),
-        "clients_per_round": _Field("int", required=True),
-        "local_steps": _Field("int", required=True),
-        "rounds": _Field("int", required=True),
+        "clients": _Field("int", required=True, minimum=1),
+        "clients_per_round": _Field("int", required=True, minimum=1),
+        "local_steps": _Field("int", required=True, minimum=1),
+        "rounds": _Field("int", required=True, minimum=1),
         "eta_local": _Field("number", required=True),
         "eta_global": _Field("number", required=True),
-        "batch_size": _Field("int", default=1),
+        "batch_size": _Field("int", default=1, minimum=1),
         "master_seed": _Field("int", default=0, minimum=0),
     },
     "mechanism": {
@@ -173,15 +174,22 @@ def _cross_validate(cfg: dict):
         raise ConfigurationError("mechanism.sigma_g must be >= 0")
     if mech["tau"] <= 0:
         raise ConfigurationError("mechanism.tau must be positive")
+    prefix = cfg["output"]["prefix"]
+    if not prefix or os.path.basename(prefix) != prefix:
+        raise ConfigurationError(f"output.prefix must be a plain file name, got {prefix!r}")
 
 
 def load_config(path: str, overrides=()) -> dict:
     """Parse, override, and validate a JSON run config."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except FileNotFoundError:
         raise ConfigurationError(f"config file not found: {path}")
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read config file {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})")
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
     for ov in overrides:

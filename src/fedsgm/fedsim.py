@@ -10,13 +10,15 @@ averages its rows in sketched space, lifts the mean through R_t^T, and feeds
 it to a pluggable optimizer (plain step, AMSGrad, or Adam).  A streamed sketch
 is therefore generated twice per round: once to sketch, once to desketch.
 
-R_t depends on (master_seed, round) alone, not on theta_t.  A kept sketch of
-at least _AHEAD_MIN_ENTRIES entries is therefore drawn one round ahead, on
-one worker thread, while the current round runs; the round then only waits
-for it.  The worker draws from the same block keys with a generator of its
-own, so the bytes of a run do not depend on it.  It draws ahead only where
-two sketches fit under DENSE_MAX_ENTRIES, so at most two are alive, and never
-past the last round.
+R_t depends on (master_seed, round) alone, not on theta_t, so a run's
+sketches are one sequence, drawn in round order.  Where a kept sketch has at
+least _AHEAD_MIN_ENTRIES entries the sequence runs on one worker thread,
+which starts drawing R_{t+1} when the round loop takes R_t; every round,
+round 0 included, then only waits for its sketch.  The worker draws from the
+same block keys, so the bytes of a run do not depend on it.  The loop drops
+R_{t-1} before it takes R_t, so at most two sketches are alive (the one in
+use and the one being drawn); it draws ahead only where two fit under
+DENSE_MAX_ENTRIES, and never past the last round.
 
 Each round's iterate theta_{t+1} is scored on the full data (train loss,
 ||grad L||^2, test metric), but not at once: the loop keeps a window of
@@ -27,7 +29,8 @@ numbers of a round-by-round run.  Rounds trained from a pending iterate are
 speculative: a numpy warning raises in them instead, and the round is
 trained again once the window is scored, so that a run whose pending iterate
 diverged reports that round, as a round-by-round run would, and any other
-run warns as one would.
+run warns as one would.  Any other error in such a round is raised after the
+window is scored, so a pending divergence is reported first.
 
 The server never sees a raw d-dimensional client delta: `server_round`
 rejects a payload matrix whose rows are not b-dimensional.
@@ -43,6 +46,7 @@ changes no other draw.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import tempfile
@@ -258,64 +262,63 @@ def server_round(
     return step(theta, direction, moments, cfg.eta_global)
 
 
-def _round_spec(cfg: FedConfig, d: int, round_idx: int) -> SketchSpec:
-    return SketchSpec(b=cfg.sketch_b, d=d, seed=(cfg.master_seed, round_idx))
+def round_compressor(sketches) -> Compressor:
+    """The next round's compressor from the run's sequence (`_sketches`);
+    waits for it where it is drawn ahead, and re-raises what its draw raised."""
+    return next(sketches)
 
 
-def round_compressor(cfg: FedConfig, d: int, round_idx: int, keys, rng, ahead=None) -> Compressor:
-    """Fresh sketch per round, seeded by (master_seed, round), its blocks'
-    Philox keys (`block_keys`) drawn by rng; or the identity.
-
-    ahead, when given, is this round's sketch being drawn ahead from the
-    same keys: the call only waits for it, and re-raises what the draw
-    raised."""
-    if ahead is not None:
-        return ahead.result()
+def _sketches(cfg: FedConfig, d: int, rng: np.random.Generator):
+    """Each round's compressor in round order: the identity when unsketched,
+    else a fresh sketch seeded by (master_seed, round), drawn by rng from its
+    blocks' Philox keys (`block_keys`), keyed _KEY_CHUNK rounds per pass."""
     if cfg.sketch_b is None:
-        return IdentityCompressor(d)
-    return SketchMatrix(_round_spec(cfg, d, round_idx), keys, rng)
+        yield from itertools.repeat(IdentityCompressor(d), cfg.rounds)
+        return
+    for start in range(0, cfg.rounds, _KEY_CHUNK):
+        rounds = np.arange(start, min(start + _KEY_CHUNK, cfg.rounds))
+        keys = block_keys((cfg.master_seed, rounds[:, None]), cfg.sketch_b)
+        for t, round_keys in zip(rounds.tolist(), keys):
+            yield SketchMatrix(SketchSpec(b=cfg.sketch_b, d=d, seed=(cfg.master_seed, t)),
+                               round_keys, rng)
 
 
 class _SketchAhead(threading.Thread):
-    """The run's worker thread, which draws a kept sketch from its block keys
-    while the main thread runs the round before.  result() waits for the
-    sketch last submitted and re-raises what its draw raised; close() lets a
-    draw in progress finish, drops one not started, and joins the thread.
+    """An iterator run on the run's worker thread, one item ahead: the item
+    after the one last taken is drawn while the main thread uses that one.
+    next() waits for the item and re-raises what its draw raised; close()
+    lets a draw in progress finish, drops one not started, and joins.
 
     One thread serves the whole run.  A thread per sketch took fed_dense's
     peak RSS from 434 to 449 MB (2 vCPUs, glibc): a round that only waits
     for its sketch starts the next thread before the last has fully exited,
     so a draw can land in a fresh malloc arena."""
 
-    def __init__(self):
+    def __init__(self, items):
         super().__init__(name="fedsgm-sketch")
-        self._job = self._out = None
-        self._submitted, self._drawn = threading.Semaphore(0), threading.Semaphore(0)
+        self._items, self._out, self._closed = items, None, False
+        self._wanted, self._drawn = threading.Semaphore(1), threading.Semaphore(0)
         self.start()
 
-    def submit(self, spec: SketchSpec, keys):
-        self._job = (spec, keys)
-        self._submitted.release()
-
     def run(self):
-        while self._submitted.acquire() and self._job is not None:
-            job, self._job = self._job, None
-            try:
-                self._out = (SketchMatrix(*job), None)
-            except BaseException as exc:  # re-raised on the main thread by result()
+        while self._wanted.acquire() and not self._closed:
+            try:  # no local name holds the item once it is taken
+                self._out = (next(self._items), None)
+            except BaseException as exc:  # StopIteration included; re-raised by next()
                 self._out = (None, exc)
             self._drawn.release()
 
-    def result(self) -> SketchMatrix:
+    def __next__(self):
         self._drawn.acquire()
-        (sketch, error), self._out = self._out, None
+        (item, error), self._out = self._out, None
+        self._wanted.release()
         if error is not None:
             raise error
-        return sketch
+        return item
 
     def close(self):
-        self._job = None
-        self._submitted.release()
+        self._closed = True
+        self._wanted.release()
         self.join()
 
 
@@ -328,32 +331,21 @@ def _draws_ahead(cfg: FedConfig, d: int) -> bool:
     return cfg.sketch_b * d >= _AHEAD_MIN_ENTRIES and keeps_blocks(2 * cfg.sketch_b, d)
 
 
-def _with_next(items):
-    """Each item paired with the one after it (None after the last)."""
-    items = iter(items)
-    item = next(items, None)
-    while item is not None:
-        following = next(items, None)
-        yield item, following
-        item = following
-
-
 def _round_keys(cfg: FedConfig, rng: np.random.Generator):
-    """Per round: (round, clients, their minibatch and noise keys, the sketch's
-    block keys), None where the run draws no noise or sketch; keyed _KEY_CHUNK
-    rounds at a time, one pass per role, after the chunk's clients are drawn."""
+    """Per round: (round, clients, their minibatch and noise keys), None for
+    noise where the run draws none; keyed _KEY_CHUNK rounds at a time, one
+    pass per role, after the chunk's clients are drawn."""
     for start in range(0, cfg.rounds, _KEY_CHUNK):
         rounds = np.arange(start, min(start + _KEY_CHUNK, cfg.rounds))
         chosen = np.array([
             client_sampler(rng, key, cfg.clients, cfg.clients_per_round)
             for key in philox_keys((cfg.master_seed, _SAMPLER_TAG), (rounds,))
         ])
-        col, unused = rounds[:, None], [None] * len(rounds)
+        col = rounds[:, None]
         local = philox_keys((cfg.master_seed, _LOCAL_TAG), (chosen, col))
-        noise = unused if cfg.mechanism.sigma_g == 0.0 else philox_keys(
+        noise = [None] * len(rounds) if cfg.mechanism.sigma_g == 0.0 else philox_keys(
             (cfg.mechanism.noise_seed, _NOISE_TAG), (chosen, col))
-        sketch = unused if cfg.sketch_b is None else block_keys((cfg.master_seed, col), cfg.sketch_b)
-        yield from zip(rounds.tolist(), chosen.tolist(), local, noise, sketch)
+        yield from zip(rounds.tolist(), chosen.tolist(), local, noise)
 
 
 def _train_round(cfg, task, theta, moments, shards, compressor, local, noise, local_rng, noise_rng):
@@ -366,20 +358,6 @@ def _train_round(cfg, task, theta, moments, shards, compressor, local, noise, lo
         deltas, cfg.eta_local, cfg.mechanism, compressor, noise, noise_rng
     )
     return (*server_round(theta, payloads, compressor, cfg, moments), clipped)
-
-
-def _speculative_round(round_args, score_pending):
-    """_train_round(*round_args) from a pending iterate.  A numpy warning
-    raises in it instead; the pending rounds are then scored, which raises
-    if one diverged, and the round is trained again and warns as it would
-    have without the window."""
-    reported = {kind: "raise" for kind, mode in np.geterr().items() if mode != "ignore"}
-    try:
-        with np.errstate(**reported):
-            return _train_round(*round_args)
-    except FloatingPointError:
-        score_pending()
-        return _train_round(*round_args)
 
 
 def _score(cfg: FedConfig, task: Task, window: list) -> list:
@@ -467,35 +445,35 @@ def run_federation(
         window, pending[:] = pending[:], []
         records.extend(_score(cfg, task, window))
 
-    sampler_rng, local_rng, noise_rng, sketch_rng = (new_generator() for _ in range(4))
+    # a numpy warning in a round trained from a pending iterate raises instead
+    speculative = {kind: "raise" for kind, mode in np.geterr().items() if mode != "ignore"}
+    sampler_rng, local_rng, noise_rng = (new_generator() for _ in range(3))
     shards = [partition.client_indices(c) for c in range(cfg.clients)]
-    keyed = _with_next(_round_keys(cfg, sampler_rng))
-    worker, ahead = (_SketchAhead() if _draws_ahead(cfg, d) else None), None
+    sketches = _sketches(cfg, d, new_generator())
+    if _draws_ahead(cfg, d):
+        sketches = _SketchAhead(sketches)
     try:
-        for (t, clients, local, noise, sketch), following in keyed:
-            # the previous round's sketch is released here, before the next is drawn
-            compressor = round_compressor(cfg, d, t, sketch, sketch_rng, ahead)
-            if worker is not None and following is not None:
-                next_t, *_, next_keys = following
-                worker.submit(_round_spec(cfg, d, next_t), next_keys)
-                ahead = worker
-            round_args = (cfg, task, theta, moments, [shards[c] for c in clients], compressor,
-                          local, noise, local_rng, noise_rng)
-            if pending:
-                theta, moments, clipped = _speculative_round(round_args, score_pending)
-            else:
-                theta, moments, clipped = _train_round(*round_args)
+        for t, clients, local, noise in _round_keys(cfg, sampler_rng):
+            args = None  # drops round t-1's sketch before round t's is taken
+            try:
+                args = (cfg, task, theta, moments, [shards[c] for c in clients],
+                        round_compressor(sketches), local, noise, local_rng, noise_rng)
+                with np.errstate(**(speculative if pending else {})):
+                    theta, moments, clipped = _train_round(*args)
+            except Exception as exc:
+                if not pending:
+                    raise
+                score_pending()  # a pending round that diverged is reported first
+                if not isinstance(exc, FloatingPointError):
+                    raise
+                theta, moments, clipped = _train_round(*args)  # warns as unwindowed
             pending.append((t, theta, clipped))
-            full = len(pending) == task.eval_window or following is None
+            full = len(pending) == task.eval_window or t == cfg.rounds - 1
             if full or not np.isfinite(theta).all():
                 score_pending()
-    except Exception:
-        if pending:  # a pending round that diverged is reported first, as unwindowed
-            score_pending()
-        raise
     finally:
-        if worker is not None:
-            worker.close()
+        if isinstance(sketches, _SketchAhead):
+            sketches.close()
     return FederationResult(records, theta)
 
 

@@ -628,6 +628,47 @@ def test_simulate_missing_config_exits_1(capsys):
     assert "not found" in capsys.readouterr().err
 
 
+def test_simulate_config_directory_exits_1(tmp_path, capsys):
+    assert main(["simulate", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: cannot read config file {tmp_path}: Is a directory\n"
+
+
+def test_simulate_non_utf8_config_exits_1(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(json.dumps(small_config(output={"prefix": "caf\u00e9"}),
+                                ensure_ascii=False).encode("latin-1"))
+    assert main(["simulate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: not UTF-8 text (byte ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_out_dir_naming_a_file_exits_1_before_the_run(tmp_path, capsys, monkeypatch, command):
+    def no_run(*args):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr("fedsgm.cli.run_federation", no_run)
+    taken = tmp_path / "taken"
+    taken.write_text("keep")
+    path = write_config(tmp_path, small_config())
+    sweep = ["--axis", "federation.rounds", "--values", "2"] if command == "sweep" else []
+    assert main([command, path, *sweep, "--out-dir", str(taken)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: cannot create output directory {taken}: File exists\n"
+    assert taken.read_text() == "keep"
+
+
+@pytest.mark.parametrize("prefix", ["a/b", "", "/tmp/run"])
+def test_simulate_prefix_must_be_a_file_name(tmp_path, capsys, prefix):
+    path = write_config(tmp_path, small_config())
+    rc = main(["simulate", path, "--override", f"output.prefix={prefix}",
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: output.prefix must be a plain file name, got {prefix!r}\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_simulate_sigma_zero_ablation_recorded(tmp_path, capsys):
     # sigma_g = 0 is a legal non-private ablation: the run completes, warns,
     # and the manifest records the infinite budget.
@@ -803,13 +844,17 @@ def test_diagnose_bad_sketch_dim_exits_1(capsys, b):
 @pytest.mark.parametrize(
     "override, message",
     [
-        ("federation.local_steps=0", "local_steps, rounds, batch_size must be >= 1"),
-        ("federation.batch_size=0", "local_steps, rounds, batch_size must be >= 1"),
+        ("federation.clients=0", "federation.clients must be >= 1, got 0"),
+        ("federation.clients_per_round=0", "federation.clients_per_round must be >= 1, got 0"),
+        ("federation.local_steps=0", "federation.local_steps must be >= 1, got 0"),
+        ("federation.rounds=0", "federation.rounds must be >= 1, got 0"),
+        ("federation.batch_size=0", "federation.batch_size must be >= 1, got 0"),
         ("federation.eta_local=0", "eta_local must be finite and positive, got 0.0"),
     ],
 )
 def test_diagnose_applies_the_run_checks(capsys, override, message):
-    # diagnose reads the run from the same FedConfig that simulate runs
+    # diagnose reads the run from the same config and FedConfig that simulate
+    # runs; a count key is named by the config check, before the calibration
     quadratic = str(REPO_ROOT / "configs" / "quadratic.json")
     assert main(["diagnose", quadratic, "--override", override]) == 1
     out, err = capsys.readouterr()

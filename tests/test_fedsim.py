@@ -4,6 +4,7 @@ Runs with sigma_g = 0 are non-private ablations; the accountant reports
 epsilon = inf with a warning, which several tests capture on purpose.
 """
 
+import gc
 import itertools
 import json
 import math
@@ -12,6 +13,7 @@ import subprocess
 import sys
 import threading
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -315,9 +317,9 @@ def counted_draws(monkeypatch, fail_round=None):
 
 
 def test_drawn_ahead_and_inline_runs_give_the_same_bytes(monkeypatch, tmp_path, capsys):
-    # the gate just below b*d draws rounds 1.. on the worker, just above it
-    # draws every round inline; each round's b rows are drawn once, and no
-    # round past the last is drawn
+    # the gate just below b*d draws every round, round 0 included, on the
+    # worker, just above it draws every round inline; each round's b rows
+    # are drawn once, and no round past the last is drawn
     from fedsgm.cli import main
 
     b, d, rounds = 24, 40, 4
@@ -342,7 +344,7 @@ def test_drawn_ahead_and_inline_runs_give_the_same_bytes(monkeypatch, tmp_path, 
                           for name in ("run.csv", "run-manifest.json")]
         assert sorted((t, rows) for t, rows, _ in drawn) == [(t, b) for t in range(rounds)]
         assert {t for t, _, on_main in drawn if not on_main} == (
-            set(range(1, rounds)) if ahead else set())
+            set(range(rounds)) if ahead else set())
     assert outputs[True] == outputs[False]
 
 
@@ -381,28 +383,57 @@ def test_draw_ahead_leaves_no_thread_behind(monkeypatch, outcome):
 
 
 def test_sketch_worker_hands_over_each_sketch_in_order():
-    # the worker and the main thread share the job and its result through
-    # two semaphores; with thread switches forced often, every result is
-    # the sketch of its own submission, and close() ends a worker whose last
-    # draw was never waited for
+    # the worker and the main thread share each item through two
+    # semaphores; with thread switches forced often, every item taken is
+    # the next one of the sequence, and close() ends a worker whose last
+    # item was drawn but never taken
+    specs = [SketchSpec(b=3, d=4, seed=(5, t)) for t in range(201)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
-    worker = fedsim._SketchAhead()
+    worker = fedsim._SketchAhead(SketchMatrix(spec) for spec in specs)
     try:
         for t in range(200):
-            spec = SketchSpec(b=3, d=4, seed=(5, t))
-            worker.submit(spec, None)
-            sketch = worker.result()
-            assert sketch.spec is spec
+            sketch = next(worker)
+            assert sketch.spec is specs[t]
             if t % 50 == 0:
                 x = np.arange(4.0)
-                assert np.array_equal(sketch.sketch(x), SketchMatrix(spec).sketch(x))
-        worker.submit(SketchSpec(b=3, d=4, seed=(5, 200)), None)
+                assert np.array_equal(sketch.sketch(x), SketchMatrix(specs[t]).sketch(x))
     finally:
         sys.setswitchinterval(interval)
         worker.close()
     worker.join(timeout=10)
     assert not worker.is_alive()
+
+
+@pytest.mark.parametrize("ahead", [True, False])
+def test_at_most_two_sketches_are_alive(monkeypatch, ahead):
+    # round t's sketch is taken only once no earlier round's sketch is
+    # referenced: the one in use and the one drawn ahead are all there are
+    task, part = make_logreg(n=80, d=64, clients=4, seed=2)
+    cfg = small_fed_config(
+        clients=4, clients_per_round=2, rounds=6, sketch_b=16,
+        mechanism=MechanismConfig(tau=1.0, sigma_g=1.0, noise_seed=5),
+    )
+    monkeypatch.setattr(fedsim, "_AHEAD_MIN_ENTRIES", 1 if ahead else 16 * 64 + 1)
+    taken = fedsim.round_compressor
+    earlier = []  # weak references to the sketches of the rounds taken so far
+
+    def checked(*args, **kwargs):
+        gc.collect()
+        alive = [ref().spec.seed[1] for ref in earlier if ref() is not None]
+        assert alive == [], f"round {len(earlier)} taken while rounds {alive} are alive"
+        sketch = taken(*args, **kwargs)
+        earlier.append(weakref.ref(sketch))
+        return sketch
+
+    monkeypatch.setattr(fedsim, "round_compressor", checked)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        run_federation(cfg, task, part)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(earlier) == cfg.rounds
 
 
 def test_draw_ahead_imports_no_thread_pool(tmp_path):
