@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
@@ -41,7 +40,7 @@ from .errors import (
     ParameterRegimeError,
     ResourceLimitError,
 )
-from .fedsim import run_federation, write_manifest, write_round_csv
+from .fedsim import _atomic_write, run_federation, strict_json, write_manifest, write_round_csv
 from .mechanism import sensitivity_ratio
 from .tasks import estimate_G_and_sigma_s, intrinsic_dimension
 
@@ -57,12 +56,6 @@ class _Parser(argparse.ArgumentParser):
     # infeasible privacy targets, so route usage problems through code 1.
     def error(self, message):
         raise _UsageError(message)
-
-
-def _json_safe(x):
-    if isinstance(x, float) and not math.isfinite(x):
-        return repr(x)
-    return x
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +100,7 @@ def cmd_calibrate(args) -> int:
         "noise_ratio": sigma / baseline_std,
     }
     if args.json:
-        print(json.dumps(record, indent=2, sort_keys=True))
+        print(strict_json(record))
     else:
         print(f"sigma_g            = {sigma:.6g}   (achieves eps = {achieved:.6g})")
         print(f"baseline noise std = {baseline_std:.6g}   (unsketched Gaussian at the same eps)")
@@ -117,58 +110,28 @@ def cmd_calibrate(args) -> int:
 
 def cmd_accountant(args) -> int:
     params = dict(q=args.q, T=args.T, tau=args.tau, b=args.b, sigma=args.sigma, delta=args.delta)
+    record = {"mechanism": args.mechanism, "params": params, "delta": args.delta}
     if args.mechanism == "baseline":
         eps = baseline_gm_epsilon(args.sigma, args.q, args.T, args.delta)
-        record = {
-            "mechanism": "baseline",
-            "method": "sampled-gaussian RDP, integer orders 2..256",
-            "params": params,
-            "epsilon": _json_safe(eps),
-            "delta": args.delta,
-        }
-        if args.json:
-            print(json.dumps(record, indent=2, sort_keys=True))
-        else:
-            print(f"baseline subsampled Gaussian: eps = {eps:.6g} at delta = {args.delta:g}")
-        return 0
-    if args.sigma == 0.0:
+        record.update(method="sampled-gaussian RDP, integer orders 2..256", epsilon=eps)
+        lines = [f"baseline subsampled Gaussian: eps = {eps:.6g} at delta = {args.delta:g}"]
+    elif args.sigma == 0.0:
         # non-private ablation: no noise means no finite guarantee
-        record = {
-            "mechanism": "sgm",
-            "params": params,
-            "alpha_star": None,
-            "regime_ok": False,
-            "epsilon": _json_safe(math.inf),
-            "delta": args.delta,
-            "pipeline_trace": [],
-        }
-        if args.json:
-            print(json.dumps(record, indent=2, sort_keys=True))
-        else:
-            print("sigma_g = 0: non-private ablation mode, epsilon = inf")
-        return 0
-    trace = sgm_pipeline(
-        AccountantParams(q=args.q, T=args.T, tau=args.tau, b=args.b, sigma_g=args.sigma),
-        args.delta,
-    )
-    record = {
-        "mechanism": "sgm",
-        "params": params,
-        "alpha_star": _json_safe(trace.alpha_star),
-        "regime_ok": True,
-        "epsilon": _json_safe(trace.epsilon),
-        "delta": trace.delta,
-        "pipeline_trace": [
-            {"stage": s.name, "epsilon": _json_safe(s.eps), "delta": s.delta}
-            for s in trace.stages
-        ],
-    }
-    if args.json:
-        print(json.dumps(record, indent=2, sort_keys=True))
+        record.update(alpha_star=None, regime_ok=False, epsilon=math.inf, pipeline_trace=[])
+        lines = ["sigma_g = 0: non-private ablation mode, epsilon = inf"]
     else:
-        print(f"alpha* = {trace.alpha_star:.6g}")
-        for s in trace.stages:
-            print(f"  {s.name:<11} eps = {s.eps:<12.6g} delta = {s.delta:.6g}")
+        trace = sgm_pipeline(
+            AccountantParams(q=args.q, T=args.T, tau=args.tau, b=args.b, sigma_g=args.sigma),
+            args.delta,
+        )
+        record.update(
+            alpha_star=trace.alpha_star, regime_ok=True, epsilon=trace.epsilon, delta=trace.delta,
+            pipeline_trace=[{"stage": s.name, "epsilon": s.eps, "delta": s.delta} for s in trace.stages],
+        )
+        lines = [f"alpha* = {trace.alpha_star:.6g}"] + [
+            f"  {s.name:<11} eps = {s.eps:<12.6g} delta = {s.delta:.6g}" for s in trace.stages
+        ]
+    print(strict_json(record) if args.json else "\n".join(lines))
     return 0
 
 
@@ -188,7 +151,6 @@ def _manifest_dicts(cfg: dict, fed_cfg, result):
     sigma = fed_cfg.mechanism.sigma_g
     config_dict = {s: dict(v) for s, v in cfg.items()}
     config_dict["mechanism"]["sigma_g_resolved"] = sigma
-    final_eps = result.records[-1].epsilon_spent if result.records else math.inf
     accountant_meta = {
         "q": fed_cfg.q,
         "rounds": fed_cfg.rounds,
@@ -196,7 +158,7 @@ def _manifest_dicts(cfg: dict, fed_cfg, result):
         "tau": fed_cfg.mechanism.tau,
         "sigma_g": sigma,
         "delta": fed_cfg.delta,
-        "epsilon_total": _json_safe(final_eps),
+        "epsilon_total": result.records[-1].epsilon_spent,
     }
     return config_dict, accountant_meta
 
@@ -297,10 +259,7 @@ def cmd_sweep(config_path, axis, values, reps=1, overrides=(), out_dir=None) -> 
     lines = [SWEEP_SCHEMA, header]
     for row in rows:
         lines.append(",".join((axis,) + row))
-    text = "\n".join(lines) + "\n"
-    from .fedsim import _atomic_write
-
-    _atomic_write(path, text)
+    _atomic_write(path, "\n".join(lines) + "\n")
     print(f"wrote {path} ({len(rows)} rows)")
     return 0
 

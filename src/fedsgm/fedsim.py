@@ -36,12 +36,14 @@ The server never sees a raw d-dimensional client delta: `server_round`
 rejects a payload matrix whose rows are not b-dimensional.
 
 Every source of randomness is a Philox substream keyed by role, round, and
-client, so runs are reproducible bit for bit.  Keys are computed in bulk, and
-each role's one generator is reset to a key before that stream's draws.  A
-substream is used only when the round draws from it: a client whose minibatch
-covers its shard gets no minibatch stream, and a run with sigma_g = 0 gets no
-noise streams.  Since each substream is keyed independently, skipping one
-changes no other draw.
+client, so runs are reproducible bit for bit.  Keys are computed in bulk.  The
+main thread draws every stream (sampler, minibatch, noise, and a sketch drawn
+inline) from one generator, reset to the stream's key before its draws; the
+worker that draws sketches ahead has a generator of its own.  A substream is
+used only when the round draws from it: a client whose minibatch covers its
+shard gets no minibatch stream, and a run with sigma_g = 0 gets no noise
+streams.  Since each substream is keyed independently, skipping one changes
+no other draw.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ from ._philox import new_generator, philox_keys, reseed
 from .mechanism import MechanismConfig, clip
 from .optim import MomentState, adam_step, amsgrad_step, gd_step
 from .sketch import Compressor, IdentityCompressor, SketchMatrix, SketchSpec, block_keys, keeps_blocks
-from .tasks import Partition, Task, iid_partition
+from .tasks import Partition, Task
 
 CSV_SCHEMA = "# fed-sgm csv v1"
 CSV_COLUMNS = ("round", "train_loss", "grad_norm_sq", "test_metric", "clip_rate", "epsilon_spent")
@@ -78,8 +80,11 @@ _KEY_CHUNK = 256  # rounds keyed per pass: the key arrays stay small for any num
 
 # A kept sketch with at least this many entries is drawn one round ahead on a
 # worker thread.  Below it the handoff costs more than the draw: drawing
-# every sketch ahead took fed_small (b*d = 1024) from 2199 to 1328 rounds/s,
-# while fed_dense (b*d = 1e6, 26 ms of a 100-ms round to draw) gains.
+# every sketch ahead on the one worker cost 2000-round fed_small (b*d = 1024,
+# setup included, 2 vCPUs) 8-12% of its rounds/s (median 2849 -> 2607 and
+# 1896 -> 1601 in two series of alternating runs, slower in 26 of 32 pairs).
+# fed_dense (b*d = 1e6) draws a sketch in 21 ms of a 50-ms round, which the
+# worker hides only while a second core is free.
 _AHEAD_MIN_ENTRIES = 2**16
 
 _OPTIMIZERS = ("gd", "amsgrad", "adam")
@@ -348,15 +353,13 @@ def _round_keys(cfg: FedConfig, rng: np.random.Generator):
         yield from zip(rounds.tolist(), chosen.tolist(), local, noise)
 
 
-def _train_round(cfg, task, theta, moments, shards, compressor, local, noise, local_rng, noise_rng):
+def _train_round(cfg, task, theta, moments, shards, compressor, local, noise, rng):
     """One round from theta: the clients' local updates, their private
     payloads and the server's step; returns (theta_{t+1}, moments, clip flags)."""
     deltas = client_local_update(
-        theta, task, shards, cfg.local_steps, cfg.eta_local, local, local_rng, cfg.batch_size
+        theta, task, shards, cfg.local_steps, cfg.eta_local, local, rng, cfg.batch_size
     )
-    payloads, clipped = client_privatize(
-        deltas, cfg.eta_local, cfg.mechanism, compressor, noise, noise_rng
-    )
+    payloads, clipped = client_privatize(deltas, cfg.eta_local, cfg.mechanism, compressor, noise, rng)
     return (*server_round(theta, payloads, compressor, cfg, moments), clipped)
 
 
@@ -419,15 +422,9 @@ def _epsilon_spent(cfg: FedConfig, rounds_done: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def run_federation(
-    cfg: FedConfig, task: Task, partition: Optional[Partition] = None
-) -> FederationResult:
-    """Full federated run; returns per-round records with the final iterate attached.
-
-    When no partition is given the samples are split IID across cfg.clients
-    (seeded by master_seed)."""
-    if partition is None:
-        partition = iid_partition(task.n, cfg.clients, seed=cfg.master_seed)
+def run_federation(cfg: FedConfig, task: Task, partition: Partition) -> FederationResult:
+    """Full federated run over the task's client partition; returns per-round
+    records with the final iterate attached."""
     if partition.num_clients != cfg.clients:
         raise ConfigurationError(
             f"partition has {partition.num_clients} clients, config says {cfg.clients}"
@@ -447,17 +444,18 @@ def run_federation(
 
     # a numpy warning in a round trained from a pending iterate raises instead
     speculative = {kind: "raise" for kind, mode in np.geterr().items() if mode != "ignore"}
-    sampler_rng, local_rng, noise_rng = (new_generator() for _ in range(3))
+    rng = new_generator()  # each stream drawn on this thread resets it to its key
     shards = [partition.client_indices(c) for c in range(cfg.clients)]
-    sketches = _sketches(cfg, d, new_generator())
-    if _draws_ahead(cfg, d):
+    ahead = _draws_ahead(cfg, d)
+    sketches = _sketches(cfg, d, new_generator() if ahead else rng)
+    if ahead:
         sketches = _SketchAhead(sketches)
     try:
-        for t, clients, local, noise in _round_keys(cfg, sampler_rng):
+        for t, clients, local, noise in _round_keys(cfg, rng):
             args = None  # drops round t-1's sketch before round t's is taken
             try:
                 args = (cfg, task, theta, moments, [shards[c] for c in clients],
-                        round_compressor(sketches), local, noise, local_rng, noise_rng)
+                        round_compressor(sketches), local, noise, rng)
                 with np.errstate(**(speculative if pending else {})):
                     theta, moments, clipped = _train_round(*args)
             except Exception as exc:
@@ -508,6 +506,21 @@ def write_round_csv(path: str, records: list):
     _atomic_write(path, records_to_csv(records))
 
 
+def strict_json(record) -> str:
+    """record as strict JSON, indented and key-sorted: a non-finite float at
+    any depth is written as its repr string ("inf", "nan"), never as the
+    Infinity or NaN that JSON parsers reject."""
+
+    def safe(x):
+        if isinstance(x, dict):
+            return {k: safe(v) for k, v in x.items()}
+        if isinstance(x, (list, tuple)):
+            return [safe(v) for v in x]
+        return repr(float(x)) if isinstance(x, float) and not np.isfinite(x) else x
+
+    return json.dumps(safe(record), indent=2, sort_keys=True, allow_nan=False)
+
+
 def write_manifest(path: str, config_dict: dict, accountant_meta: dict):
     """JSON manifest: full config + accountant metadata; deterministic bytes."""
     payload = {
@@ -516,4 +529,4 @@ def write_manifest(path: str, config_dict: dict, accountant_meta: dict):
         "config": config_dict,
         "accountant": accountant_meta,
     }
-    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _atomic_write(path, strict_json(payload) + "\n")

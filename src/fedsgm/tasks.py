@@ -7,8 +7,9 @@ Two task families cover the experiments at desk scale:
   minima, and
 * synthetic binary logistic regression with IID or label-skewed partitions.
 
-A Task exposes mean loss/gradient over arbitrary sample subsets and the full
-Hessian when the dimension is small enough to afford it.
+A Task exposes the full-data mean loss, the mean gradient over arbitrary
+sample subsets, and the full Hessian when the dimension is small enough to
+afford it.
 """
 
 from __future__ import annotations
@@ -75,10 +76,10 @@ class Partition:
 class Task:
     """A differentiable objective over n samples.
 
-    loss/grad take an optional index array and average over it (all samples
-    when omitted); grad also takes an (N, d) stack with N index arrays, one
-    gradient per row.  hessian is the full-data Hessian at theta, or None when
-    unavailable.
+    loss is the mean loss over all samples.  grad takes an optional index
+    array and averages over it (all samples when omitted); it also takes an
+    (N, d) stack with N index arrays, one gradient per row.  hessian is the
+    full-data Hessian at theta, or None when unavailable.
 
     eval_window is how many iterates the full-data grad, loss and test_metric
     take at once, as a (W, d) stack with one result per row; 1 means vectors
@@ -224,10 +225,8 @@ def make_federated_quadratic(
 
     min_val = half_mean_quad_form(centers - mean_center)
 
-    def loss(theta, idx=None):
-        return half_mean_quad_form(
-            (theta - centers) if idx is None else (theta - centers[np.asarray(idx)])
-        )
+    def loss(theta):
+        return half_mean_quad_form(theta - centers)
 
     def grad(theta, idx=None):
         if idx is None:
@@ -271,11 +270,10 @@ def _per_iterate(theta, values):
     return values[0] if np.ndim(theta) == 1 else np.array(values)
 
 
-def _logreg_task(X: np.ndarray, y: np.ndarray, X_test, y_test) -> Task:
+def _logreg_task(X: np.ndarray, y: np.ndarray, X_test: np.ndarray, y_test: np.ndarray) -> Task:
     n, d = X.shape
     if set(np.unique(y)) - {-1.0, 1.0}:
         raise ConfigurationError("labels must be in {-1, +1}")
-    n_test = 0 if X_test is None else len(X_test)
 
     # Full-data passes walk these row blocks: a block's margins, coefficients
     # and share of X^T c (or of X^T W X) are computed, for every iterate of
@@ -332,13 +330,9 @@ def _logreg_task(X: np.ndarray, y: np.ndarray, X_test, y_test) -> Task:
     def coefficients(yi, z):
         return -yi * _sigmoid(-yi * z)
 
-    def loss(theta, idx=None):
-        if idx is None:
-            z = np.atleast_2d(full_margin(theta))
-            return _per_iterate(theta, [float(np.mean(np.logaddexp(0.0, -y * z_j))) for z_j in z])
-        idx = np.asarray(idx)
-        yi = y[idx]
-        return float(np.mean(np.logaddexp(0.0, -yi * (X[idx] @ theta))))
+    def loss(theta):
+        z = np.atleast_2d(full_margin(theta))
+        return _per_iterate(theta, [float(np.mean(np.logaddexp(0.0, -y * z_j))) for z_j in z])
 
     def grad(theta, idx=None):
         if idx is None:
@@ -366,12 +360,12 @@ def _logreg_task(X: np.ndarray, y: np.ndarray, X_test, y_test) -> Task:
 
     def test_accuracy(theta):
         stack = np.atleast_2d(theta)
-        z = np.empty((len(stack), n_test))
+        z = np.empty((len(stack), len(X_test)))
         for s, Xb in test_blocks:
             block_margins(z[:, s], Xb, stack)
         return _per_iterate(theta, [float(np.mean(np.sign(z_j) == y_test)) for z_j in z])
 
-    test_blocks = None if X_test is None else row_blocks(X_test)
+    test_blocks = row_blocks(X_test)
     return Task(
         name="logreg",
         d=d,
@@ -380,9 +374,9 @@ def _logreg_task(X: np.ndarray, y: np.ndarray, X_test, y_test) -> Task:
         grad=grad,
         hessian=hessian,
         theta0=np.zeros(d),
-        test_metric=None if X_test is None else test_accuracy,
+        test_metric=test_accuracy,
         test_metric_name="test_accuracy",
-        eval_window=max(1, _EVAL_WINDOW_BYTES // (X.itemsize * (n + n_test + 4 * d))),
+        eval_window=max(1, _EVAL_WINDOW_BYTES // (X.itemsize * (n + len(X_test) + 4 * d))),
     )
 
 

@@ -17,12 +17,14 @@ import time
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fedsgm.accountant import DpPoint, calibrate_sgm_sigma
 from fedsgm.cli import build_parser, main
 from fedsgm.config import build_fed_config, build_task, load_config, validate_config
 from fedsgm.errors import ConfigurationError
+from fedsgm.fedsim import strict_json
 
 
 def small_config(**over):
@@ -52,6 +54,15 @@ def write_config(tmp_path, raw, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(raw))
     return str(path)
+
+
+def loads_strict(text):
+    """json.loads that rejects Infinity, -Infinity and NaN, as strict parsers do."""
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 # 4/625 participation, 500 rounds: the image-classification accounting setup
@@ -399,6 +410,24 @@ def test_cli_accountant_baseline(capsys):
     assert record["epsilon"] == pytest.approx(1.6320274630619949, rel=1e-12)
 
 
+def test_cli_accountant_json_is_strict_where_tau_is_infinite(capsys):
+    rc = main(["accountant", "--mechanism", "baseline", "--json", "--sigma", "1",
+               "--delta", "1e-5", "--q", "0.1", "--T", "10", "--tau", "inf", "--b", "10"])
+    record = loads_strict(capsys.readouterr().out)
+    assert rc == 0
+    assert record["params"]["tau"] == "inf"
+    assert record["epsilon"] == pytest.approx(4.17700569908253, rel=1e-12)
+
+
+def test_strict_json_writes_non_finite_floats_as_strings():
+    record = {"a": [1.5, math.inf, (-math.inf, {"b": math.nan})], "c": np.float64(math.inf)}
+    assert loads_strict(strict_json(record)) == {
+        "a": [1.5, "inf", ["-inf", {"b": "nan"}]], "c": "inf"
+    }
+    finite = {"z": 0.1, "a": [1e-300, 2], "m": {"k": None}}
+    assert strict_json(finite) == json.dumps(finite, indent=2, sort_keys=True)
+
+
 @pytest.mark.parametrize("q", ["1", "0.0064"])
 def test_cli_accountant_baseline_nan_sigma_exits_1(capsys, q):
     args = ["--delta", "1e-5", "--q", q, "--T", "500", "--tau", "1", "--b", "400000"]
@@ -528,6 +557,19 @@ def test_simulate_override_recorded_in_manifest(tmp_path, capsys):
     assert manifest["config"]["mechanism"]["sigma_g"] == 0.8
     assert manifest["config"]["mechanism"]["sigma_g_resolved"] == 0.8
     assert manifest["accountant"]["sigma_g"] == 0.8
+
+
+def test_simulate_manifest_is_strict_json_where_tau_is_infinite(tmp_path, capsys):
+    path = write_config(tmp_path, small_config())
+    overrides = ["--override", "mechanism.tau=inf", "--override", "mechanism.sigma_g=1.0"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # r = inf: accounting unavailable, eps = inf
+        rc = main(["simulate", path, *overrides, "--out-dir", str(tmp_path / "o")])
+    capsys.readouterr()
+    assert rc == 0
+    manifest = loads_strict((tmp_path / "o" / "run-manifest.json").read_text())
+    assert manifest["config"]["mechanism"]["tau"] == manifest["accountant"]["tau"] == "inf"
+    assert manifest["accountant"]["epsilon_total"] == "inf"
 
 
 def test_reused_parser_carries_nothing_between_calls(tmp_path, capsys):

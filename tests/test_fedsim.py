@@ -808,16 +808,16 @@ def test_default_test_metric_reuses_train_loss():
     loss = task.loss
     calls = []
 
-    def counted_loss(theta, idx=None):
-        calls.append(idx)
-        return loss(theta, idx)
+    def counted_loss(theta):
+        calls.append(np.shape(theta))
+        return loss(theta)
 
     task.loss = counted_loss
     cfg = small_fed_config(
         rounds=5, sketch_b=2, mechanism=MechanismConfig(tau=1.0, sigma_g=1.2, noise_seed=5)
     )
     result = run_federation(cfg, task, part)
-    assert calls == [None] * 5
+    assert calls == [(4,)] * 5  # one full-data iterate per round
     assert all(r.test_metric == r.train_loss for r in result.records)
     assert result.records[-1].train_loss == float(loss(result.theta))
 
