@@ -28,7 +28,8 @@ BLOCK_ROWS = 512
 
 # R @ x is summed over SKETCH_DEPTH-column pieces in order: one whole product
 # rounds differently at 1 and 2 BLAS threads, a 256-column piece does not
-# (test_simulate_rerun_bytes_do_not_depend_on_blas_threads pins this).
+# (test_simulate_rerun_bytes_do_not_depend_on_blas_threads pins this).  The
+# logistic task's full-data margins take the same pieces.
 SKETCH_DEPTH = 256
 
 # Sketches with at most this many entries keep their row blocks in memory;

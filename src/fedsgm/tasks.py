@@ -24,17 +24,22 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, ResourceLimitError
+from .sketch import SKETCH_DEPTH
 
 _HESSIAN_DIM_LIMIT = 500
 
 # The full-data logistic passes walk X in row blocks of about this many bytes,
-# so a block read for its margin is still in cache for its share of X^T c.
+# so a block read for its margins is still in cache for its share of C @ X.
 _ROW_BLOCK_BYTES = 1 << 20
-# Block lengths are a multiple of this many rows.  A GEMV kernel takes rows
-# in groups (of 4 in OpenBLAS 0.3.31's Haswell kernels) and sums a ragged
-# group another way, so aligned blocks give every row the bits of one
-# X @ theta; the 65-row blocks of an unaligned 1 MiB at d = 2000 do not.
-_ROW_BLOCK_ALIGN = 16
+# Every full-data product takes this many iterates: a stack is padded with
+# zero rows to a multiple of it, so a row's bits do not depend on the length
+# of its stack.  In OpenBLAS 0.3.31 (Haswell kernels) they did: a row of a
+# GEMM rounded one way in a call of 2-3 rows, another in 4-18 rows and a third
+# past about 3e5 multiply-adds, and numpy runs a one-row product as a GEMV.
+# 4-row products gave the same bits at one and two BLAS threads over a sweep
+# of 16 widths d with 5 block lengths each; 16-row ones did not at 19 of those
+# shapes.  2-row products cost 1.5x as much per iterate (fed_dense shape).
+_PRODUCT_ROWS = 4
 # The logistic task scores a window of iterates (Task.eval_window) in one
 # pass over X.  Per iterate the window keeps its n + n_test margins and four
 # d-vectors (the iterate, its gradient and a block's terms); it holds as many
@@ -84,10 +89,12 @@ class Task:
     eval_window is how many iterates the full-data grad, loss and test_metric
     take at once, as a (W, d) stack with one result per row; 1 means vectors
     only.  The logistic task derives it from its data and scores a stack in
-    one pass over X, each iterate through the BLAS calls it would take alone.
-    It keeps its last full-data margins in a one-slot cache keyed by the
-    stack's values, so full-data grad, loss and hessian at one stack share
-    one read of X.
+    one pass over X: on each row block, the stack takes matrix products of a
+    fixed number of iterates (_PRODUCT_ROWS), not one product per iterate, so
+    a row's result has the same bits in a stack of any length, a vector's
+    included, and at one and two BLAS threads.  It keeps its last full-data
+    margins in a one-slot cache keyed by the stack's values, so full-data
+    grad, loss and hessian at one stack share one read of X.
     """
 
     name: str
@@ -276,10 +283,16 @@ def _logreg_task(X: np.ndarray, y: np.ndarray, X_test: np.ndarray, y_test: np.nd
         raise ConfigurationError("labels must be in {-1, +1}")
 
     # Full-data passes walk these row blocks: a block's margins, coefficients
-    # and share of X^T c (or of X^T W X) are computed, for every iterate of
-    # the stack, while the block is in cache.
-    rows = _ROW_BLOCK_BYTES // (X.itemsize * d) // _ROW_BLOCK_ALIGN * _ROW_BLOCK_ALIGN
-    rows = max(rows, _ROW_BLOCK_ALIGN)
+    # and share of C @ X (or of X^T W X) are computed, for the whole stack,
+    # while the block is in cache.
+    rows = max(1, _ROW_BLOCK_BYTES // (X.itemsize * d))
+
+    def padded(theta):
+        """theta's rows and zero rows, _PRODUCT_ROWS per product."""
+        stack = np.atleast_2d(theta)
+        out = np.zeros((-(-len(stack) // _PRODUCT_ROWS) * _PRODUCT_ROWS, d))
+        out[: len(stack)] = stack
+        return out
 
     def row_blocks(*arrays):
         return [(s, *(a[s] for a in arrays))
@@ -288,26 +301,42 @@ def _logreg_task(X: np.ndarray, y: np.ndarray, X_test: np.ndarray, y_test: np.nd
     blocks = row_blocks(X, y)
 
     def block_margins(zb, Xb, stack):
-        # one GEMV per iterate, as for a vector alone: the bits do not depend
-        # on the stack
-        for theta_j, z_j in zip(stack, zb):
-            z_j[...] = Xb @ theta_j
+        # padded stack @ Xb.T, _PRODUCT_ROWS rows at a time, each as one GEMM
+        # per SKETCH_DEPTH-column piece summed in order, as SketchMatrix.sketch
+        # sums: one whole product splits its columns differently at one and
+        # two BLAS threads, a piece does not
+        for top in range(0, len(stack), _PRODUCT_ROWS):
+            part = stack[top : top + _PRODUCT_ROWS]
+            acc = part[:, :SKETCH_DEPTH] @ Xb[:, :SKETCH_DEPTH].T
+            for lo in range(SKETCH_DEPTH, d, SKETCH_DEPTH):
+                acc += part[:, lo : lo + SKETCH_DEPTH] @ Xb[:, lo : lo + SKETCH_DEPTH].T
+            zb[top : top + _PRODUCT_ROWS] = acc
 
-    # One-slot cache of the full-data margins Z = stack @ X^T.  run_federation
-    # scores a window with grad then loss; the cache lets them share one read
-    # of X.  The key is the stack's values (a stored copy compared with
-    # np.array_equal, never id(theta)), so a caller that changes theta in
-    # place gets fresh numbers.  A hit runs the same block loop and skips only
-    # the margin products, so no result depends on the call order.  Client
-    # calls (idx given) bypass it.
+    def block_grad(c, Xb):
+        # c @ Xb for the padded stack's coefficients, _PRODUCT_ROWS rows at a time
+        out = np.empty((len(c), d))
+        for top in range(0, len(c), _PRODUCT_ROWS):
+            part = slice(top, top + _PRODUCT_ROWS)
+            np.matmul(c[part], Xb, out=out[part])
+        return out
+
+    # One-slot cache of the full-data margins Z = padded(stack) @ X^T.
+    # run_federation scores a window with grad then loss; the cache lets them
+    # share one read of X.  The key is the stack's values (a stored copy
+    # compared with np.array_equal, never id(theta)), so a caller that changes
+    # theta in place gets fresh numbers.  A hit runs the same block loop and
+    # skips only the margin products, so no result depends on the call order.
+    # Client calls (idx given) bypass it.
     cached_theta, cached_z = None, None
 
     def full_blocks(theta):
         """(X, y, margins) row blocks at a stack of iterates, one margin row
-        per iterate (a vector is a stack of one); fills the cache on a miss."""
+        per row of padded(theta); fills the cache on a miss."""
         nonlocal cached_theta, cached_z
         stack = np.atleast_2d(theta)
         hit = cached_theta is not None and np.array_equal(stack, cached_theta)
+        if not hit:
+            stack = padded(stack)
         z = cached_z if hit else np.empty((len(stack), n))
         for s, Xb, yb in blocks:
             if not hit:
@@ -315,12 +344,12 @@ def _logreg_task(X: np.ndarray, y: np.ndarray, X_test: np.ndarray, y_test: np.nd
             yield Xb, yb, z[:, s]
         if not hit:
             z.flags.writeable = False  # shared by every full-data caller
-            cached_theta, cached_z = np.array(stack), z
+            cached_theta, cached_z = np.array(np.atleast_2d(theta)), z
 
     def full_margin(theta):
         for _ in full_blocks(theta):
             pass
-        return cached_z.reshape(np.shape(theta)[:-1] + (n,))
+        return cached_z[: len(np.atleast_2d(theta))].reshape(np.shape(theta)[:-1] + (n,))
 
     def block_sum(terms):
         # starts from the first block's term, not from zeros (0.0 + -0.0 is
@@ -336,11 +365,9 @@ def _logreg_task(X: np.ndarray, y: np.ndarray, X_test: np.ndarray, y_test: np.nd
 
     def grad(theta, idx=None):
         if idx is None:
-            sums = block_sum(
-                np.array([Xb.T @ coefficients(yb, z_j) for z_j in zb])
-                for Xb, yb, zb in full_blocks(theta)
-            )
-            return (sums / n).reshape(np.shape(theta))
+            sums = block_sum(block_grad(coefficients(yb, zb), Xb)
+                             for Xb, yb, zb in full_blocks(theta))
+            return (sums[: len(np.atleast_2d(theta))] / n).reshape(np.shape(theta))
         rows, idx = _client_batch(theta, idx)  # a client at a time: its rows stay in cache
         out = np.empty_like(rows)
         for i, (theta_i, idx_i) in enumerate(zip(rows, idx)):
@@ -359,10 +386,11 @@ def _logreg_task(X: np.ndarray, y: np.ndarray, X_test: np.ndarray, y_test: np.nd
         return block_sum(term(Xb, zb[0]) for Xb, _, zb in full_blocks(theta)) / n
 
     def test_accuracy(theta):
-        stack = np.atleast_2d(theta)
+        stack = padded(theta)
         z = np.empty((len(stack), len(X_test)))
         for s, Xb in test_blocks:
             block_margins(z[:, s], Xb, stack)
+        z = z[: len(np.atleast_2d(theta))]
         return _per_iterate(theta, [float(np.mean(np.sign(z_j) == y_test)) for z_j in z])
 
     test_blocks = row_blocks(X_test)

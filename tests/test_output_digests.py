@@ -28,7 +28,7 @@ DIGESTS = {
     "numpy 2.4.6, blas aa1821ac725ba9cb": {
         "quadratic": ("dd17eee38bfe32293dbb6e0661e341311799e06af19be7b0c35971e304d15fe9",
                       "196b7c43640d06b98618a18f315fbc82d0caaf69d5b48f06a0007abe568fbefe"),
-        "logreg": ("00996782536a560f5ace638355cde539671dd922d7db8f644753e227c4064337",
+        "logreg": ("bd0486fd541ac0efffeff72f2f2e43d452f102041dc691ebae55e927db9658ac",
                    "da91dc17510e40ae5a0e92b459e3efa54aa4893898782a69b581c190ae0b26e6"),
     },
 }

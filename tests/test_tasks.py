@@ -13,6 +13,7 @@ import pytest
 
 from fedsgm import tasks as tasks_module
 from fedsgm.errors import ConfigurationError
+from fedsgm.sketch import SKETCH_DEPTH
 from fedsgm.tasks import (
     Partition,
     Task,
@@ -261,13 +262,17 @@ def test_logreg_full_batch_gd_smoke():
 
 
 class _CountingArray(np.ndarray):
-    """Feature matrix that counts the products taken with it (and its views)."""
+    """Feature matrix that counts the matrix products taken with it (and its
+    views), whichever side it is on: a @ X, X @ a and np.matmul(a, X, out=...)
+    all run the matmul ufunc."""
 
     products = 0
 
-    def __matmul__(self, other):
-        _CountingArray.products += 1
-        return np.asarray(self) @ other
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            _CountingArray.products += 1
+        inputs = tuple(np.asarray(a) if isinstance(a, _CountingArray) else a for a in inputs)
+        return getattr(ufunc, method)(*inputs, **kwargs)
 
 
 def _counting_logreg(n=40, d=5, seed=11):
@@ -278,13 +283,58 @@ def _counting_logreg(n=40, d=5, seed=11):
     return task, X, y, rng
 
 
+def _sigmoid(z):
+    return 0.5 * (1.0 + np.tanh(0.5 * z))
+
+
 def _uncached_loss_grad_hessian(X, y, theta):
-    sigmoid = lambda z: 0.5 * (1.0 + np.tanh(0.5 * z))
+    """Loss, gradient and Hessian at a vector theta from plain X @ theta and
+    X.T @ c, as a client's minibatch takes them."""
     z = X @ theta
     loss = float(np.mean(np.logaddexp(0.0, -y * z)))
-    grad = X.T @ (-y * sigmoid(-y * z)) / len(y)
-    p = sigmoid(z)
+    grad = X.T @ (-y * _sigmoid(-y * z)) / len(y)
+    p = _sigmoid(z)
     return loss, grad, (X * (p * (1.0 - p))[:, None]).T @ X / len(y)
+
+
+def _in_products(stack):
+    """The stack's rows padded with zero rows, cut into products of
+    _PRODUCT_ROWS rows."""
+    height = tasks_module._PRODUCT_ROWS
+    out = np.zeros((-(-len(stack) // height) * height, stack.shape[1]))
+    out[: len(stack)] = stack
+    return [out[top : top + height] for top in range(0, len(out), height)]
+
+
+def _piece_margins(Xb, stack):
+    """stack @ Xb.T in products of _PRODUCT_ROWS rows, each summed over
+    SKETCH_DEPTH-column pieces in order."""
+    z = []
+    for part in _in_products(stack):
+        acc = part[:, :SKETCH_DEPTH] @ Xb[:, :SKETCH_DEPTH].T
+        for lo in range(SKETCH_DEPTH, Xb.shape[1], SKETCH_DEPTH):
+            acc += part[:, lo : lo + SKETCH_DEPTH] @ Xb[:, lo : lo + SKETCH_DEPTH].T
+        z.append(acc)
+    return np.concatenate(z)[: len(stack)]
+
+
+def _full_data_loss_grad_hessian(X, y, theta, rows=None):
+    """Full-data loss, gradient and Hessian at a vector theta, taken as the
+    logistic task takes them, over `rows`-row blocks (one block by default):
+    margins from _piece_margins, a block's gradient as one product of its
+    padded coefficient rows with the block, the blocks summed in order."""
+    rows = rows or len(X)
+    z = np.concatenate([_piece_margins(X[lo : lo + rows], theta[None])[0]
+                        for lo in range(0, len(X), rows)])
+    loss = float(np.mean(np.logaddexp(0.0, -y * z)))
+    grad = hess = None
+    for lo in range(0, len(X), rows):
+        Xb, yb, zb = X[lo : lo + rows], y[lo : lo + rows], z[lo : lo + rows]
+        c = _in_products((-yb * _sigmoid(-yb * zb))[None])[0]
+        p = _sigmoid(zb)
+        g_b, h_b = (c @ Xb)[0], (Xb * (p * (1.0 - p))[:, None]).T @ Xb
+        grad, hess = (g_b, h_b) if grad is None else (grad + g_b, hess + h_b)
+    return loss, grad / len(y), hess / len(y)
 
 
 def test_logreg_grad_then_loss_share_one_full_data_product():
@@ -293,11 +343,11 @@ def test_logreg_grad_then_loss_share_one_full_data_product():
     _CountingArray.products = 0
     g = task.grad(theta)
     loss = task.loss(theta)
-    # X @ theta once, X.T @ coef once; the loss reuses the margin
+    # one product for the margins, one for C @ X; the loss reuses the margins
     assert _CountingArray.products == 2
     task.hessian(theta)
     assert _CountingArray.products == 3  # only X^T W X; p comes from the shared margin
-    ref_loss, ref_grad, _ = _uncached_loss_grad_hessian(X, y, theta)
+    ref_loss, ref_grad, _ = _full_data_loss_grad_hessian(X, y, theta)
     assert loss == ref_loss and np.array_equal(g, ref_grad)
 
 
@@ -307,7 +357,7 @@ def test_logreg_margin_cache_sees_in_place_changes():
     task.grad(theta)
     task.loss(theta)
     theta[2] += 0.25  # same object, new values
-    ref_loss, ref_grad, ref_hess = _uncached_loss_grad_hessian(X, y, theta)
+    ref_loss, ref_grad, ref_hess = _full_data_loss_grad_hessian(X, y, theta)
     assert task.loss(theta) == ref_loss
     assert np.array_equal(task.grad(theta), ref_grad)
     assert np.array_equal(task.hessian(theta), ref_hess)
@@ -323,12 +373,11 @@ def test_logreg_client_call_leaves_full_data_margin_alone():
     task.loss(theta)  # fills the cache
     idx = np.arange(0, 40, 3)
     g_client = task.grad(theta, idx)
-    ref_loss, _, _ = _uncached_loss_grad_hessian(X, y, theta)
-    assert task.loss(theta) == ref_loss
+    assert task.loss(theta) == _full_data_loss_grad_hessian(X, y, theta)[0]
     assert np.array_equal(g_client, _uncached_loss_grad_hessian(X[idx], y[idx], theta)[1])
     theta2 = theta + 0.1
     task.grad(theta2, idx)
-    assert task.loss(theta2) == _uncached_loss_grad_hessian(X, y, theta2)[0]
+    assert task.loss(theta2) == _full_data_loss_grad_hessian(X, y, theta2)[0]
 
 
 def _blocked_logreg(monkeypatch, n, d, rows=None, seed=12):
@@ -353,11 +402,8 @@ def _row_blocks(task):
     return [s for s, *_ in inspect.getclosurevars(full_blocks).nonlocals["blocks"]]
 
 
-# (n, d, rows per block): 64-row blocks from the default budget at d = 2000
-# and a monkeypatched 32-row budget, each with a ragged tail block.  OpenBLAS
-# runs the reference X @ theta of these sizes on one thread; at n = 300 and
-# d = 2000 it splits the rows between two threads, and then the reference's
-# own bits depend on the thread count while the 64-row blocks' do not.
+# (n, d, rows per block): 65-row blocks from the default budget at d = 2000
+# and a monkeypatched 32-row budget, each with a ragged tail block
 MULTI_BLOCK_SHAPES = [(200, 2000, None), (203, 5, 32)]
 
 
@@ -366,13 +412,17 @@ def test_logreg_block_pass_keeps_margin_and_loss_bits(monkeypatch, n, d, rows):
     task, X, y, theta = _blocked_logreg(monkeypatch, n, d, rows)
     slices = _row_blocks(task)
     assert len(slices) > 2 and slices[-1].stop > n  # several blocks, a ragged tail
-    ref_loss, ref_grad, ref_hess = _uncached_loss_grad_hessian(X, y, theta)
+    ref_loss, ref_grad, ref_hess = _full_data_loss_grad_hessian(X, y, theta, slices[0].stop)
     g = task.grad(theta)
-    assert np.array_equal(_full_margin(task, theta), X @ theta)
+    ref_margins = np.concatenate([_piece_margins(X[s], theta[None])[0] for s in slices])
+    assert np.array_equal(_full_margin(task, theta), ref_margins)
     assert task.loss(theta) == ref_loss
-    np.testing.assert_allclose(g, ref_grad, rtol=1e-12, atol=0.0)
+    assert np.array_equal(g, ref_grad)
+    plain_loss, plain_grad, plain_hess = _uncached_loss_grad_hessian(X, y, theta)
+    np.testing.assert_allclose(g, plain_grad, rtol=1e-12, atol=0.0)
     if d <= 500:
-        np.testing.assert_allclose(task.hessian(theta), ref_hess, rtol=1e-12, atol=1e-15)
+        assert np.array_equal(task.hessian(theta), ref_hess)
+        np.testing.assert_allclose(task.hessian(theta), plain_hess, rtol=1e-12, atol=1e-15)
 
 
 @pytest.mark.parametrize("n,d,rows", MULTI_BLOCK_SHAPES)
@@ -389,18 +439,11 @@ def test_logreg_one_block_shape_keeps_unfused_bits(monkeypatch):
     # 40 rows fit one block, and the sum starts from that block's product:
     # the grad and the Hessian are the unfused products bit for bit
     task, X, y, theta = _blocked_logreg(monkeypatch, 40, 5)
-    assert _row_blocks(task) == [slice(0, 26208)]
-    ref_loss, ref_grad, ref_hess = _uncached_loss_grad_hessian(X, y, theta)
+    assert _row_blocks(task) == [slice(0, 26214)]
+    ref_loss, ref_grad, ref_hess = _full_data_loss_grad_hessian(X, y, theta)
     assert task.grad(theta).tobytes() == ref_grad.tobytes()
     assert task.loss(theta) == ref_loss
     assert task.hessian(theta).tobytes() == ref_hess.tobytes()
-
-
-def test_logreg_row_blocks_are_aligned():
-    # the 1 MiB budget is 65 rows at d = 2000, and a 65-row block changes the
-    # bits of X @ theta; the blocks are cut to a multiple of 16 rows
-    task = _logreg_task(np.ones((200, 2000)), np.ones(200), np.ones((1, 2000)), np.ones(1))
-    assert _row_blocks(task) == [slice(0, 64), slice(64, 128), slice(128, 192), slice(192, 256)]
 
 
 def test_logreg_hessian_holds_one_row_block_at_a_time(monkeypatch):
@@ -448,6 +491,38 @@ def test_logreg_stack_rows_keep_each_iterates_bits(monkeypatch, n, d, rows):
     assert task.grad(stack[:1]).tobytes() == g[:1].tobytes()  # a stack of one
 
 
+# (n, d, rows per block, window): 40-row blocks with ragged tails in X and
+# X_test, three 256-column pieces and a window of 16 set by monkeypatching;
+# and configs/logreg.json's shape, one block of 2000 rows and the default
+# window of 211, where a single product of the whole stack rounded its rows
+# one way up to 7 rows and another from 8
+WINDOW_SHAPES = [(203, 600, 40, 16), (2000, 20, None, None)]
+
+
+@pytest.mark.parametrize("n,d,rows,window", WINDOW_SHAPES)
+def test_logreg_window_prefixes_keep_each_rows_bits(monkeypatch, n, d, rows, window):
+    # every W from 1 (a one-row product would run as a GEMV) to eval_window:
+    # each row of grad, loss and test_metric on stack[:W] has its bits in the
+    # whole window
+    rng = np.random.default_rng(15)
+    n_test = n // 5
+    X = rng.standard_normal((n + n_test, d)) / math.sqrt(d)
+    y = np.where(rng.random(n + n_test) < 0.5, -1.0, 1.0)
+    with monkeypatch.context() as m:
+        if rows is not None:
+            m.setattr(tasks_module, "_ROW_BLOCK_BYTES", rows * 8 * d)
+        if window is not None:
+            m.setattr(tasks_module, "_EVAL_WINDOW_BYTES", window * 8 * (n + n_test + 4 * d))
+        task = _logreg_task(X[:n], y[:n], X[n:], y[n:])
+    assert task.eval_window == (window or 211)
+    stack = 0.5 * rng.standard_normal((task.eval_window, d))
+    g, loss, metric = task.grad(stack), task.loss(stack), task.test_metric(stack)
+    for w in range(1, task.eval_window + 1):
+        assert task.grad(stack[:w]).tobytes() == g[:w].tobytes(), w
+        assert task.loss(stack[:w]).tobytes() == loss[:w].tobytes(), w
+        assert task.test_metric(stack[:w]).tobytes() == metric[:w].tobytes(), w
+
+
 def test_logreg_window_holds_its_margins_and_two_row_blocks(monkeypatch):
     # one windowed pass keeps the window's margins and d-vectors, never an
     # n x d temporary (16 MB here; a block is under 1 MiB)
@@ -482,20 +557,23 @@ def test_eval_window_fits_its_budget():
 
 
 def test_logreg_full_data_grad_bits_do_not_depend_on_blas_threads():
-    # one X @ theta of this shape splits its rows between two threads and
-    # changes bits; its 128-row blocks (and the 107-row tail) do not, for one
-    # iterate or a stack of three
+    # one X @ theta or C @ X of this shape changes bits between one and two
+    # threads; the 4-row products over its 130-row blocks (and the 93-row
+    # tail) do not, for one iterate or a stack of 16, in the gradient, the
+    # loss and the test metric (300 rows in blocks of 130, 130 and 40).
+    # 16-row products changed the gradient's bits here.
     code = (
         "import hashlib, math, numpy as np\n"
         "from fedsgm.tasks import _logreg_task\n"
         "rng = np.random.default_rng(3)\n"
-        "n, d = 1003, 1000\n"
+        "n, d = 1303, 1003\n"
         "X = rng.standard_normal((n, d)) / math.sqrt(d)\n"
         "y = np.where(rng.random(n) < 0.5, -1.0, 1.0)\n"
-        "task = _logreg_task(X, y, X[:10], y[:10])\n"
-        "g = task.grad(0.5 * rng.standard_normal(d))\n"
-        "G = task.grad(0.5 * rng.standard_normal((3, d)))\n"
-        "print(hashlib.sha256(g.tobytes() + G.tobytes()).hexdigest())\n"
+        "task = _logreg_task(X[:1003], y[:1003], X[1003:], y[1003:])\n"
+        "out = []\n"
+        "for theta in (0.5 * rng.standard_normal(d), 0.5 * rng.standard_normal((16, d))):\n"
+        "    out += [task.grad(theta), task.loss(theta), task.test_metric(theta)]\n"
+        "print(hashlib.sha256(b''.join(np.asarray(v).tobytes() for v in out)).hexdigest())\n"
     )
     digests = []
     for threads in ("1", "2"):
