@@ -83,8 +83,9 @@ _KEY_CHUNK = 256  # rounds keyed per pass: the key arrays stay small for any num
 # every sketch ahead on the one worker cost 2000-round fed_small (b*d = 1024,
 # setup included, 2 vCPUs) 8-12% of its rounds/s (median 2849 -> 2607 and
 # 1896 -> 1601 in two series of alternating runs, slower in 26 of 32 pairs).
-# fed_dense (b*d = 1e6) draws a sketch in 21 ms of a 50-ms round, which the
-# worker hides only while a second core is free.
+# fed_dense (b*d = 1e6) draws a sketch in 18 ms of a 42-ms round (one BLAS
+# thread, median of 10 seeds), which the worker hides only while a second
+# core is free.
 _AHEAD_MIN_ENTRIES = 2**16
 
 _OPTIMIZERS = ("gd", "amsgrad", "adam")

@@ -33,9 +33,9 @@ _HESSIAN_DIM_LIMIT = 500
 _ROW_BLOCK_BYTES = 1 << 20
 # Every full-data product takes this many iterates: a stack is padded with
 # zero rows to a multiple of it, so a row's bits do not depend on the length
-# of its stack.  In OpenBLAS 0.3.31 (Haswell kernels) they did: a row of a
-# GEMM rounded one way in a call of 2-3 rows, another in 4-18 rows and a third
-# past about 3e5 multiply-adds, and numpy runs a one-row product as a GEMV.
+# of its stack.  In OpenBLAS 0.3.31 (Haswell kernels) they did: at fed_dense's
+# block shape a margin row rounded one way in a call of 2-3 rows, another in
+# 4-18 rows and a third from 19, and numpy runs a one-row product as a GEMV.
 # 4-row products gave the same bits at one and two BLAS threads over a sweep
 # of 16 widths d with 5 block lengths each; 16-row ones did not at 19 of those
 # shapes.  2-row products cost 1.5x as much per iterate (fed_dense shape).
@@ -290,6 +290,8 @@ def _logreg_task(X: np.ndarray, y: np.ndarray, X_test: np.ndarray, y_test: np.nd
     def padded(theta):
         """theta's rows and zero rows, _PRODUCT_ROWS per product."""
         stack = np.atleast_2d(theta)
+        if len(stack) % _PRODUCT_ROWS == 0:
+            return np.ascontiguousarray(stack, dtype=np.float64)
         out = np.zeros((-(-len(stack) // _PRODUCT_ROWS) * _PRODUCT_ROWS, d))
         out[: len(stack)] = stack
         return out

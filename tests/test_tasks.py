@@ -494,8 +494,8 @@ def test_logreg_stack_rows_keep_each_iterates_bits(monkeypatch, n, d, rows):
 # (n, d, rows per block, window): 40-row blocks with ragged tails in X and
 # X_test, three 256-column pieces and a window of 16 set by monkeypatching;
 # and configs/logreg.json's shape, one block of 2000 rows and the default
-# window of 211, where a single product of the whole stack rounded its rows
-# one way up to 7 rows and another from 8
+# window of 211, where one gradient product of the whole stack rounded its
+# rows one way up to 25 rows and another from 26
 WINDOW_SHAPES = [(203, 600, 40, 16), (2000, 20, None, None)]
 
 
