@@ -418,7 +418,7 @@ def test_logreg_block_pass_keeps_margin_and_loss_bits(monkeypatch, n, d, rows):
     assert np.array_equal(_full_margin(task, theta), ref_margins)
     assert task.loss(theta) == ref_loss
     assert np.array_equal(g, ref_grad)
-    plain_loss, plain_grad, plain_hess = _uncached_loss_grad_hessian(X, y, theta)
+    _, plain_grad, plain_hess = _uncached_loss_grad_hessian(X, y, theta)
     np.testing.assert_allclose(g, plain_grad, rtol=1e-12, atol=0.0)
     if d <= 500:
         assert np.array_equal(task.hessian(theta), ref_hess)
@@ -491,8 +491,8 @@ def test_logreg_stack_rows_keep_each_iterates_bits(monkeypatch, n, d, rows):
     assert task.grad(stack[:1]).tobytes() == g[:1].tobytes()  # a stack of one
 
 
-# (n, d, rows per block, window): 40-row blocks with ragged tails in X and
-# X_test, three 256-column pieces and a window of 16 set by monkeypatching;
+# (n, d, rows per block, window): five 40-row blocks and a 3-row tail in X,
+# three 256-column pieces and a window of 16 set by monkeypatching;
 # and configs/logreg.json's shape, one block of 2000 rows and the default
 # window of 211, where one gradient product of the whole stack rounded its
 # rows one way up to 25 rows and another from 26
