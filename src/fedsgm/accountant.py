@@ -42,8 +42,9 @@ from .mechanism import sensitivity_ratio
 # large; short-circuit to inf instead of overflowing exp().
 _EPS_OVERFLOW = 700.0
 
-# Both calibrations bisect until the bracket on sigma is narrower than this
-# share of its upper end, which they return.
+# Both calibrations return the upper end of a bisection's bracket on sigma once
+# it is narrower than this share of that end; `_solve_sigma` narrows its own
+# bracket to the same share before it replays the bisection.
 CALIBRATION_REL_TOL = 1e-4
 
 
@@ -292,24 +293,83 @@ def sgm_epsilon(params: AccountantParams, delta: float) -> float:
 def _solve_sigma(target: DpPoint, eps_at, lo: float, hi: float, cap: float, too_high) -> float:
     """Smallest sigma with eps_at(sigma) <= the target epsilon, to CALIBRATION_REL_TOL.
 
-    eps_at must be non-increasing in sigma and lo infeasible.  hi doubles
-    until it is feasible, raising CalibrationError(too_high(hi)) once it
-    passes cap; then [lo, hi] is halved until it is narrower than
-    CALIBRATION_REL_TOL * hi, and the feasible end hi is returned.
+    The answer is a bisection's: hi doubles until it is feasible, raising
+    CalibrationError(too_high(hi)) once it passes cap; then [lo, hi] is halved
+    until it is narrower than CALIBRATION_REL_TOL * hi, and the feasible end
+    hi is returned.  The solve reaches the same float with fewer evaluations:
+
+      1. the doubling keeps L, the largest sigma known to be infeasible (lo,
+         then each hi that fails), and U, the smallest known to be feasible;
+      2. Illinois steps (regula falsi on log eps against log sigma, Dowell and
+         Jarratt 1971) narrow [L, U] to the tolerance, with a midpoint in
+         log sigma wherever an end's log eps is not finite, and in no more
+         steps than the bisection could take;
+      3. the bisection is replayed from the same (lo, hi): a mid >= U is
+         feasible and a mid <= L infeasible without an evaluation, and any
+         other mid is evaluated and tightens L or U.
+
+    eps_at must be non-increasing in sigma, which the bisection assumes too;
+    then every replayed decision, and so the result, is the bisection's.  lo
+    must be infeasible.  Where no evaluation was infeasible the result rests
+    on that alone, so lo is evaluated once, and a feasible lo raises
+    CalibrationError.
     """
     target_eps = target.epsilon
     if not 0.0 < target_eps < math.inf:  # also rejects NaN
         raise CalibrationError(f"target epsilon must be positive and finite, got {target_eps}")
-    while not eps_at(hi) <= target_eps:
+    log_target = math.log(target_eps)
+
+    def excess(eps):  # log(eps / target); nan where log eps is not finite
+        return math.log(eps) - log_target if 0.0 < eps < math.inf else math.nan
+
+    start, L, f_L = lo, lo, math.nan  # lo is not evaluated
+    while not (eps := eps_at(hi)) <= target_eps:
+        L, f_L = hi, excess(eps)
         hi *= 2.0
         if hi > cap:
             raise CalibrationError(too_high(hi))
+    U, f_U = hi, excess(eps)
+
+    # the bisection's bracket halves and its hi stays above lo, so it has
+    # stopped by the time its width is down to CALIBRATION_REL_TOL * lo
+    width, kept = hi - lo, None  # kept: the end that the last step left in place
+    while U - L > CALIBRATION_REL_TOL * U and width > CALIBRATION_REL_TOL * lo:
+        width *= 0.5
+        log_L, log_U = math.log(L), math.log(U)
+        if f_U < f_L:  # both finite: f_L >= 0 >= f_U, not both 0
+            x = (log_L * f_U - log_U * f_L) / (f_U - f_L)
+        else:
+            x = 0.5 * log_L + 0.5 * log_U
+        sigma = math.exp(x)
+        if not L < sigma < U:
+            sigma = 0.5 * L + 0.5 * U
+        eps = eps_at(sigma)
+        if eps <= target_eps:
+            U, f_U = sigma, excess(eps)
+            if kept == "L":
+                f_L *= 0.5
+            kept = "L"
+        else:
+            L, f_L = sigma, excess(eps)
+            if kept == "U":
+                f_U *= 0.5
+            kept = "U"
+
     while (hi - lo) > CALIBRATION_REL_TOL * hi:
         mid = 0.5 * lo + 0.5 * hi  # the bits of 0.5 * (lo + hi) on normal floats; lo + hi may overflow
-        if eps_at(mid) <= target_eps:
+        if mid >= U:
             hi = mid
-        else:
+        elif mid <= L:
             lo = mid
+        elif eps_at(mid) <= target_eps:
+            hi = U = mid
+        else:
+            lo = L = mid
+    if L == start and eps_at(start) <= target_eps:
+        raise CalibrationError(
+            f"target eps={target_eps} is already met at sigma = {start:.3g}, the lower end "
+            f"of the searched range [{start:.3g}, {cap:.3g}]"
+        )
     return hi
 
 
@@ -323,11 +383,12 @@ def calibrate_sgm_sigma(
     """Smallest sigma_g whose end-to-end budget meets the target guarantee.
 
     sgm_epsilon is continuous and strictly decreasing in sigma_g on the valid
-    regime (sqrt(2/b) tau, inf), diverging at the left end and vanishing at
-    the right, so bisection against the regime floor converges to the unique
-    crossing.  The returned sigma satisfies sgm_epsilon(sigma) <= target
-    epsilon and the regime constraint strictly.  tau = inf violates the
-    regime at every sigma_g, and a sigma_g past the largest float is infeasible.
+    regime (sqrt(2/b) tau, inf) and vanishes at the right end; at the regime
+    floor sqrt(2/b) tau itself r = 1, so the floor is infeasible however r
+    rounds there.  `_solve_sigma` therefore returns the bisection's sigma
+    above the floor, which satisfies sgm_epsilon(sigma) <= target epsilon and
+    the regime constraint strictly.  tau = inf violates the regime at every
+    sigma_g, and a sigma_g past the largest float is infeasible.
     """
     # sigma_g is what the solve sets; the placeholder only passes the check
     params = AccountantParams(q=q, T=T, tau=tau, b=b, sigma_g=math.inf)
@@ -336,14 +397,17 @@ def calibrate_sgm_sigma(
             "2*tau^2/(b*sigma_g^2) = inf >= 1 at tau = inf for every sigma_g; "
             "accounting regime violated"
         )
+    floor = math.sqrt(2.0 / b) * tau
 
     def eps_at(sigma: float) -> float:
+        at = replace(params, sigma_g=sigma)  # refuses sigma_g <= 0
+        if sigma <= floor:  # r >= 1, though r may round below 1 at the floor
+            return math.inf
         try:
-            return sgm_epsilon(replace(params, sigma_g=sigma), target.delta)
+            return sgm_epsilon(at, target.delta)
         except ParameterRegimeError:
             return math.inf
 
-    floor = math.sqrt(2.0 / b) * tau  # infeasible by construction (regime boundary)
     return _solve_sigma(
         target, eps_at, lo=floor, hi=2.0 * floor,
         cap=min(2.0 * floor * 2.0**199, sys.float_info.max),  # sigma_g stays a finite float
