@@ -336,7 +336,7 @@ def _solve_sigma(target: DpPoint, eps_at, lo: float, hi: float, cap: float, too_
     while U - L > CALIBRATION_REL_TOL * U and width > CALIBRATION_REL_TOL * lo:
         width *= 0.5
         log_L, log_U = math.log(L), math.log(U)
-        if f_U < f_L:  # both finite: f_L >= 0 >= f_U, not both 0
+        if f_U < f_L:  # f_L >= 0 >= f_U; false at a nan end and where both are 0
             x = (log_L * f_U - log_U * f_L) / (f_U - f_L)
         else:
             x = 0.5 * log_L + 0.5 * log_U

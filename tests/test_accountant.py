@@ -12,6 +12,7 @@ import sys
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from scipy import integrate, stats
 from scipy.special import gammaln, logsumexp
 
+from fedsgm import accountant
 from fedsgm.accountant import (
     _ALPHA_MINUS_K,
     _ALPHAS,
@@ -26,6 +28,7 @@ from fedsgm.accountant import (
     _LOG_BINOM,
     _ROW_START,
     _q_table,
+    CALIBRATION_REL_TOL,
     AccountantParams,
     DpPoint,
     baseline_gm_epsilon,
@@ -614,6 +617,130 @@ def test_calibration_rejects_an_infinite_target(solve):
 
 
 # ---------------------------------------------------------------------------
+# the sigma solver against the plain double-then-bisect loop
+
+
+def _bisect_sigma(target, eps_at, lo, hi, cap, too_high):
+    """Reference solver: double hi until it is feasible, then bisect [lo, hi],
+    evaluating every mid; `_solve_sigma` must return its float."""
+    target_eps = target.epsilon
+    if not 0.0 < target_eps < math.inf:
+        raise CalibrationError(f"target epsilon must be positive and finite, got {target_eps}")
+    while not eps_at(hi) <= target_eps:
+        hi *= 2.0
+        if hi > cap:
+            raise CalibrationError(too_high(hi))
+    while (hi - lo) > CALIBRATION_REL_TOL * hi:
+        mid = 0.5 * lo + 0.5 * hi
+        if eps_at(mid) <= target_eps:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+_SOLVE_SIGMA = accountant._solve_sigma
+
+
+def _solve_counted(solver, calibrate, *args):
+    """calibrate(*args) with `solver` in place of `_solve_sigma`.
+
+    Returns the sigma (or the raised error's type and message), the number of
+    eps_at calls, and whether every call met the target.
+    """
+    met = []
+
+    def counted_solver(target, eps_at, **bracket):
+        def counted(sigma):
+            eps = eps_at(sigma)
+            met.append(eps <= target.epsilon)
+            return eps
+
+        return solver(target, counted, **bracket)
+
+    with mock.patch.object(accountant, "_solve_sigma", counted_solver):
+        try:
+            result = calibrate(*args)
+        except (CalibrationError, ConfigurationError, ParameterRegimeError) as exc:
+            result = (type(exc), str(exc))
+    return result, len(met), all(met)
+
+
+def _assert_bisections_sigma(calibrate, *args):
+    """The solver returns the reference's float or error, in no more
+    evaluations; where every reference evaluation met the target, its answer
+    rested on the unevaluated lower end, which the solver evaluates once."""
+    got, evals, _ = _solve_counted(_SOLVE_SIGMA, calibrate, *args)
+    want, ref_evals, ref_all_met = _solve_counted(_bisect_sigma, calibrate, *args)
+    assert got == want
+    assert evals <= ref_evals + ref_all_met
+
+
+# perfbench's calib workload, (eps, q, T, b) at delta = 1e-5 and tau = 1
+CALIB_POINTS = (
+    [(eps, 4 / 625, 500, 400_000) for eps in (2.75, 1.60, 0.42, 0.18)]
+    + [(1.60, 4 / 625, 500, b) for b in (4_000, 40_000, 400_000, 4_000_000)]
+    + [(4.0, 4 / 16, 100, 16), (8.0, 8 / 64, 300, 50)]
+)
+# the vision and language gates of test_acceptance.py, (eps, T, b) at q = 4/625
+GATE_POINTS = (
+    [(eps, 500, 400_000) for eps in (2.75, 1.60, 0.42, 0.18)]
+    + [(eps, 200, 200_000) for eps in (2.45, 1.44, 0.35, 0.12)]
+)
+_EXPLICIT_SOLVES = {
+    **{f"sgm-{eps}-{q:.4g}-{T}-{b}": (calibrate_sgm_sigma, (DpPoint(eps, 1e-5), q, T, 1.0, b))
+       for eps, q, T, b in CALIB_POINTS},
+    **{f"baseline-{eps}-{q:.4g}-{T}": (calibrate_baseline_sigma, (DpPoint(eps, 1e-5), q, T))
+       for eps, q, T, _ in CALIB_POINTS},
+    **{f"sgm-{eps}-{4 / 625:.4g}-{T}-{b}": (calibrate_sgm_sigma, (DpPoint(eps, 1e-5), 4 / 625, T, 1.0, b))
+       for eps, T, b in GATE_POINTS},
+}
+
+
+@pytest.mark.parametrize("calibrate, args", list(_EXPLICIT_SOLVES.values()), ids=list(_EXPLICIT_SOLVES))
+def test_solver_keeps_the_bisections_sigma_at_the_calib_and_gate_points(calibrate, args):
+    _assert_bisections_sigma(calibrate, *args)
+
+
+def _log_uniform(lo_exp, hi_exp):
+    return st.floats(min_value=lo_exp, max_value=hi_exp).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    eps=_log_uniform(-3, 3),
+    delta=_log_uniform(-12, -1),
+    q=st.one_of(st.just(1.0), _log_uniform(-4, 0)),
+    T=st.integers(min_value=1, max_value=10_000),
+    tau=_log_uniform(-3, 3),
+    b=st.integers(min_value=1, max_value=10_000_000),
+)
+@example(eps=5.111509258230097, delta=2.703459223918948e-05, q=0.010206779454343284, T=8,
+         tau=1.2808816467495892, b=1)  # r rounds below 1 at the floor, where eps is finite and low
+@example(eps=0.985, delta=0.019360462541643805, q=0.000304229182303971, T=348, tau=1.0, b=16)
+def test_solver_returns_the_bisections_sigma(eps, delta, q, T, tau, b):
+    target = DpPoint(eps, delta)
+    _assert_bisections_sigma(calibrate_sgm_sigma, target, q, T, tau, b)
+    if baseline_gm_epsilon(1e-3, q, T, delta) > eps:  # the baseline's lower end is infeasible
+        # the same float; the count is not bounded here: the baseline's eps is a
+        # minimum over integer orders, and at q below about 5e-3 it falls in
+        # near-flat steps, on which regula falsi creeps
+        got, _, _ = _solve_counted(_SOLVE_SIGMA, calibrate_baseline_sigma, target, q, T)
+        assert got == _solve_counted(_bisect_sigma, calibrate_baseline_sigma, target, q, T)[0]
+
+
+def test_solver_evaluations_at_the_calib_points():
+    # the bisection took 19.5 sketched and 16.8 baseline evaluations per solve
+    sgm, baseline = [], []
+    for eps, q, T, b in CALIB_POINTS:
+        target = DpPoint(eps, 1e-5)
+        sgm.append(_solve_counted(_SOLVE_SIGMA, calibrate_sgm_sigma, target, q, T, 1.0, b)[1])
+        baseline.append(_solve_counted(_SOLVE_SIGMA, calibrate_baseline_sigma, target, q, T)[1])
+    assert max(sgm) <= 13 and max(baseline) <= 9
+    assert sum(sgm) <= 12 * len(CALIB_POINTS) and sum(baseline) <= 7 * len(CALIB_POINTS)
+
+
+# ---------------------------------------------------------------------------
 # baseline subsampled-Gaussian accountant
 
 
@@ -812,6 +939,16 @@ def test_baseline_calibration_below_the_conversion_floor():
     # eps = 1e-6 sits far below log(1/delta)/255, which no noise level reaches
     with pytest.raises(CalibrationError, match="below the integer-order conversion floor"):
         calibrate_baseline_sigma(DpPoint(1e-6, 1e-5), q=Q_VISION, T=T_VISION)
+
+
+@pytest.mark.parametrize("eps, q, T", [(2e6, 1.0, 1), (2e8, 0.25, 100)])
+def test_baseline_calibration_refuses_a_target_met_at_its_lower_end(eps, q, T):
+    # the baseline meets eps at its lower end sigma = 1e-3 and below it; the
+    # solve used to return about 1.00006e-3 as the smallest sigma
+    assert baseline_gm_epsilon(7.1e-4, q, T, 1e-5) <= eps
+    message = rf"met at sigma = 0\.001, the lower end of the searched range \[0\.001, 1e\+09\]"
+    with pytest.raises(CalibrationError, match=message):
+        calibrate_baseline_sigma(DpPoint(eps, 1e-5), q=q, T=T)
 
 
 @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan])

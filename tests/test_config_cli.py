@@ -328,6 +328,18 @@ def test_cli_calibrate_huge_tau(capsys):
     assert err.startswith("infeasible: no sigma_g up to inf meets eps=4.0")
 
 
+def test_cli_calibrate_target_met_below_the_baseline_range_exits_2(capsys):
+    # the baseline already meets eps = 2e6 at its lower end sigma = 1e-3; it
+    # used to print 1.00006e-3 as the baseline noise, which is not the smallest
+    rc = main(["calibrate", "--eps", "2e6", "--delta", "1e-5", "--q", "1", "--T", "1",
+               "--tau", "1", "--b", "10", "--json"])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert out == ""
+    assert err == ("infeasible: target eps=2000000.0 is already met at sigma = 0.001, "
+                   "the lower end of the searched range [0.001, 1e+09]\n")
+
+
 @pytest.mark.parametrize("b", ["0", "-5"])
 def test_cli_calibrate_bad_sketch_dim_exits_1(capsys, b):
     rc = main(["calibrate", "--eps", "1", "--delta", "1e-5", "--q", "0.1", "--T", "10",

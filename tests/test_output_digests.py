@@ -1,9 +1,9 @@
-"""Recorded output bytes of the shipped configs.
+"""Recorded output bytes of the shipped configs and of a shrunken fed_dense.
 
-`fed-sgm simulate` runs configs/quadratic.json and configs/logreg.json in a
-subprocess at one BLAS thread, and the SHA-256 of each CSV, and of each
-manifest with its output directory written as "<out>", must equal the
-digests stored here.  A change that moves output bytes on purpose updates the
+`fed-sgm simulate` runs configs/quadratic.json, configs/logreg.json and
+LOGREG_AHEAD in a subprocess at one BLAS thread, and the SHA-256 of each CSV,
+and of each manifest with its output directory written as "<out>", must equal
+the digests stored here.  A change that moves output bytes on purpose updates the
 digests, and CHANGES.md gives the old digest, the new digest and the reason.
 
 The bits of a BLAS product depend on the kernels the library picks for the
@@ -20,8 +20,25 @@ import subprocess
 import sys
 from pathlib import Path
 
+from fedsgm.config import build_fed_config, build_task, validate_config
+from fedsgm.fedsim import _draws_ahead
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
-CONFIGS = ("quadratic", "logreg")
+CONFIGS = ("quadratic", "logreg", "logreg_ahead")
+
+# fed_dense shrunk to under a second: a window of 45 iterates and a kept
+# 128 x 512 sketch of 2^16 entries, so that its sketches are drawn one round
+# ahead and its full-data passes take stacks of iterates.
+LOGREG_AHEAD = {
+    "task": {"kind": "logreg", "n": 8000, "d": 512, "seed": 3, "partition": "iid"},
+    "federation": {"clients": 40, "clients_per_round": 8, "local_steps": 2, "rounds": 60,
+                   "eta_local": 0.5, "eta_global": 0.05, "batch_size": 20, "master_seed": 3},
+    "mechanism": {"tau": 1.0, "sigma_g": 0.5, "noise_seed": 3},
+    "sketch": {"mode": "gaussian", "b": 128},
+    "optimizer": {"kind": "amsgrad"},
+    "accountant": {"delta": 1e-5},
+    "output": {"prefix": "logreg_ahead"},
+}
 
 # fingerprint -> config -> (CSV sha256, normalized manifest sha256)
 DIGESTS = {
@@ -30,11 +47,13 @@ DIGESTS = {
                       "196b7c43640d06b98618a18f315fbc82d0caaf69d5b48f06a0007abe568fbefe"),
         "logreg": ("bd0486fd541ac0efffeff72f2f2e43d452f102041dc691ebae55e927db9658ac",
                    "da91dc17510e40ae5a0e92b459e3efa54aa4893898782a69b581c190ae0b26e6"),
+        "logreg_ahead": ("8dcc9422d11d352bffe106ff783e6f76d5fb5e2cf19e60ae090255f816642a4d",
+                         "bb1da35881d20d42e9e71d80b159a09d0e5671a3c2bd4790973e69d736e88f0d"),
     },
 }
 
-# Prints the fingerprint on its first line, then runs each config through the
-# CLI into argv[1]/<config>.
+# Prints the fingerprint on its first line, then runs each config file through
+# the CLI into argv[1]/<file name without .json>.
 RUN = """
 import hashlib, sys
 import numpy as np
@@ -45,8 +64,9 @@ A, B = rng.standard_normal((67, 300)), rng.standard_normal((300, 19))
 products = (A @ B[:, 0], B[:, 0] @ A.T, A @ B, A[:2] @ B, A[:, :256] @ A[:16, :256].T)
 blas = hashlib.sha256(b"".join(p.tobytes() for p in products)).hexdigest()[:16]
 print(f"numpy {np.__version__}, blas {blas}", flush=True)
-for name in sys.argv[2:]:
-    rc = main(["simulate", f"configs/{name}.json", "--out-dir", f"{sys.argv[1]}/{name}"])
+for path in sys.argv[2:]:
+    name = path.rsplit("/", 1)[-1].removesuffix(".json")
+    rc = main(["simulate", path, "--out-dir", f"{sys.argv[1]}/{name}"])
     assert rc == 0, (name, rc)
 """
 
@@ -59,10 +79,20 @@ def _digests(out_dir, name):
     return hashlib.sha256(csv).hexdigest(), hashlib.sha256(manifest).hexdigest()
 
 
+def test_logreg_ahead_takes_the_window_and_draw_ahead_paths():
+    cfg = validate_config(LOGREG_AHEAD)
+    task, _ = build_task(cfg)
+    assert task.eval_window == 45
+    assert _draws_ahead(build_fed_config(cfg), task.d)
+
+
 def test_shipped_configs_write_the_recorded_bytes(tmp_path):
     threads = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
     env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src"), **threads}
-    proc = subprocess.run([sys.executable, "-c", RUN, str(tmp_path), *CONFIGS], cwd=REPO_ROOT,
+    ahead = tmp_path / "logreg_ahead.json"
+    ahead.write_text(json.dumps(LOGREG_AHEAD))
+    paths = ["configs/quadratic.json", "configs/logreg.json", str(ahead)]
+    proc = subprocess.run([sys.executable, "-c", RUN, str(tmp_path), *paths], cwd=REPO_ROOT,
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     fingerprint = proc.stdout.splitlines()[0]
