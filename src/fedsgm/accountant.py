@@ -19,6 +19,9 @@ delta0 = delta/(2 q T), delta' = delta/2, so the reported guarantee is exactly
 A non-sketched baseline (`baseline_gm_epsilon`) sums the subsampled Gaussian's
 integer-order RDP over a packed (alpha, k <= alpha) table, for noise comparisons;
 the sigma-free part of that table is built once per q and kept for the next call.
+It sums only the orders that can still hold the minimum: one term of each
+other order bounds that order's epsilon from below, so the result is the
+float of the whole table.
 """
 
 from __future__ import annotations
@@ -296,7 +299,8 @@ def _solve_sigma(target: DpPoint, eps_at, lo: float, hi: float, cap: float, too_
     The answer is a bisection's: hi doubles until it is feasible, raising
     CalibrationError(too_high(hi)) once it passes cap; then [lo, hi] is halved
     until it is narrower than CALIBRATION_REL_TOL * hi, and the feasible end
-    hi is returned.  The solve reaches the same float with fewer evaluations:
+    hi is returned.  The solve reaches the same float, and at the calibration
+    tables' points in about half the evaluations:
 
       1. the doubling keeps L, the largest sigma known to be infeasible (lo,
          then each hi that fails), and U, the smallest known to be feasible;
@@ -313,6 +317,11 @@ def _solve_sigma(target: DpPoint, eps_at, lo: float, hi: float, cap: float, too_
     must be infeasible.  Where no evaluation was infeasible the result rests
     on that alone, so lo is evaluated once, and a feasible lo raises
     CalibrationError.
+
+    The count of evaluations is not bounded by the bisection's.  Where eps
+    is a staircase of flat steps, as the baseline's minimum over integer
+    orders is at q below about 5e-3, regula falsi can creep along a step,
+    and the solve can take a few more evaluations than the bisection would.
     """
     target_eps = target.epsilon
     if not 0.0 < target_eps < math.inf:  # also rejects NaN
@@ -430,6 +439,11 @@ _ALPHA_MINUS_K = np.repeat(_ALPHAS, _ROW_SIZE) - _K
 _LOG_FACT = np.array([math.lgamma(n + 1.0) for n in range(257)])
 _LOG_BINOM = np.concatenate([_LOG_FACT[a] - _LOG_FACT[: a + 1] - _LOG_FACT[a::-1] for a in range(2, 257)])
 _K_SQ_MINUS_K = _K * _K - _K
+# Row i's k = alpha entry, whose term bounds the row's epsilon from below.
+_TOP = _ROW_START + _ROW_SIZE - 1
+# Rows evaluated before any is skipped, alpha = 2..32 (558 entries). This sets
+# only how much work a call does; the result is the same float at any value.
+_FIRST_PASS_ROWS = 31
 
 
 @functools.lru_cache(maxsize=1)
@@ -444,6 +458,28 @@ def _q_table(q: float) -> np.ndarray:
     return table
 
 
+def _rows_epsilon(table, two_s2, T, log_inv_delta, first, stop) -> float:
+    """The smallest epsilon of the packed rows first..stop-1 (orders first+2..stop+1).
+
+    The rows are evaluated on one contiguous slice of the packed arrays, and a
+    row's bits do not depend on the slice it is in.  Called under the caller's
+    np.errstate.
+    """
+    start, end = _ROW_START[first], _TOP[stop - 1] + 1
+    offsets = _ROW_START[first:stop] - start
+    terms = _K_SQ_MINUS_K[start:end] / two_s2
+    terms += table[start:end]  # the same bits as table + noise: addition commutes
+    peak = np.maximum.reduceat(terms, offsets)
+    terms -= np.repeat(peak, _ROW_SIZE[first:stop])
+    # exp is slow on subnormals; terms under e^-700 of the peak vanish in the sum
+    np.exp(np.maximum(terms, -700.0, out=terms), out=terms)
+    alpha_m1 = _ALPHAS[first:stop] - 1.0
+    rdp = (peak + np.log(np.add.reduceat(terms, offsets))) / alpha_m1
+    # a term that overflows (sigma^2 near underflow) leaves inf - inf = nan
+    rdp[np.isnan(rdp)] = np.inf
+    return float(np.min(T * rdp + log_inv_delta / alpha_m1))
+
+
 def baseline_gm_epsilon(sigma: float, q: float, T: int, delta: float) -> float:
     """Total epsilon of T rounds of the (non-sketched) subsampled Gaussian.
 
@@ -454,10 +490,23 @@ def baseline_gm_epsilon(sigma: float, q: float, T: int, delta: float) -> float:
       RDP(alpha) = log( sum_{k=0}^{alpha} C(alpha,k) (1-q)^(alpha-k) q^k
                         * exp((k^2 - k) / (2 sigma^2)) ) / (alpha - 1);
 
-    all integer orders 2..256 are evaluated at once in log space over the
-    packed (alpha, k <= alpha) table, whose sigma-free part comes from the
-    one-q cache `_q_table`; the T-round composition is converted to
-    (eps, delta)-DP at the best order, inf where a noise term overflows.
+    the T-round composition is converted to (eps, delta)-DP at the best
+    integer order 2..256, inf where a noise term overflows.  The sums run in
+    log space over slices of the packed (alpha, k <= alpha) table, whose
+    sigma-free part comes from the one-q cache `_q_table`.
+
+    At q < 1 the orders 2..32 are evaluated first, then the later orders
+    from 33 up to the last one whose lower bound is below the smallest eps
+    so far.  The bound is the order's eps with peak + log S, its largest log
+    term plus the log of its sum S of exp(term - peak), replaced by its
+    k = alpha term.  That term has the same bits as in the table, so it is
+    at most the peak, and S >= 1, since the peak's own exp(0) = 1 is in it;
+    rounding is monotone and a nan eps counts as inf, so a skipped order's
+    computed eps is at least its bound and cannot be the minimum.  An
+    order's bits do not depend on the slice it is evaluated in, so the
+    result is the float of the whole table.  At the calibration tables'
+    solved sigma few orders past 32 are evaluated; where none can be skipped
+    (T = 1 and a large delta, say) a call costs about one whole pass.
     """
     if not sigma > 0.0:  # also rejects NaN
         raise ConfigurationError(f"sigma must be positive, got {sigma}")
@@ -467,21 +516,25 @@ def baseline_gm_epsilon(sigma: float, q: float, T: int, delta: float) -> float:
         raise ConfigurationError(f"T must be >= 1, got {T}")
     if not 0.0 < delta < 1.0:
         raise ConfigurationError(f"delta must be in (0,1), got {delta}")
+    two_s2 = 2.0 * sigma * sigma
+    log_inv_delta = math.log(1.0 / delta)
     # an overflowing noise term is inf (see the nan rule), and so is T * rdp past the float range
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         if q == 1.0:
-            rdp = _ALPHAS / (2.0 * sigma * sigma)  # only the k = alpha term survives
-        else:
-            terms = _K_SQ_MINUS_K / (2.0 * sigma * sigma)
-            terms += _q_table(q)  # the same bits as table + noise: addition commutes
-            peak = np.maximum.reduceat(terms, _ROW_START)
-            terms -= np.repeat(peak, _ROW_SIZE)
-            # exp is slow on subnormals; terms under e^-700 of the peak vanish in the sum
-            np.exp(np.maximum(terms, -700.0, out=terms), out=terms)
-            rdp = (peak + np.log(np.add.reduceat(terms, _ROW_START))) / (_ALPHAS - 1.0)
-            # a term that overflows (sigma^2 near underflow) leaves inf - inf = nan
-            rdp[np.isnan(rdp)] = np.inf
-        return float(np.min(T * rdp + math.log(1.0 / delta) / (_ALPHAS - 1.0)))
+            rdp = _ALPHAS / two_s2  # only the k = alpha term survives
+            return float(np.min(T * rdp + log_inv_delta / (_ALPHAS - 1.0)))
+        table = _q_table(q)
+        eps = _rows_epsilon(table, two_s2, T, log_inv_delta, 0, _FIRST_PASS_ROWS)
+        # each later row's epsilon with peak + log(sum) replaced by its k = alpha term,
+        # which is at most the peak, while the sum is at least the peak's own exp(0) = 1
+        top = _K_SQ_MINUS_K[_TOP[_FIRST_PASS_ROWS:]] / two_s2
+        top += table[_TOP[_FIRST_PASS_ROWS:]]
+        alpha_m1 = _ALPHAS[_FIRST_PASS_ROWS:] - 1.0
+        below = np.flatnonzero(T * (top / alpha_m1) + log_inv_delta / alpha_m1 < eps)
+        if below.size:
+            stop = _FIRST_PASS_ROWS + int(below[-1]) + 1
+            eps = min(eps, _rows_epsilon(table, two_s2, T, log_inv_delta, _FIRST_PASS_ROWS, stop))
+        return eps
 
 
 def calibrate_baseline_sigma(target: DpPoint, q: float, T: int) -> float:

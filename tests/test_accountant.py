@@ -5,6 +5,7 @@ implementation was written (closed-form evaluation in high precision, scipy
 quadrature, or a dense grid search) and then frozen.
 """
 
+import itertools
 import math
 import os
 import subprocess
@@ -786,8 +787,8 @@ def test_baseline_table_packs_each_pair_once():
     assert np.allclose(_LOG_BINOM, gammaln(alphas + 1) - gammaln(_K + 1) - gammaln(alphas - _K + 1))
 
 
-def _baseline_epsilon_uncached(sigma, q, T, delta):
-    """Reference: the packed evaluation with its q table rebuilt on every call."""
+def _baseline_rows_uncached(sigma, q, T, delta):
+    """Reference: every order's epsilon over the whole packed table, its q table rebuilt."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         if q == 1.0:
             rdp = _ALPHAS / (2.0 * sigma * sigma)
@@ -799,29 +800,113 @@ def _baseline_epsilon_uncached(sigma, q, T, delta):
             np.exp(np.maximum(terms, -700.0, out=terms), out=terms)
             rdp = (peak + np.log(np.add.reduceat(terms, _ROW_START))) / (_ALPHAS - 1.0)
             rdp[np.isnan(rdp)] = np.inf
-        return float(np.min(T * rdp + math.log(1.0 / delta) / (_ALPHAS - 1.0)))
+        return T * rdp + math.log(1.0 / delta) / (_ALPHAS - 1.0)
 
 
-_BASELINE_Q = st.one_of(st.just(1.0), st.floats(min_value=1e-5, max_value=1.0, exclude_min=True))
+def _baseline_epsilon_uncached(sigma, q, T, delta):
+    """Reference: the packed evaluation of every order, with no cache and no skipped row."""
+    return float(np.min(_baseline_rows_uncached(sigma, q, T, delta)))
 
 
-@settings(max_examples=30, deadline=None)
+_BASELINE_Q = st.one_of(
+    st.just(1.0), st.floats(min_value=1e-8, max_value=1.0, exclude_min=True), _log_uniform(-8.0, 0.0)
+)
+# the outer ranges overflow the noise term (sigma^2 near or under the float
+# floor) or send sigma^2 past the largest float
+_BASELINE_SIGMA = st.one_of(
+    _log_uniform(-2.0, 2.0),
+    st.floats(min_value=0.05, max_value=100.0),
+    st.floats(min_value=1e-200, max_value=1e-150),
+    st.floats(min_value=1e150, max_value=1e200),
+)
+
+
+@settings(max_examples=300, deadline=None)
 @given(
     q_pair=st.lists(_BASELINE_Q, min_size=2, max_size=2, unique=True),
-    # the second range overflows the noise term (sigma^2 near or under the float floor)
-    sigmas=st.lists(st.one_of(st.floats(min_value=0.05, max_value=100.0),
-                              st.floats(min_value=1e-200, max_value=1e-150)),
-                    min_size=2, max_size=6),
-    T=st.integers(min_value=1, max_value=10_000),
-    delta=st.floats(min_value=1e-12, max_value=1e-2),
+    sigmas=st.lists(_BASELINE_SIGMA, min_size=2, max_size=6),
+    T=st.integers(min_value=1, max_value=1_000_000),
+    delta=st.floats(min_value=1e-12, max_value=0.5),
 )
 @example(q_pair=[4 / 625, 0.25], sigmas=[1.0, 1e-160, 4.0, 1.0], T=500, delta=1e-5)
 @example(q_pair=[1.0, 0.5], sigmas=[1e-200, 1.0, 1e-153], T=10_000, delta=1e-5)
-def test_baseline_cached_table_keeps_every_bit(q_pair, sigmas, T, delta):
+# the calib points at their solved baseline sigma (test_baseline_calibration_pinned);
+# at eps = 0.18 the minimizing order, 126, lies past the first pass
+@example(q_pair=[4 / 625, 4 / 625], T=500, delta=1e-5,
+         sigmas=[0.8004926757812499, 1.0103217468261718, 2.015022735595703, 3.9995118408203125])
+@example(q_pair=[4 / 16, 4 / 16], sigmas=[3.4547261962890627], T=100, delta=1e-5)
+@example(q_pair=[8 / 64, 8 / 64], sigmas=[1.7198666992187497], T=300, delta=1e-5)
+# every row inf; and few rows skipped at T = 1, delta = 0.5
+@example(q_pair=[4 / 625, 0.01], sigmas=[1e-200, 1e-200], T=500, delta=1e-5)
+@example(q_pair=[0.01, 4 / 625], sigmas=[20.0, 20.0, 1e200], T=1, delta=0.5)
+def test_baseline_keeps_every_bit_of_the_full_table(q_pair, sigmas, T, delta):
     # consecutive calls alternate between two q, so a stale one-q table fails
     for i, sigma in enumerate(sigmas):
         q = q_pair[i % 2]
         assert baseline_gm_epsilon(sigma, q, T, delta) == _baseline_epsilon_uncached(sigma, q, T, delta)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    sigma=_BASELINE_SIGMA,
+    q=st.one_of(st.floats(min_value=1e-8, max_value=1.0, exclude_min=True, exclude_max=True),
+                _log_uniform(-8.0, -1e-9)),
+    T=st.integers(min_value=1, max_value=1_000_000),
+    delta=st.floats(min_value=1e-12, max_value=0.5),
+)
+@example(sigma=1e-200, q=0.5, T=1, delta=1e-5)
+@example(sigma=1e200, q=0.5, T=1, delta=1e-5)
+@example(sigma=3.9995118408203125, q=4 / 625, T=500, delta=1e-5)
+def test_baseline_row_epsilon_is_at_least_its_top_term_bound(sigma, q, T, delta):
+    # the rows that baseline_gm_epsilon skips rest on this inequality between
+    # floats, with peak + log(sum) replaced by the row's k = alpha term
+    rows = _baseline_rows_uncached(sigma, q, T, delta)
+    top_idx = _ROW_START + np.arange(2, 257)
+    with np.errstate(over="ignore", divide="ignore"):
+        top = (_K * _K - _K)[top_idx] / (2.0 * sigma * sigma)
+        top += (_LOG_BINOM + _K * math.log(q) + _ALPHA_MINUS_K * math.log1p(-q))[top_idx]
+        bound = T * (top / (_ALPHAS - 1.0)) + math.log(1.0 / delta) / (_ALPHAS - 1.0)
+    assert not np.isnan(rows).any() and not np.isnan(bound).any()
+    assert (rows >= bound).all()
+
+
+@pytest.mark.parametrize("first_pass_rows", [1, 255])
+def test_baseline_first_pass_size_changes_no_bit(monkeypatch, first_pass_rows):
+    grid = list(itertools.product(
+        [1e-200, 0.05, 0.3, 1.0, 3.9995118408203125, 20.0, 1e200],
+        [1e-8, 1e-4, 4 / 625, 0.25, 0.999, 1.0],
+        [1, 500, 1_000_000],
+        [1e-12, 1e-5, 0.5],
+    ))
+    expected = [baseline_gm_epsilon(*point) for point in grid]
+    monkeypatch.setattr(accountant, "_FIRST_PASS_ROWS", first_pass_rows)
+    assert [baseline_gm_epsilon(*point) for point in grid] == expected
+
+
+def test_baseline_skips_the_rows_that_cannot_hold_the_minimum():
+    # (first, stop) of each evaluated span of rows, and the entries it covers
+    spans = []
+    rows_epsilon = accountant._rows_epsilon
+
+    def recorded(table, two_s2, T, log_inv_delta, first, stop):
+        spans.append((first, stop))
+        return rows_epsilon(table, two_s2, T, log_inv_delta, first, stop)
+
+    def entries():
+        ends = np.append(_ROW_START, _K.size)
+        return sum(int(ends[stop] - ends[first]) for first, stop in spans)
+
+    with mock.patch.object(accountant, "_rows_epsilon", recorded):
+        # eps = 0.18 at its solved sigma: the minimizing order 126 is row 124
+        baseline_gm_epsilon(3.9995118408203125, 4 / 625, 500, 1e-5)
+        assert spans == [(0, 31), (31, 161)] and entries() == 13_363
+        assert np.argmin(_baseline_rows_uncached(3.9995118408203125, 4 / 625, 500, 1e-5)) == 124
+        spans.clear()
+        baseline_gm_epsilon(1.0103217468261718, 4 / 625, 500, 1e-5)  # eps = 1.6: order 10
+        assert spans == [(0, 31)] and entries() == 558
+        spans.clear()
+        baseline_gm_epsilon(20.0, 0.01, 1, 0.3)  # no row can be skipped
+        assert spans == [(0, 31), (31, 255)] and entries() == 33_150
 
 
 def test_baseline_q_table_is_shared_and_read_only():
