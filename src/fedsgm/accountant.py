@@ -442,7 +442,8 @@ _K_SQ_MINUS_K = _K * _K - _K
 # Row i's k = alpha entry, whose term bounds the row's epsilon from below.
 _TOP = _ROW_START + _ROW_SIZE - 1
 # Rows evaluated before any is skipped, alpha = 2..32 (558 entries). This sets
-# only how much work a call does; the result is the same float at any value.
+# only how much work a call does; the result is the same float at any value
+# from 1 to 255.
 _FIRST_PASS_ROWS = 31
 
 
@@ -525,8 +526,7 @@ def baseline_gm_epsilon(sigma: float, q: float, T: int, delta: float) -> float:
             return float(np.min(T * rdp + log_inv_delta / (_ALPHAS - 1.0)))
         table = _q_table(q)
         eps = _rows_epsilon(table, two_s2, T, log_inv_delta, 0, _FIRST_PASS_ROWS)
-        # each later row's epsilon with peak + log(sum) replaced by its k = alpha term,
-        # which is at most the peak, while the sum is at least the peak's own exp(0) = 1
+        # each later row's eps with peak + log S replaced by its k = alpha term: a lower bound
         top = _K_SQ_MINUS_K[_TOP[_FIRST_PASS_ROWS:]] / two_s2
         top += table[_TOP[_FIRST_PASS_ROWS:]]
         alpha_m1 = _ALPHAS[_FIRST_PASS_ROWS:] - 1.0

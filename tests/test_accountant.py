@@ -836,7 +836,7 @@ _BASELINE_SIGMA = st.one_of(
          sigmas=[0.8004926757812499, 1.0103217468261718, 2.015022735595703, 3.9995118408203125])
 @example(q_pair=[4 / 16, 4 / 16], sigmas=[3.4547261962890627], T=100, delta=1e-5)
 @example(q_pair=[8 / 64, 8 / 64], sigmas=[1.7198666992187497], T=300, delta=1e-5)
-# every row inf; and few rows skipped at T = 1, delta = 0.5
+# every row inf at sigma = 1e-200; no row skipped at sigma = 20, T = 1, delta = 0.5
 @example(q_pair=[4 / 625, 0.01], sigmas=[1e-200, 1e-200], T=500, delta=1e-5)
 @example(q_pair=[0.01, 4 / 625], sigmas=[20.0, 20.0, 1e200], T=1, delta=0.5)
 def test_baseline_keeps_every_bit_of_the_full_table(q_pair, sigmas, T, delta):
@@ -888,9 +888,9 @@ def test_baseline_skips_the_rows_that_cannot_hold_the_minimum():
     spans = []
     rows_epsilon = accountant._rows_epsilon
 
-    def recorded(table, two_s2, T, log_inv_delta, first, stop):
-        spans.append((first, stop))
-        return rows_epsilon(table, two_s2, T, log_inv_delta, first, stop)
+    def recorded(*args):  # (table, two_s2, T, log_inv_delta, first, stop)
+        spans.append(args[-2:])
+        return rows_epsilon(*args)
 
     def entries():
         ends = np.append(_ROW_START, _K.size)
