@@ -439,6 +439,7 @@ _ALPHA_MINUS_K = np.repeat(_ALPHAS, _ROW_SIZE) - _K
 _LOG_FACT = np.array([math.lgamma(n + 1.0) for n in range(257)])
 _LOG_BINOM = np.concatenate([_LOG_FACT[a] - _LOG_FACT[: a + 1] - _LOG_FACT[a::-1] for a in range(2, 257)])
 _K_SQ_MINUS_K = _K * _K - _K
+_ALPHA_M1 = _ALPHAS - 1.0
 # Row i's k = alpha entry, whose term bounds the row's epsilon from below.
 _TOP = _ROW_START + _ROW_SIZE - 1
 # Rows evaluated before any is skipped, alpha = 2..32 (558 entries). This sets
@@ -474,11 +475,11 @@ def _rows_epsilon(table, two_s2, T, log_inv_delta, first, stop) -> float:
     terms -= np.repeat(peak, _ROW_SIZE[first:stop])
     # exp is slow on subnormals; terms under e^-700 of the peak vanish in the sum
     np.exp(np.maximum(terms, -700.0, out=terms), out=terms)
-    alpha_m1 = _ALPHAS[first:stop] - 1.0
+    alpha_m1 = _ALPHA_M1[first:stop]
     rdp = (peak + np.log(np.add.reduceat(terms, offsets))) / alpha_m1
     # a term that overflows (sigma^2 near underflow) leaves inf - inf = nan
     rdp[np.isnan(rdp)] = np.inf
-    return float(np.min(T * rdp + log_inv_delta / alpha_m1))
+    return float((T * rdp + log_inv_delta / alpha_m1).min())
 
 
 def baseline_gm_epsilon(sigma: float, q: float, T: int, delta: float) -> float:
@@ -529,8 +530,8 @@ def baseline_gm_epsilon(sigma: float, q: float, T: int, delta: float) -> float:
         # each later row's eps with peak + log S replaced by its k = alpha term: a lower bound
         top = _K_SQ_MINUS_K[_TOP[_FIRST_PASS_ROWS:]] / two_s2
         top += table[_TOP[_FIRST_PASS_ROWS:]]
-        alpha_m1 = _ALPHAS[_FIRST_PASS_ROWS:] - 1.0
-        below = np.flatnonzero(T * (top / alpha_m1) + log_inv_delta / alpha_m1 < eps)
+        alpha_m1 = _ALPHA_M1[_FIRST_PASS_ROWS:]
+        below = (T * (top / alpha_m1) + log_inv_delta / alpha_m1 < eps).nonzero()[0]
         if below.size:
             stop = _FIRST_PASS_ROWS + int(below[-1]) + 1
             eps = min(eps, _rows_epsilon(table, two_s2, T, log_inv_delta, _FIRST_PASS_ROWS, stop))
