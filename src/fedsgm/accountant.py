@@ -508,7 +508,8 @@ def baseline_gm_epsilon(sigma: float, q: float, T: int, delta: float) -> float:
     order's bits do not depend on the slice it is evaluated in, so the
     result is the float of the whole table.  At the calibration tables'
     solved sigma few orders past 32 are evaluated; where none can be skipped
-    (T = 1 and a large delta, say) a call costs about one whole pass.
+    (T = 1 and a large delta, say) a call costs a whole pass and about a
+    fifth more.
     """
     if not sigma > 0.0:  # also rejects NaN
         raise ConfigurationError(f"sigma must be positive, got {sigma}")
@@ -524,7 +525,7 @@ def baseline_gm_epsilon(sigma: float, q: float, T: int, delta: float) -> float:
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         if q == 1.0:
             rdp = _ALPHAS / two_s2  # only the k = alpha term survives
-            return float(np.min(T * rdp + log_inv_delta / (_ALPHAS - 1.0)))
+            return float(np.min(T * rdp + log_inv_delta / _ALPHA_M1))
         table = _q_table(q)
         eps = _rows_epsilon(table, two_s2, T, log_inv_delta, 0, _FIRST_PASS_ROWS)
         # each later row's eps with peak + log S replaced by its k = alpha term: a lower bound
