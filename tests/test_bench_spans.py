@@ -86,6 +86,7 @@ def test_tracer_installs_and_sees_every_layer(tmp_path):
     assert calls["tasks.eval"] == 3 * -(-3 // window)
     assert calls["sketch.generate"] == calls["sketch.apply"] == calls["sketch.desketch"] == 3
     assert report["rows"] == 3 * 4  # a kept sketch is generated once per round
+    assert {name: s for name, s in report["self_s"].items() if s < 0} == {}
 
 
 def test_tracer_on_the_draw_ahead_path(tmp_path):
