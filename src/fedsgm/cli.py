@@ -4,11 +4,10 @@ Subcommands:
   calibrate   noise scale meeting an (eps, delta) target, with baseline comparison
   accountant  forward accounting: sigma -> per-stage (eps, delta) trace
   simulate    run a federated config; emit round CSV + JSON manifest
-  sweep       repeat simulate over an axis of config values with repetitions
   diagnose    curvature/gradient-noise report and predicted error-term magnitudes
 
-Exit codes: 0 success, 1 usage or config error, 2 infeasible privacy target or
-parameter-regime violation.
+Exit codes: 0 success, 1 usage or config error (an allocation failure
+included), 2 infeasible privacy target or parameter-regime violation.
 """
 
 from __future__ import annotations
@@ -40,11 +39,9 @@ from .errors import (
     ParameterRegimeError,
     ResourceLimitError,
 )
-from .fedsim import _atomic_write, run_federation, strict_json, write_manifest, write_round_csv
+from .fedsim import run_federation, strict_json, write_manifest, write_round_csv
 from .mechanism import sensitivity_ratio
 from .tasks import estimate_G_and_sigma_s, intrinsic_dimension
-
-SWEEP_SCHEMA = "# fed-sgm sweep csv v1"
 
 
 class _UsageError(Exception):
@@ -136,15 +133,8 @@ def cmd_accountant(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# simulate / sweep
+# simulate
 # ---------------------------------------------------------------------------
-
-
-def _run_one(cfg: dict):
-    task, partition = build_task(cfg)
-    fed_cfg = build_fed_config(cfg)
-    result = run_federation(fed_cfg, task, partition)
-    return task, fed_cfg, result
 
 
 def _manifest_dicts(cfg: dict, fed_cfg, result):
@@ -178,7 +168,9 @@ def cmd_simulate(config_path, overrides=(), out_dir=None) -> int:
     out_dir = cfg["output"]["dir"]
     prefix = cfg["output"]["prefix"]
     _make_out_dir(out_dir)
-    task, fed_cfg, result = _run_one(cfg)
+    task, partition = build_task(cfg)
+    fed_cfg = build_fed_config(cfg)
+    result = run_federation(fed_cfg, task, partition)
 
     csv_path = os.path.join(out_dir, f"{prefix}.csv")
     manifest_path = os.path.join(out_dir, f"{prefix}-manifest.json")
@@ -195,72 +187,6 @@ def cmd_simulate(config_path, overrides=(), out_dir=None) -> int:
         f"{task.test_metric_name} = {last.test_metric:.6g}, "
         f"epsilon_spent = {last.epsilon_spent:.6g}"
     )
-    return 0
-
-
-def _sweep_rows(config_path, axis, values, reps, overrides):
-    rows = []
-    for value in values:
-        finals = []
-        for rep in range(reps):
-            all_overrides = list(overrides) + [f"{axis}={value}"]
-            cfg = load_config(config_path, all_overrides)
-            seed = cfg["federation"]["master_seed"] + rep
-            cfg["federation"]["master_seed"] = seed
-            _, _, result = _run_one(cfg)
-            last = result.records[-1]
-            metrics = (
-                last.train_loss,
-                last.grad_norm_sq,
-                last.test_metric,
-                last.clip_activation_rate,
-                last.epsilon_spent,
-            )
-            finals.append(metrics)
-            rows.append((value, str(rep), str(seed)) + tuple(repr(v) for v in metrics))
-        arr = np.array(finals)
-        mean = arr.mean(axis=0)
-        # a metric with one value in every rep (one rep, or epsilon = inf in
-        # each) has stderr 0; its spread would be inf - inf = nan
-        varied = (arr != arr[0]).any(axis=0)
-        stderr = np.zeros(arr.shape[1])
-        if varied.any():
-            stderr[varied] = arr[:, varied].std(axis=0, ddof=1) / math.sqrt(len(finals))
-        rows.append((value, "mean", "") + tuple(repr(float(v)) for v in mean))
-        rows.append((value, "stderr", "") + tuple(repr(float(v)) for v in stderr))
-    return rows
-
-
-def cmd_sweep(config_path, axis, values, reps=1, overrides=(), out_dir=None) -> int:
-    values = [str(v).strip() for v in values if str(v).strip()]
-    if not values:
-        raise ConfigurationError("--values must list at least one value")
-    if reps < 1:
-        raise ConfigurationError(f"--reps must be >= 1, got {reps}")
-    cfg0 = load_config(config_path, overrides)
-    if out_dir is None:
-        out_dir = cfg0["output"]["dir"]
-    _make_out_dir(out_dir)
-    rows = _sweep_rows(config_path, axis, values, reps, overrides)
-    path = os.path.join(out_dir, f"{cfg0['output']['prefix']}-sweep.csv")
-    header = ",".join(
-        (
-            "axis",
-            "value",
-            "rep",
-            "master_seed",
-            "final_train_loss",
-            "final_grad_norm_sq",
-            "final_test_metric",
-            "final_clip_rate",
-            "epsilon_spent",
-        )
-    )
-    lines = [SWEEP_SCHEMA, header]
-    for row in rows:
-        lines.append(",".join((axis,) + row))
-    _atomic_write(path, "\n".join(lines) + "\n")
-    print(f"wrote {path} ({len(rows)} rows)")
     return 0
 
 
@@ -374,19 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default=None, help="override output.dir")
     p.set_defaults(func=lambda a: cmd_simulate(a.config, a.override, a.out_dir))
 
-    p = sub.add_parser("sweep", help="repeat a config across an axis of values")
-    p.add_argument("config")
-    p.add_argument("--axis", required=True, metavar="SECTION.KEY")
-    p.add_argument("--values", required=True, help="comma-separated values for the axis")
-    p.add_argument("--reps", type=int, default=1, help="repetitions per value (seed offset)")
-    p.add_argument("--override", action="append", default=[], metavar="SECTION.KEY=VALUE")
-    p.add_argument("--out-dir", default=None)
-    p.set_defaults(
-        func=lambda a: cmd_sweep(
-            a.config, a.axis, a.values.split(","), a.reps, a.override, a.out_dir
-        )
-    )
-
     p = sub.add_parser("diagnose", help="curvature and error-term report for a config")
     p.add_argument("config")
     p.add_argument("--override", action="append", default=[], metavar="SECTION.KEY=VALUE")
@@ -407,6 +320,10 @@ def main(argv=None) -> int:
         return 2
     except FedSgmError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # a task or sketch too large for this host (a huge task.d or task.n)
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

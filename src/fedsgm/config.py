@@ -39,7 +39,7 @@ _SCHEMA = {
         "d": _Field("int", required=True),
         "seed": _Field("int", default=0, minimum=0),
         # quadratic-only
-        "spectrum": _Field("str", default="power_law", choices=("power_law", "identity")),
+        "spectrum": _Field("str", default="power_law", choices=("power_law",)),
         "power": _Field("number", default=2.0),
         "heterogeneity": _Field("number", default=0.0),
         "center_scale": _Field("number", default=1.0),
@@ -157,6 +157,9 @@ def _cross_validate(cfg: dict):
     task = cfg["task"]
     if task["kind"] == "logreg" and task["n"] is None:
         raise ConfigurationError("task.n is required for logreg tasks")
+    if not 0.0 <= task["label_noise"] <= 1.0:
+        # a flip probability: above 1 every label flips, below 0 none does
+        raise ConfigurationError(f"task.label_noise must lie in [0, 1], got {task['label_noise']!r}")
     fed = cfg["federation"]
     if fed["clients_per_round"] > fed["clients"]:
         raise ConfigurationError(
@@ -239,12 +242,8 @@ def build_task(cfg: dict):
     t = cfg["task"]
     fed = cfg["federation"]
     if t["kind"] == "quadratic":
-        if t["spectrum"] == "power_law":
-            lam = power_law_spectrum(t["d"], t["power"])
-        else:
-            lam = [1.0] * t["d"]
         return make_federated_quadratic(
-            lam,
+            power_law_spectrum(t["d"], t["power"]),
             seed=t["seed"],
             clients=fed["clients"],
             heterogeneity=t["heterogeneity"],

@@ -6,6 +6,7 @@ out-of-regime requests.  Numeric outputs are checked against the same
 frozen oracles used in test_accountant.
 """
 
+import argparse
 import itertools
 import json
 import math
@@ -696,8 +697,7 @@ def test_simulate_non_utf8_config_exits_1(tmp_path, capsys):
     assert err.startswith(f"error: {path}: not UTF-8 text (byte ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("command", ["simulate", "sweep"])
-def test_out_dir_naming_a_file_exits_1_before_the_run(tmp_path, capsys, monkeypatch, command):
+def test_out_dir_naming_a_file_exits_1_before_the_run(tmp_path, capsys, monkeypatch):
     def no_run(*args):
         raise AssertionError("the run started")
 
@@ -705,8 +705,7 @@ def test_out_dir_naming_a_file_exits_1_before_the_run(tmp_path, capsys, monkeypa
     taken = tmp_path / "taken"
     taken.write_text("keep")
     path = write_config(tmp_path, small_config())
-    sweep = ["--axis", "federation.rounds", "--values", "2"] if command == "sweep" else []
-    assert main([command, path, *sweep, "--out-dir", str(taken)]) == 1
+    assert main(["simulate", path, "--out-dir", str(taken)]) == 1
     err = capsys.readouterr().err
     assert err == f"error: cannot create output directory {taken}: File exists\n"
     assert taken.read_text() == "keep"
@@ -748,6 +747,50 @@ def test_simulate_noisy_identity_mode_exits_1(tmp_path, capsys, sigma):
     assert not list(tmp_path.rglob("*.csv"))
 
 
+@pytest.mark.parametrize(
+    "config, override, message",
+    [
+        # only the power-law spectrum reproduces the paper's quadratic runs
+        ("quadratic.json", "task.spectrum=identity", "task.spectrum: 'identity' not in ('power_law',)"),
+        # a flip probability: at 2 every label flipped, at -0.5 none did, both quietly
+        ("logreg.json", "task.label_noise=2", "task.label_noise must lie in [0, 1], got 2.0"),
+        ("logreg.json", "task.label_noise=-0.5", "task.label_noise must lie in [0, 1], got -0.5"),
+    ],
+)
+def test_simulate_refused_task_value_exits_1(tmp_path, capsys, config, override, message):
+    rc = main(["simulate", str(REPO_ROOT / "configs" / config), "--override", override,
+               "--out-dir", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_simulate_out_of_memory_exits_1_without_a_traceback(tmp_path):
+    # a d x d Hessian at d = 1e7 asks for 728 TiB; the allocation fails at
+    # once, without touching memory
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "fedsgm.cli", "simulate", str(REPO_ROOT / "configs" / "quadratic.json"),
+         "--override", "task.d=10000000", "--out-dir", str(tmp_path / "o")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: out of memory: "), proc.stderr
+    assert proc.stdout == ""
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+def test_sweep_is_not_a_subcommand(tmp_path, capsys):
+    path = write_config(tmp_path, small_config())
+    rc = main(["sweep", path, "--axis", "mechanism.sigma_g", "--values", "0.9"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: argument command: invalid choice: 'sweep'")
+    assert err.count("\n") == 1
+
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -760,6 +803,17 @@ def test_readme_calibrate_example_matches_the_cli(capsys):
     assert len(shown) == 3
     assert main(lines[start].split()[1:]) == 0
     assert capsys.readouterr().out.splitlines() == shown
+
+
+def test_readme_and_help_name_every_subcommand():
+    # the README's Command line block and the --help text name exactly the
+    # parser's subcommands, so none is added or dropped with stale docs
+    parser = build_parser()
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    readme = (REPO_ROOT / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+    assert re.findall(r"^fed-sgm (\w+)", block, re.M) == list(action.choices)
+    assert re.findall(r"^  (\w+) {2,}", parser.description, re.M) == list(action.choices)
 
 
 def test_shipped_configs_validate():
@@ -780,78 +834,6 @@ def test_shipped_quadratic_config_runs_fast(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# sweep
-# ---------------------------------------------------------------------------
-
-
-def test_sweep_rows_per_value_and_aggregates(tmp_path, capsys):
-    out_dir = tmp_path / "sw"
-    path = write_config(tmp_path, small_config(output={"dir": str(out_dir), "prefix": "sweep"}))
-    rc = main(["sweep", path, "--axis", "federation.eta_local", "--values", "0.05,0.1", "--reps", "2"])
-    capsys.readouterr()
-    assert rc == 0
-
-    lines = (out_dir / "sweep-sweep.csv").read_text().splitlines()
-    assert lines[0] == "# fed-sgm sweep csv v1"
-    assert lines[1].split(",")[:4] == ["axis", "value", "rep", "master_seed"]
-    rows = [ln.split(",") for ln in lines[2:]]
-    # two values x (2 reps + mean + stderr)
-    assert len(rows) == 2 * (2 + 2)
-    assert all(r[0] == "federation.eta_local" for r in rows)
-    assert [r[2] for r in rows[:4]] == ["0", "1", "mean", "stderr"]
-    # rep seeds offset from the config's master seed
-    assert [r[3] for r in rows[:2]] == ["11", "12"]
-    # different eta_local values must produce different final losses
-    assert rows[2][4] != rows[6][4]
-
-
-def test_sweep_single_rep_has_zero_stderr(tmp_path, capsys):
-    out_dir = tmp_path / "sw1"
-    path = write_config(tmp_path, small_config(output={"dir": str(out_dir), "prefix": "s"}))
-    rc = main(["sweep", path, "--axis", "mechanism.sigma_g", "--values", "0.9"])
-    capsys.readouterr()
-    assert rc == 0
-    lines = (out_dir / "s-sweep.csv").read_text().splitlines()
-    stderr_row = [ln for ln in lines if ",stderr," in ln][0].split(",")
-    assert all(float(v) == 0.0 for v in stderr_row[4:])
-
-
-def test_sweep_with_infinite_epsilon_in_every_rep(tmp_path, capsys):
-    # sigma_g = 0 reports epsilon = inf in both reps: its stderr is 0.0, and
-    # no numpy warning (inf - inf) escapes under filterwarnings = error
-    out_dir = tmp_path / "sw"
-    with pytest.warns(UserWarning, match="epsilon = inf"):
-        rc = main(["sweep", str(REPO_ROOT / "configs" / "quadratic.json"), "--axis",
-                   "mechanism.sigma_g", "--values", "0", "--reps", "2", "--out-dir", str(out_dir)])
-    capsys.readouterr()
-    assert rc == 0
-    mean, stderr = (ln.split(",") for ln in
-                    (out_dir / "quadratic-sweep.csv").read_text().splitlines()[-2:])
-    assert (mean[2], mean[-1]) == ("mean", "inf")
-    assert (stderr[2], stderr[-1]) == ("stderr", "0.0")
-
-
-def test_sweep_empty_values_exits_1(tmp_path, capsys):
-    path = write_config(tmp_path, small_config())
-    rc = main(["sweep", path, "--axis", "federation.eta_local", "--values", " , "])
-    assert rc == 1
-    assert "at least one value" in capsys.readouterr().err
-
-
-def test_sweep_zero_reps_exits_1(tmp_path, capsys):
-    path = write_config(tmp_path, small_config())
-    rc = main(["sweep", path, "--axis", "federation.eta_local", "--values", "0.1", "--reps", "0"])
-    assert rc == 1
-
-
-def test_sweep_unknown_axis_exits_1(tmp_path, capsys):
-    path = write_config(tmp_path, small_config())
-    rc = main(["sweep", path, "--axis", "federation.velocity", "--values", "1"])
-    assert rc == 1
-    assert "unknown override target" in capsys.readouterr().err
-
-
-# ---------------------------------------------------------------------------
 # diagnose
 # ---------------------------------------------------------------------------
 
@@ -862,16 +844,6 @@ def _intrinsic_dim_from(out: str) -> float:
     return float(match.group(1))
 
 
-def test_diagnose_reports_identity_spectrum_as_full_rank(tmp_path, capsys):
-    path = write_config(tmp_path, small_config(task={"spectrum": "identity"}))
-    rc = main(["diagnose", path])
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert _intrinsic_dim_from(out) == pytest.approx(8.0)
-    assert "clip" in out
-    assert "E_s terms" in out
-
-
 def test_diagnose_power_law_has_small_intrinsic_dimension(tmp_path, capsys):
     path = write_config(tmp_path, small_config())
     rc = main(["diagnose", path])
@@ -879,6 +851,8 @@ def test_diagnose_power_law_has_small_intrinsic_dimension(tmp_path, capsys):
     assert rc == 0
     # sum(i^-2) converges: far below the ambient d = 8
     assert _intrinsic_dim_from(out) < 2.0
+    assert "clip" in out
+    assert "E_s terms" in out
 
 
 def test_diagnose_huge_dimension_exits_2(tmp_path, capsys):
