@@ -765,6 +765,16 @@ def test_simulate_refused_task_value_exits_1(tmp_path, capsys, config, override,
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("noise", [0, 1])
+def test_label_noise_range_is_closed(noise):
+    # both ends of [0, 1] are flip probabilities: no label or every label flips
+    cfg = load_config(str(REPO_ROOT / "configs" / "logreg.json"), [f"task.label_noise={noise}"])
+    assert cfg["task"]["label_noise"] == noise
+    task, partition = build_task(cfg)
+    assert task.d == 20
+    assert partition.num_clients == 20
+
+
 def test_simulate_out_of_memory_exits_1_without_a_traceback(tmp_path):
     # a d x d Hessian at d = 1e7 asks for 728 TiB; the allocation fails at
     # once, without touching memory
