@@ -37,7 +37,6 @@ from .errors import (
     ConfigurationError,
     FedSgmError,
     ParameterRegimeError,
-    ResourceLimitError,
 )
 from .fedsim import run_federation, strict_json, write_manifest, write_round_csv
 from .mechanism import sensitivity_ratio
@@ -209,7 +208,7 @@ def cmd_diagnose(config_path, overrides=()) -> int:
     eta = eta_g * eta_l
     tau = fed_cfg.mechanism.tau
 
-    I = intrinsic_dimension(task)  # raises ResourceLimitError for d > 500
+    I = intrinsic_dimension(task)  # raises ConfigurationError for d > 500
 
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(fed_cfg.master_seed)))
     probes = [task.theta0] + [
@@ -315,7 +314,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (CalibrationError, ParameterRegimeError, ResourceLimitError) as exc:
+    except (CalibrationError, ParameterRegimeError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2
     except FedSgmError as exc:

@@ -21,6 +21,7 @@ from .accountant import DpPoint, calibrate_sgm_sigma
 from .errors import ConfigurationError
 from .fedsim import FedConfig
 from .mechanism import MechanismConfig
+from .sketch import DENSE_MAX_ENTRIES
 from .tasks import make_federated_quadratic, make_logreg, power_law_spectrum
 
 
@@ -71,9 +72,6 @@ _SCHEMA = {
     },
     "optimizer": {
         "kind": _Field("str", default="gd", choices=("gd", "amsgrad", "adam")),
-        "beta1": _Field("number", default=0.9),
-        "beta2": _Field("number", default=0.99),
-        "eps": _Field("number", default=1e-8),
     },
     "accountant": {
         "delta": _Field("number", required=True),
@@ -160,14 +158,21 @@ def _cross_validate(cfg: dict):
     if not 0.0 <= task["label_noise"] <= 1.0:
         # a flip probability: above 1 every label flips, below 0 none does
         raise ConfigurationError(f"task.label_noise must lie in [0, 1], got {task['label_noise']!r}")
+    if task["power"] <= 0:
+        # eigenvalues i^-power: 0 is the identity spectrum, below it they grow with i
+        raise ConfigurationError(f"task.power must be positive, got {task['power']!r}")
     fed = cfg["federation"]
     if fed["clients_per_round"] > fed["clients"]:
         raise ConfigurationError(
             f"federation.clients_per_round = {fed['clients_per_round']} exceeds "
             f"federation.clients = {fed['clients']}"
         )
-    if cfg["sketch"]["b"] is None:
+    b = cfg["sketch"]["b"]
+    if b is None:
         raise ConfigurationError("sketch.b is required")
+    if fed["clients_per_round"] * b > DENSE_MAX_ENTRIES:
+        # a round's N x b payloads and noise; overcommit hides them from MemoryError
+        raise ConfigurationError(f"sketch.b = {b} times clients_per_round exceeds {DENSE_MAX_ENTRIES}")
     mech = cfg["mechanism"]
     if mech["sigma_g"] == "calibrate" and cfg["accountant"]["target_epsilon"] is None:
         raise ConfigurationError(
@@ -265,7 +270,6 @@ def build_fed_config(cfg: dict) -> FedConfig:
     for accountant.target_epsilon at the run's q, T, tau and b."""
     fed = cfg["federation"]
     mech = cfg["mechanism"]
-    opt = cfg["optimizer"]
     acc = cfg["accountant"]
     sigma_g = mech["sigma_g"]
     if sigma_g == "calibrate":
@@ -286,10 +290,7 @@ def build_fed_config(cfg: dict) -> FedConfig:
         batch_size=fed["batch_size"],
         mechanism=MechanismConfig(tau=mech["tau"], sigma_g=sigma_g, noise_seed=mech["noise_seed"]),
         sketch_b=cfg["sketch"]["b"],
-        optimizer=opt["kind"],
-        beta1=opt["beta1"],
-        beta2=opt["beta2"],
-        opt_eps=opt["eps"],
+        optimizer=cfg["optimizer"]["kind"],
         delta=acc["delta"],
         master_seed=fed["master_seed"],
     )

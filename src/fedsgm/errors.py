@@ -32,6 +32,3 @@ class CalibrationError(FedSgmError, RuntimeError):
 class ConfigurationError(FedSgmError, ValueError):
     """A config file or config object is malformed or inconsistent."""
 
-
-class ResourceLimitError(FedSgmError, RuntimeError):
-    """An operation would exceed a hard resource limit (e.g. dense sketch size)."""

@@ -105,9 +105,6 @@ class FedConfig:
     mechanism: MechanismConfig
     sketch_b: Optional[int] = None  # None = identity compressor (no sketching, epsilon = inf)
     optimizer: str = "gd"
-    beta1: float = 0.9
-    beta2: float = 0.99
-    opt_eps: float = 1e-8
     delta: float = 1e-5
     master_seed: int = 0
 
@@ -126,8 +123,6 @@ class FedConfig:
             raise ConfigurationError(
                 f"unknown optimizer {self.optimizer!r}; expected one of {_OPTIMIZERS}"
             )
-        if self.optimizer != "gd":  # the moment optimizers' own range checks
-            MomentState.init(0, beta1=self.beta1, beta2=self.beta2, eps=self.opt_eps)
         if self.sketch_b is not None and self.sketch_b < 1:
             raise ConfigurationError(f"sketch_b must be >= 1, got {self.sketch_b}")
         if not 0.0 < self.delta < 1.0:
@@ -434,9 +429,7 @@ def run_federation(cfg: FedConfig, task: Task, partition: Partition) -> Federati
         raise ConfigurationError("partition and task disagree on the sample count")
     d = task.d
     theta = task.theta0.astype(np.float64).copy()
-    moments = None if cfg.optimizer == "gd" else MomentState.init(
-        d, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.opt_eps
-    )
+    moments = None if cfg.optimizer == "gd" else MomentState.init(d)
     records, pending = [], []  # pending: (t, theta_{t+1}, clip flags), not yet scored
 
     def score_pending():

@@ -8,16 +8,22 @@ new iterate and new state without mutating either input.
 The adaptive variants share one moment state and one update, which uses the
 current first/second moments and applies no bias correction; AMSGrad
 additionally enforces the elementwise running maximum on the second moment,
-which is what makes its effective step sizes non-increasing.
+which is what makes its effective step sizes non-increasing.  Both use the
+fixed hyperparameters BETA1, BETA2 and EPS below.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionMismatchError
+from .errors import DimensionMismatchError
+
+# AMSGrad's (Reddi, Kale and Kumar, 2018) moment decay rates and denominator floor
+BETA1 = 0.9
+BETA2 = 0.99
+EPS = 1e-8
 
 
 def gd_step(theta: np.ndarray, update: np.ndarray, eta: float) -> np.ndarray:
@@ -33,27 +39,16 @@ def gd_step(theta: np.ndarray, update: np.ndarray, eta: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MomentState:
-    """First and second moment estimates of AMSGrad and Adam.  Under AMSGrad
-    v is the running elementwise maximum of the second-moment EMA, which is
-    what the step divides by."""
+    """First and second moment estimates of AMSGrad and Adam, EMAs at decay
+    rates BETA1 and BETA2.  Under AMSGrad v is the running elementwise
+    maximum of the second-moment EMA, which is what the step divides by."""
 
     m: np.ndarray
     v: np.ndarray
-    beta1: float = 0.9
-    beta2: float = 0.99
-    eps: float = 1e-8
-
-    def __post_init__(self):
-        if not 0.0 <= self.beta1 < 1.0:
-            raise ConfigurationError(f"beta1 must be in [0,1), got {self.beta1}")
-        if not 0.0 <= self.beta2 < 1.0:
-            raise ConfigurationError(f"beta2 must be in [0,1), got {self.beta2}")
-        if self.eps <= 0.0:
-            raise ConfigurationError(f"eps must be positive, got {self.eps}")
 
     @classmethod
-    def init(cls, d: int, **hyper) -> "MomentState":
-        return cls(m=np.zeros(d), v=np.zeros(d), **hyper)
+    def init(cls, d: int) -> "MomentState":
+        return cls(m=np.zeros(d), v=np.zeros(d))
 
 
 def _moment_step(
@@ -66,12 +61,12 @@ def _moment_step(
             f"shape mismatch: theta {theta.shape}, update {update.shape}, "
             f"state {state.m.shape}"
         )
-    m_t = state.beta1 * state.m + (1.0 - state.beta1) * update
-    v_t = state.beta2 * state.v + (1.0 - state.beta2) * update * update
+    m_t = BETA1 * state.m + (1.0 - BETA1) * update
+    v_t = BETA2 * state.v + (1.0 - BETA2) * update * update
     if running_max:
         v_t = np.maximum(v_t, state.v)
-    theta_t = theta - eta * m_t / (np.sqrt(v_t) + state.eps)
-    return theta_t, replace(state, m=m_t, v=v_t)
+    theta_t = theta - eta * m_t / (np.sqrt(v_t) + EPS)
+    return theta_t, MomentState(m_t, v_t)
 
 
 def amsgrad_step(
@@ -79,9 +74,9 @@ def amsgrad_step(
 ) -> tuple[np.ndarray, MomentState]:
     """One AMSGrad step.
 
-    m_t = beta1 m + (1-beta1) u
-    v_t = max(beta2 v + (1-beta2) u^2, v)   (elementwise, never decreases)
-    theta_t = theta - eta * m_t / (sqrt(v_t) + eps)
+    m_t = BETA1 m + (1-BETA1) u
+    v_t = max(BETA2 v + (1-BETA2) u^2, v)   (elementwise, never decreases)
+    theta_t = theta - eta * m_t / (sqrt(v_t) + EPS)
     """
     return _moment_step(theta, update, state, eta, running_max=True)
 

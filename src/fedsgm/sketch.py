@@ -26,11 +26,20 @@ from .errors import DimensionMismatchError
 # layout of every sketch, so it is part of the on-disk/replay contract.
 BLOCK_ROWS = 512
 
-# R @ x is summed over SKETCH_DEPTH-column pieces in order: one whole product
-# rounds differently at 1 and 2 BLAS threads, a 256-column piece does not
-# (test_simulate_rerun_bytes_do_not_depend_on_blas_threads pins this).  The
-# logistic task's full-data margins take the same pieces.
+# R @ x is summed over SKETCH_DEPTH-column pieces in order (piecewise_matmul):
+# one whole product rounds differently at 1 and 2 BLAS threads, a 256-column
+# piece does not (test_simulate_rerun_bytes_do_not_depend_on_blas_threads pins
+# this).  The logistic task's full-data margins take the same pieces.
 SKETCH_DEPTH = 256
+
+
+def piecewise_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b as one product per SKETCH_DEPTH-column piece of a, summed in order."""
+    acc = a[:, :SKETCH_DEPTH] @ b[:SKETCH_DEPTH]
+    for lo in range(SKETCH_DEPTH, a.shape[1], SKETCH_DEPTH):
+        acc += a[:, lo : lo + SKETCH_DEPTH] @ b[lo : lo + SKETCH_DEPTH]
+    return acc
+
 
 # Sketches with at most this many entries keep their row blocks in memory;
 # larger ones regenerate them on every pass.
@@ -127,10 +136,7 @@ class SketchMatrix:
         x = _columns(x, self.spec.d)
         parts = []
         for block in self._blocks():
-            acc = block[:, :SKETCH_DEPTH] @ x[:SKETCH_DEPTH]
-            for lo in range(SKETCH_DEPTH, self.spec.d, SKETCH_DEPTH):
-                acc += block[:, lo : lo + SKETCH_DEPTH] @ x[lo : lo + SKETCH_DEPTH]
-            parts.append(acc)
+            parts.append(piecewise_matmul(block, x))
             del block  # free a regenerated block before the next one is made
         return np.concatenate(parts)
 

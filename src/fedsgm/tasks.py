@@ -23,8 +23,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, ResourceLimitError
-from .sketch import SKETCH_DEPTH
+from .errors import ConfigurationError
+from .sketch import piecewise_matmul
 
 _HESSIAN_DIM_LIMIT = 500
 
@@ -303,16 +303,10 @@ def _logreg_task(X: np.ndarray, y: np.ndarray, X_test: np.ndarray, y_test: np.nd
     blocks = row_blocks(X, y)
 
     def block_margins(zb, Xb, stack):
-        # padded stack @ Xb.T, _PRODUCT_ROWS rows at a time, each as one GEMM
-        # per SKETCH_DEPTH-column piece summed in order, as SketchMatrix.sketch
-        # sums: one whole product splits its columns differently at one and
-        # two BLAS threads, a piece does not
+        # padded stack @ Xb.T, _PRODUCT_ROWS rows at a time, each summed over SKETCH_DEPTH pieces
         for top in range(0, len(stack), _PRODUCT_ROWS):
-            part = stack[top : top + _PRODUCT_ROWS]
-            acc = part[:, :SKETCH_DEPTH] @ Xb[:, :SKETCH_DEPTH].T
-            for lo in range(SKETCH_DEPTH, d, SKETCH_DEPTH):
-                acc += part[:, lo : lo + SKETCH_DEPTH] @ Xb[:, lo : lo + SKETCH_DEPTH].T
-            zb[top : top + _PRODUCT_ROWS] = acc
+            part = slice(top, top + _PRODUCT_ROWS)
+            zb[part] = piecewise_matmul(stack[part], Xb.T)
 
     def block_grad(c, Xb):
         # c @ Xb for the padded stack's coefficients, _PRODUCT_ROWS rows at a time
@@ -379,7 +373,7 @@ def _logreg_task(X: np.ndarray, y: np.ndarray, X_test: np.ndarray, y_test: np.nd
 
     def hessian(theta):
         if d > _HESSIAN_DIM_LIMIT:
-            raise ResourceLimitError(f"hessian unavailable for d = {d} > {_HESSIAN_DIM_LIMIT}")
+            raise ConfigurationError(f"hessian unavailable for d = {d} > {_HESSIAN_DIM_LIMIT}")
 
         def term(Xb, zb):
             p = _sigmoid(zb)
@@ -466,7 +460,7 @@ def intrinsic_dimension(task: Task, theta: Optional[np.ndarray] = None) -> float
     if task.hessian is None:
         raise ConfigurationError(f"task {task.name!r} does not expose a Hessian")
     if task.d > _HESSIAN_DIM_LIMIT:
-        raise ResourceLimitError(
+        raise ConfigurationError(
             f"intrinsic dimension needs a dense eigendecomposition; d = {task.d} > {_HESSIAN_DIM_LIMIT}"
         )
     if theta is None:

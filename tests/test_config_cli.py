@@ -23,7 +23,7 @@ import pytest
 
 from fedsgm.accountant import DpPoint, calibrate_sgm_sigma
 from fedsgm.cli import build_parser, main
-from fedsgm.config import build_fed_config, build_task, load_config, validate_config
+from fedsgm.config import _SCHEMA, build_fed_config, build_task, load_config, validate_config
 from fedsgm.errors import ConfigurationError
 from fedsgm.fedsim import strict_json
 
@@ -77,8 +77,7 @@ VISION_ARGS = ["--delta", "1e-5", "--q", "0.0064", "--T", "500", "--tau", "1.0",
 
 def test_validate_fills_defaults():
     cfg = validate_config(small_config())
-    assert cfg["optimizer"]["kind"] == "gd"
-    assert cfg["optimizer"]["beta1"] == 0.9
+    assert cfg["optimizer"] == {"kind": "gd"}
     assert cfg["task"]["spectrum"] == "power_law"
     assert cfg["federation"]["batch_size"] == 1
     assert cfg["output"] == {"dir": ".", "prefix": "run"}
@@ -119,7 +118,6 @@ def test_nan_rejected():
     for section, key in (
         ("task", "center_scale"),
         ("task", "heterogeneity"),
-        ("optimizer", "eps"),
         ("accountant", "delta"),
         ("mechanism", "sigma_g"),
     ):
@@ -755,6 +753,10 @@ def test_simulate_noisy_identity_mode_exits_1(tmp_path, capsys, sigma):
         # a flip probability: at 2 every label flipped, at -0.5 none did, both quietly
         ("logreg.json", "task.label_noise=2", "task.label_noise must lie in [0, 1], got 2.0"),
         ("logreg.json", "task.label_noise=-0.5", "task.label_noise must lie in [0, 1], got -0.5"),
+        # eigenvalues i^-power: 0 is the identity spectrum, -5 grows with i and
+        # ran to a loss of 4.9e8 with exit 0
+        ("quadratic.json", "task.power=0", "task.power must be positive, got 0.0"),
+        ("quadratic.json", "task.power=-5", "task.power must be positive, got -5.0"),
     ],
 )
 def test_simulate_refused_task_value_exits_1(tmp_path, capsys, config, override, message):
@@ -763,6 +765,24 @@ def test_simulate_refused_task_value_exits_1(tmp_path, capsys, config, override,
     assert rc == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "o").exists()
+
+
+def test_sketch_b_past_the_round_ceiling_exits_1(capsys):
+    # N = 4 clients at b = 1e9 would draw 4e9 noise floats a round, an
+    # allocation that overcommit lets succeed; diagnose never draws them
+    quadratic = str(REPO_ROOT / "configs" / "quadratic.json")
+    assert main(["diagnose", quadratic, "--override", "sketch.b=1000000000"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: sketch.b = 1000000000 times clients_per_round exceeds 100000000\n"
+
+
+def test_sketch_b_ceiling_is_on_clients_per_round_times_b():
+    # configs/quadratic.json has N = 4: N * b = 1e8 runs, 1e8 + N does not
+    quadratic = str(REPO_ROOT / "configs" / "quadratic.json")
+    assert load_config(quadratic, ["sketch.b=25000000"])["sketch"]["b"] == 25_000_000
+    with pytest.raises(ConfigurationError, match=r"^sketch\.b = 25000001 times"):
+        load_config(quadratic, ["sketch.b=25000001"])
 
 
 @pytest.mark.parametrize("noise", [0, 1])
@@ -826,6 +846,18 @@ def test_readme_and_help_name_every_subcommand():
     assert re.findall(r"^  (\w+) {2,}", parser.description, re.M) == list(action.choices)
 
 
+def test_readme_lists_every_config_key_with_its_default():
+    # the README's Run configs table names exactly _SCHEMA's keys, in order and
+    # with their defaults, so none is added or dropped with stale docs
+    readme = (REPO_ROOT / "README.md").read_text()
+    section = readme.split("## Run configs", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)\.(\w+)` \| ([^|]+) \|", section, re.M)
+    assert [(s, k) for s, k, _ in rows] == [(s, k) for s in _SCHEMA for k in _SCHEMA[s]]
+    for s, k, default in rows:
+        spec = _SCHEMA[s][k]
+        assert default == ("required" if spec.required else f"`{json.dumps(spec.default)}`"), (s, k)
+
+
 def test_shipped_configs_validate():
     for name in ("quadratic.json", "logreg.json"):
         cfg = load_config(str(REPO_ROOT / "configs" / name))
@@ -865,11 +897,18 @@ def test_diagnose_power_law_has_small_intrinsic_dimension(tmp_path, capsys):
     assert "E_s terms" in out
 
 
-def test_diagnose_huge_dimension_exits_2(tmp_path, capsys):
-    path = write_config(tmp_path, small_config(task={"d": 600}))
-    rc = main(["diagnose", path])
-    assert rc == 2
-    assert "infeasible" in capsys.readouterr().err
+@pytest.mark.parametrize("config, overrides", [
+    ("quadratic.json", ["task.d=600"]),
+    ("logreg.json", ["task.d=600", "task.n=700"]),
+], ids=["quadratic", "logreg"])
+def test_diagnose_huge_dimension_exits_1(capsys, config, overrides):
+    # a dense Hessian past the ceiling is a config error, not an infeasible privacy target
+    rc = main(["diagnose", str(REPO_ROOT / "configs" / config),
+               *itertools.chain.from_iterable(("--override", o) for o in overrides)])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert out == ""
+    assert err == "error: intrinsic dimension needs a dense eigendecomposition; d = 600 > 500\n"
 
 
 @pytest.mark.parametrize("b", [0, -3])
@@ -901,25 +940,17 @@ def test_diagnose_applies_the_run_checks(capsys, override, message):
 
 
 @pytest.mark.parametrize("command", ["diagnose", "simulate"])
-@pytest.mark.parametrize(
-    "kind, key, value, message",
-    [
-        ("adam", "beta1", "2", "beta1 must be in [0,1), got 2.0"),
-        ("amsgrad", "beta2", "1", "beta2 must be in [0,1), got 1.0"),
-        ("adam", "eps", "0", "eps must be positive, got 0.0"),
-    ],
-)
-def test_optimizer_range_checks_apply_to_every_command(tmp_path, capsys, command, kind, key,
-                                                       value, message):
-    # the moment optimizers' ranges are checked by FedConfig, which both commands build
-    quadratic = str(REPO_ROOT / "configs" / "quadratic.json")
-    rc = main([command, quadratic, "--override", f"optimizer.kind={kind}",
-               "--override", f"optimizer.{key}={value}",
+@pytest.mark.parametrize("key, value", [("beta1", "0.9"), ("beta2", "0.99"), ("eps", "1e-8")])
+def test_moment_hyperparameters_are_not_run_options(tmp_path, capsys, command, key, value):
+    # AMSGrad's and Adam's beta1, beta2 and eps are constants of fedsgm.optim:
+    # a config may not set them, not even to their values
+    logreg = str(REPO_ROOT / "configs" / "logreg.json")
+    rc = main([command, logreg, "--override", f"optimizer.{key}={value}",
                *(["--out-dir", str(tmp_path)] if command == "simulate" else [])])
     out, err = capsys.readouterr()
     assert rc == 1
     assert out == ""
-    assert err == f"error: {message}\n"
+    assert err == f"error: unknown override target optimizer.{key}\n"
     assert list(tmp_path.iterdir()) == []
 
 

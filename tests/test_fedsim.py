@@ -660,9 +660,9 @@ def test_server_round_mean_is_bitwise_the_np_mean_form():
 @pytest.mark.parametrize("kind, step", [("amsgrad", amsgrad_step), ("adam", adam_step)])
 def test_server_round_takes_the_configured_step(kind, step):
     # a spike then small payloads, where AMSGrad's running max and Adam part ways
-    cfg = small_fed_config(optimizer=kind, beta1=0.5, beta2=0.9)
+    cfg = small_fed_config(optimizer=kind)
     theta = ref = np.arange(6.0)
-    moments = ref_moments = MomentState.init(6, beta1=0.5, beta2=0.9)
+    moments = ref_moments = MomentState.init(6)
     for scale in (10.0, 0.1, 0.1):
         payloads = np.full((2, 6), scale)
         theta, moments = server_round(theta, payloads, IdentityCompressor(6), cfg, moments)

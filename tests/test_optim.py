@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from fedsgm import optim
 from fedsgm.optim import MomentState, adam_step, amsgrad_step, gd_step
-from fedsgm.errors import ConfigurationError, DimensionMismatchError
+from fedsgm.errors import DimensionMismatchError
 
 # ---------------------------------------------------------------------------
 # GD
@@ -47,16 +48,6 @@ def test_gd_dimension_mismatch():
 # AMSGrad
 
 
-def test_amsgrad_collapsed_moments():
-    # beta1 = beta2 = 0: m_t = g, v_t = g^2, step = -eta g / (|g| + eps)
-    state = MomentState.init(3, beta1=0.0, beta2=0.0)
-    g = np.array([2.0, -0.5, 1e-3])
-    theta, new = amsgrad_step(np.zeros(3), g, state, eta=1.0)
-    expected = -g / (np.abs(g) + 1e-8)
-    assert np.allclose(theta, expected, rtol=1e-12, atol=0)
-    assert np.array_equal(new.m, g)
-
-
 def test_amsgrad_zero_update_is_noop():
     state = MomentState.init(2)
     theta, new = amsgrad_step(np.array([1.0, 2.0]), np.zeros(2), state, eta=0.5)
@@ -79,12 +70,6 @@ def test_amsgrad_hand_trace():
 
 
 def test_amsgrad_state_validation():
-    with pytest.raises(ConfigurationError):
-        MomentState.init(2, beta1=1.0)
-    with pytest.raises(ConfigurationError):
-        MomentState.init(2, beta2=1.0)
-    with pytest.raises(ConfigurationError):
-        MomentState.init(2, eps=0.0)
     with pytest.raises(DimensionMismatchError):
         amsgrad_step(np.zeros(3), np.zeros(3), MomentState.init(2), eta=0.1)
 
@@ -134,7 +119,7 @@ def test_amsgrad_v_never_decreases(updates):
 def test_amsgrad_step_magnitude_bound(u, eta):
     state = MomentState.init(5)
     theta, new = amsgrad_step(np.zeros(5), u, state, eta=eta)
-    assert np.all(np.abs(theta) <= eta * np.abs(new.m) / state.eps + 1e-12)
+    assert np.all(np.abs(theta) <= eta * np.abs(new.m) / optim.EPS + 1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -44,11 +44,11 @@ LOGREG_AHEAD = {
 DIGESTS = {
     "numpy 2.4.6, blas aa1821ac725ba9cb": {
         "quadratic": ("dd17eee38bfe32293dbb6e0661e341311799e06af19be7b0c35971e304d15fe9",
-                      "196b7c43640d06b98618a18f315fbc82d0caaf69d5b48f06a0007abe568fbefe"),
+                      "7da217d6f4d76d32b102990769c288917235a1e0db6b96d8fefdb5632a56138b"),
         "logreg": ("bd0486fd541ac0efffeff72f2f2e43d452f102041dc691ebae55e927db9658ac",
-                   "da91dc17510e40ae5a0e92b459e3efa54aa4893898782a69b581c190ae0b26e6"),
+                   "36b85bc497d898e9b83073a478ed83fa65f15079228212c4a6f29b0bc3198630"),
         "logreg_ahead": ("8dcc9422d11d352bffe106ff783e6f76d5fb5e2cf19e60ae090255f816642a4d",
-                         "bb1da35881d20d42e9e71d80b159a09d0e5671a3c2bd4790973e69d736e88f0d"),
+                         "7febf708720616db64534e6af4337674c3ea4afa5d67d216868e0d5e47eda873"),
     },
 }
 
