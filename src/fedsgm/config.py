@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass
 from typing import Optional
@@ -31,51 +32,61 @@ class _Field:
     required: bool = False
     default: object = None
     choices: Optional[tuple] = None
-    minimum: Optional[int] = None
+    # JSON Schema's minimum, exclusiveMinimum, maximum and exclusiveMaximum
+    minimum: Optional[float] = None
+    above: Optional[float] = None
+    maximum: Optional[float] = None
+    below: Optional[float] = None
 
+
+_BOUNDS = (("minimum", ">=", operator.ge), ("above", ">", operator.gt),
+           ("maximum", "<=", operator.le), ("below", "<", operator.lt))
 
 _SCHEMA = {
     "task": {
         "kind": _Field("str", required=True, choices=("quadratic", "logreg")),
-        "d": _Field("int", required=True),
+        "d": _Field("int", required=True, minimum=1),
         "seed": _Field("int", default=0, minimum=0),
         # quadratic-only
         "spectrum": _Field("str", default="power_law", choices=("power_law",)),
-        "power": _Field("number", default=2.0),
-        "heterogeneity": _Field("number", default=0.0),
+        # eigenvalues i^-power: 0 is the identity spectrum, below it they grow with i
+        "power": _Field("number", default=2.0, above=0),
+        "heterogeneity": _Field("number", default=0.0, minimum=0),
         "center_scale": _Field("number", default=1.0),
         # logreg-only
-        "n": _Field("int", default=None),
+        "n": _Field("int", default=None, minimum=2),
         "partition": _Field("str", default="iid", choices=("iid", "label_skew")),
-        "skew": _Field("number", default=0.5),
-        "label_noise": _Field("number", default=0.05),
+        "skew": _Field("number", default=0.5, above=0),
+        # a flip probability: above 1 every label flips, below 0 none does
+        "label_noise": _Field("number", default=0.05, minimum=0, maximum=1),
     },
     "federation": {
         "clients": _Field("int", required=True, minimum=1),
         "clients_per_round": _Field("int", required=True, minimum=1),
         "local_steps": _Field("int", required=True, minimum=1),
         "rounds": _Field("int", required=True, minimum=1),
-        "eta_local": _Field("number", required=True),
-        "eta_global": _Field("number", required=True),
+        "eta_local": _Field("number", required=True, above=0),
+        "eta_global": _Field("number", required=True, above=0),
         "batch_size": _Field("int", default=1, minimum=1),
         "master_seed": _Field("int", default=0, minimum=0),
     },
     "mechanism": {
         # no defaults here on purpose: privacy parameters must be stated
-        "tau": _Field("number", required=True),
-        "sigma_g": _Field("sigma", required=True),
+        "tau": _Field("number", required=True, above=0),
+        "sigma_g": _Field("sigma", required=True, minimum=0),
         "noise_seed": _Field("int", default=0, minimum=0),
     },
     "sketch": {
         "mode": _Field("str", default="gaussian", choices=("gaussian",)),
-        "b": _Field("int", default=None, minimum=1),
+        "b": _Field("int", required=True, minimum=1),
     },
     "optimizer": {
         "kind": _Field("str", default="gd", choices=("gd", "amsgrad", "adam")),
     },
     "accountant": {
-        "delta": _Field("number", required=True),
-        "target_epsilon": _Field("number", default=None),
+        "delta": _Field("number", required=True, above=0, below=1),
+        # 0 passes: an infeasible target, refused by the calibration (exit 2)
+        "target_epsilon": _Field("number", default=None, minimum=0),
     },
     "output": {
         "dir": _Field("str", default="."),
@@ -112,8 +123,11 @@ def _coerce(path: str, spec: _Field, value):
         # tau = inf is the documented way to turn clipping off
         if math.isinf(value) and path != "mechanism.tau":
             raise ConfigurationError(f"{path} must be finite, got {value!r}")
-    if spec.minimum is not None and value < spec.minimum:
-        raise ConfigurationError(f"{path} must be >= {spec.minimum}, got {value!r}")
+    if not isinstance(value, str):
+        for name, op, holds in _BOUNDS:
+            bound = getattr(spec, name)
+            if bound is not None and not holds(value, bound):
+                raise ConfigurationError(f"{path} must be {op} {bound}, got {value!r}")
     if spec.choices is not None and value not in spec.choices:
         raise ConfigurationError(f"{path}: {value!r} not in {spec.choices}")
     return value
@@ -152,15 +166,8 @@ def validate_config(raw: dict) -> dict:
 
 
 def _cross_validate(cfg: dict):
-    task = cfg["task"]
-    if task["kind"] == "logreg" and task["n"] is None:
+    if cfg["task"]["kind"] == "logreg" and cfg["task"]["n"] is None:
         raise ConfigurationError("task.n is required for logreg tasks")
-    if not 0.0 <= task["label_noise"] <= 1.0:
-        # a flip probability: above 1 every label flips, below 0 none does
-        raise ConfigurationError(f"task.label_noise must lie in [0, 1], got {task['label_noise']!r}")
-    if task["power"] <= 0:
-        # eigenvalues i^-power: 0 is the identity spectrum, below it they grow with i
-        raise ConfigurationError(f"task.power must be positive, got {task['power']!r}")
     fed = cfg["federation"]
     if fed["clients_per_round"] > fed["clients"]:
         raise ConfigurationError(
@@ -168,20 +175,11 @@ def _cross_validate(cfg: dict):
             f"federation.clients = {fed['clients']}"
         )
     b = cfg["sketch"]["b"]
-    if b is None:
-        raise ConfigurationError("sketch.b is required")
     if fed["clients_per_round"] * b > DENSE_MAX_ENTRIES:
         # a round's N x b payloads and noise; overcommit hides them from MemoryError
         raise ConfigurationError(f"sketch.b = {b} times clients_per_round exceeds {DENSE_MAX_ENTRIES}")
-    mech = cfg["mechanism"]
-    if mech["sigma_g"] == "calibrate" and cfg["accountant"]["target_epsilon"] is None:
-        raise ConfigurationError(
-            "mechanism.sigma_g = \"calibrate\" requires accountant.target_epsilon"
-        )
-    if isinstance(mech["sigma_g"], float) and mech["sigma_g"] < 0:
-        raise ConfigurationError("mechanism.sigma_g must be >= 0")
-    if mech["tau"] <= 0:
-        raise ConfigurationError("mechanism.tau must be positive")
+    if cfg["mechanism"]["sigma_g"] == "calibrate" and cfg["accountant"]["target_epsilon"] is None:
+        raise ConfigurationError("mechanism.sigma_g = \"calibrate\" requires accountant.target_epsilon")
     prefix = cfg["output"]["prefix"]
     if not prefix or os.path.basename(prefix) != prefix:
         raise ConfigurationError(f"output.prefix must be a plain file name, got {prefix!r}")
@@ -216,26 +214,13 @@ def _apply_override(raw: dict, override: str) -> dict:
     section, key = parts
     if section not in _SCHEMA or key not in _SCHEMA[section]:
         raise ConfigurationError(f"unknown override target {section}.{key}")
-    spec = _SCHEMA[section][key]
     text = text.strip()
-    value: object
-    if spec.typ == "str":
-        value = text
-    elif spec.typ == "int":
-        try:
-            value = int(text)
-        except ValueError:
-            raise ConfigurationError(f"{section}.{key}: expected integer, got {text!r}")
-    elif spec.typ == "sigma" and text == "calibrate":
-        value = "calibrate"
-    else:
-        try:
-            value = float(text)
-        except ValueError:
-            raise ConfigurationError(f"{section}.{key}: expected number, got {text!r}")
-    raw = {**raw}
-    raw[section] = {**raw.get(section, {}), key: value}
-    return raw
+    parse = {"int": int, "number": float, "sigma": float}.get(_SCHEMA[section][key].typ, str)
+    try:
+        value = parse(text)
+    except ValueError:
+        value = text  # validate_config names the type the key expects
+    return {**raw, section: {**raw.get(section, {}), key: value}}
 
 
 # ---------------------------------------------------------------------------

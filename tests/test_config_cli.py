@@ -155,15 +155,50 @@ def test_top_level_must_be_object():
     "over, fragment",
     [
         ({"task": {"kind": "logreg"}}, "task.n is required"),
-        ({"sketch": {"b": None}}, "sketch.b is required"),
+        ({"sketch": {"b": None}}, "sketch.b: null is not a valid value"),
         ({"mechanism": {"sigma_g": "calibrate"}}, "target_epsilon"),
-        ({"mechanism": {"tau": 0.0}}, "must be positive"),
+        ({"mechanism": {"tau": 0.0}}, "mechanism.tau must be > 0, got 0.0"),
         ({"mechanism": {"sigma_g": -0.5}}, ">= 0"),
     ],
 )
 def test_cross_validation_errors(over, fragment):
     with pytest.raises(ConfigurationError, match=re.escape(fragment)):
         validate_config(small_config(**over))
+
+
+# JSON Schema's minimum, exclusiveMinimum, maximum and exclusiveMaximum
+BOUND_OPS = {"minimum": ">=", "above": ">", "maximum": "<=", "below": "<"}
+# a center may lie anywhere: the only numeric key that declares no range
+UNBOUNDED = {"task.center_scale"}
+
+
+@pytest.mark.parametrize("path", [f"{s}.{k}" for s in _SCHEMA for k, spec in _SCHEMA[s].items()
+                                  if spec.typ != "str"])
+def test_every_declared_bound_refuses_the_value_just_past_it(tmp_path, path):
+    # the value just past a bound is refused naming the key and the bound,
+    # and an inclusive bound itself is not refused by that bound
+    section, key = path.split(".")
+    spec = _SCHEMA[section][key]
+    bounds = {name: bound for name, bound in vars(spec).items() if name in BOUND_OPS and bound is not None}
+    assert bool(bounds) != (path in UNBOUNDED), bounds
+    config = write_config(tmp_path, small_config())
+    for name, bound in bounds.items():
+        inclusive = name in ("minimum", "maximum")
+        outward = -1 if name in ("minimum", "above") else 1
+        if not inclusive:
+            past = bound
+        elif spec.typ == "int":
+            past = bound + outward
+        else:
+            past = math.nextafter(bound, outward * math.inf)
+        message = f"{path} must be {BOUND_OPS[name]} {bound}, got "
+        with pytest.raises(ConfigurationError, match="^" + re.escape(message)):
+            load_config(config, [f"{path}={past!r}"])
+        if inclusive:
+            try:
+                load_config(config, [f"{path}={bound}"])
+            except ConfigurationError as exc:  # another key's rule, e.g. clients_per_round <= clients
+                assert not str(exc).startswith(f"{path} must be"), exc
 
 
 @pytest.mark.parametrize(
@@ -751,12 +786,12 @@ def test_simulate_noisy_identity_mode_exits_1(tmp_path, capsys, sigma):
         # only the power-law spectrum reproduces the paper's quadratic runs
         ("quadratic.json", "task.spectrum=identity", "task.spectrum: 'identity' not in ('power_law',)"),
         # a flip probability: at 2 every label flipped, at -0.5 none did, both quietly
-        ("logreg.json", "task.label_noise=2", "task.label_noise must lie in [0, 1], got 2.0"),
-        ("logreg.json", "task.label_noise=-0.5", "task.label_noise must lie in [0, 1], got -0.5"),
+        ("logreg.json", "task.label_noise=2", "task.label_noise must be <= 1, got 2.0"),
+        ("logreg.json", "task.label_noise=-0.5", "task.label_noise must be >= 0, got -0.5"),
         # eigenvalues i^-power: 0 is the identity spectrum, -5 grows with i and
         # ran to a loss of 4.9e8 with exit 0
-        ("quadratic.json", "task.power=0", "task.power must be positive, got 0.0"),
-        ("quadratic.json", "task.power=-5", "task.power must be positive, got -5.0"),
+        ("quadratic.json", "task.power=0", "task.power must be > 0, got 0.0"),
+        ("quadratic.json", "task.power=-5", "task.power must be > 0, got -5.0"),
     ],
 )
 def test_simulate_refused_task_value_exits_1(tmp_path, capsys, config, override, message):
@@ -926,7 +961,7 @@ def test_diagnose_bad_sketch_dim_exits_1(capsys, b):
         ("federation.local_steps=0", "federation.local_steps must be >= 1, got 0"),
         ("federation.rounds=0", "federation.rounds must be >= 1, got 0"),
         ("federation.batch_size=0", "federation.batch_size must be >= 1, got 0"),
-        ("federation.eta_local=0", "eta_local must be finite and positive, got 0.0"),
+        ("federation.eta_local=0", "federation.eta_local must be > 0, got 0.0"),
     ],
 )
 def test_diagnose_applies_the_run_checks(capsys, override, message):
