@@ -5,16 +5,16 @@ Calibrates sigma_g to the requested epsilon, runs both server optimizers at
 the identical budget plus a non-private ablation, writes one CSV per run,
 and prints a summary.  The task has intrinsic dimension ~1.6 despite d = 200,
 which is the regime where sketching to b = d/4 costs little accuracy.
+Each run is a config checked by the schema, as `fed-sgm simulate` runs one.
 """
 
 import argparse
 import os
 import warnings
 
-from fedsgm.accountant import DpPoint, calibrate_sgm_sigma
-from fedsgm.fedsim import FedConfig, run_federation, write_round_csv
-from fedsgm.mechanism import MechanismConfig
-from fedsgm.tasks import intrinsic_dimension, make_federated_quadratic, power_law_spectrum
+from fedsgm.config import build_fed_config, build_task, validate_config
+from fedsgm.fedsim import run_federation, write_round_csv
+from fedsgm.tasks import intrinsic_dimension
 
 
 def main() -> int:
@@ -27,47 +27,27 @@ def main() -> int:
     ap.add_argument("--out-dir", default="runs")
     args = ap.parse_args()
 
-    clients, per_round, local_steps = 64, 8, 10
-    task, part = make_federated_quadratic(
-        power_law_spectrum(args.d, 2.0), seed=7, clients=clients, heterogeneity=0.5, center_scale=5.0
-    )
-    sigma = calibrate_sgm_sigma(
-        DpPoint(args.eps, args.delta), q=per_round / clients, T=args.rounds, tau=1.0, b=args.b
-    )
+    def config(optimizer, eta_global, sigma_g):
+        return validate_config({
+            "task": {"kind": "quadratic", "d": args.d, "seed": 7, "heterogeneity": 0.5,
+                     "center_scale": 5.0},
+            "federation": {"clients": 64, "clients_per_round": 8, "local_steps": 10,
+                           "rounds": args.rounds, "eta_local": 0.04, "eta_global": eta_global,
+                           "master_seed": 17},
+            "mechanism": {"tau": 1.0, "sigma_g": sigma_g, "noise_seed": 5},
+            "sketch": {"b": args.b},
+            "optimizer": {"kind": optimizer},
+            "accountant": {"delta": args.delta, "target_epsilon": args.eps},
+        })
+
+    gd = config("gd", 0.2, "calibrate")
+    task, part = build_task(gd)
+    runs = {"gd": build_fed_config(gd)}
+    sigma = runs["gd"].mechanism.sigma_g
+    runs["amsgrad"] = build_fed_config(config("amsgrad", 0.005, sigma))
+    runs["gd-nonprivate"] = build_fed_config(config("gd", 0.2, 0.0))
     print(f"d = {args.d}, b = {args.b}, intrinsic dimension = {intrinsic_dimension(task):.3f}")
     print(f"calibrated sigma_g = {sigma:.4f} at eps = {args.eps:g}, delta = {args.delta:g}")
-
-    base = dict(
-        clients=clients,
-        clients_per_round=per_round,
-        local_steps=local_steps,
-        rounds=args.rounds,
-        eta_local=0.04,
-        batch_size=1,
-        sketch_b=args.b,
-        delta=args.delta,
-        master_seed=17,
-    )
-    runs = {
-        "gd": FedConfig(
-            eta_global=0.2,
-            optimizer="gd",
-            mechanism=MechanismConfig(tau=1.0, sigma_g=sigma, noise_seed=5),
-            **base,
-        ),
-        "amsgrad": FedConfig(
-            eta_global=0.005,
-            optimizer="amsgrad",
-            mechanism=MechanismConfig(tau=1.0, sigma_g=sigma, noise_seed=5),
-            **base,
-        ),
-        "gd-nonprivate": FedConfig(
-            eta_global=0.2,
-            optimizer="gd",
-            mechanism=MechanismConfig(tau=1.0, sigma_g=0.0, noise_seed=5),
-            **base,
-        ),
-    }
 
     os.makedirs(args.out_dir, exist_ok=True)
     g0 = task.grad(task.theta0)

@@ -59,7 +59,7 @@ class DpPoint:
     delta: float
 
     def __post_init__(self):
-        if not self.epsilon >= 0.0:
+        if self.epsilon < 0.0:  # NaN, 0 and inf are the solves' to refuse
             raise ConfigurationError(f"epsilon must be >= 0, got {self.epsilon}")
         if not 0.0 < self.delta < 1.0:
             raise ConfigurationError(f"delta must be in (0,1), got {self.delta}")

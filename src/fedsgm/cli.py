@@ -73,8 +73,6 @@ def _add_accounting_args(p, with_sigma: bool):
 
 
 def cmd_calibrate(args) -> int:
-    if not 0.0 < args.eps < math.inf:  # also rejects NaN
-        raise CalibrationError(f"target epsilon must be positive and finite, got {args.eps}")
     target = DpPoint(args.eps, args.delta)
     sigma = calibrate_sgm_sigma(target, args.q, args.T, args.tau, args.b)
     achieved = sgm_pipeline(

@@ -6,7 +6,9 @@ are rejected with their dotted path; privacy-critical keys (mechanism.tau,
 mechanism.sigma_g, accountant.delta) have no defaults and must be explicit.
 Every run is sketched: sketch.b is required.  mechanism.sigma_g may be the
 string "calibrate"; `build_fed_config`, the one path from a config to a run,
-then calibrates the noise to accountant.target_epsilon.
+then calibrates the noise to accountant.target_epsilon.  The schema is the
+only validator of a run's values: the records that `build_fed_config`
+builds, FedConfig and MechanismConfig, check nothing.
 """
 
 from __future__ import annotations
@@ -166,8 +168,18 @@ def validate_config(raw: dict) -> dict:
 
 
 def _cross_validate(cfg: dict):
-    if cfg["task"]["kind"] == "logreg" and cfg["task"]["n"] is None:
-        raise ConfigurationError("task.n is required for logreg tasks")
+    t = cfg["task"]
+    # a dense task past DENSE_MAX_ENTRIES is refused before any array is allocated
+    if t["kind"] == "quadratic" and t["d"] * t["d"] > DENSE_MAX_ENTRIES:
+        raise ConfigurationError(f"task.d = {t['d']} gives a d x d Hessian of more than "
+                                 f"{DENSE_MAX_ENTRIES} entries")
+    if t["kind"] == "logreg":
+        if t["n"] is None:
+            raise ConfigurationError("task.n is required for logreg tasks")
+        if (t["n"] + max(200, t["n"] // 5)) * t["d"] > DENSE_MAX_ENTRIES:
+            # the n training and max(200, n // 5) test rows of d features
+            raise ConfigurationError(f"task.n = {t['n']} and task.d = {t['d']} give more than "
+                                     f"{DENSE_MAX_ENTRIES} feature entries")
     fed = cfg["federation"]
     if fed["clients_per_round"] > fed["clients"]:
         raise ConfigurationError(
@@ -256,6 +268,7 @@ def build_fed_config(cfg: dict) -> FedConfig:
     fed = cfg["federation"]
     mech = cfg["mechanism"]
     acc = cfg["accountant"]
+    b = cfg["sketch"]["b"]
     sigma_g = mech["sigma_g"]
     if sigma_g == "calibrate":
         sigma_g = calibrate_sgm_sigma(
@@ -263,19 +276,13 @@ def build_fed_config(cfg: dict) -> FedConfig:
             q=fed["clients_per_round"] / fed["clients"],
             T=fed["rounds"],
             tau=mech["tau"],
-            b=cfg["sketch"]["b"],
+            b=b,
         )
+    # the schema's federation and mechanism keys are the records' field names
     return FedConfig(
-        clients=fed["clients"],
-        clients_per_round=fed["clients_per_round"],
-        local_steps=fed["local_steps"],
-        rounds=fed["rounds"],
-        eta_local=fed["eta_local"],
-        eta_global=fed["eta_global"],
-        batch_size=fed["batch_size"],
-        mechanism=MechanismConfig(tau=mech["tau"], sigma_g=sigma_g, noise_seed=mech["noise_seed"]),
-        sketch_b=cfg["sketch"]["b"],
-        optimizer=cfg["optimizer"]["kind"],
+        **fed,
+        mechanism=MechanismConfig(**{**mech, "sigma_g": sigma_g}),
         delta=acc["delta"],
-        master_seed=fed["master_seed"],
+        sketch_b=b,
+        optimizer=cfg["optimizer"]["kind"],
     )

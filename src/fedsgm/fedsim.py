@@ -88,12 +88,16 @@ _KEY_CHUNK = 256  # rounds keyed per pass: the key arrays stay small for any num
 # core is free.
 _AHEAD_MIN_ENTRIES = 2**16
 
-_OPTIMIZERS = ("gd", "amsgrad", "adam")
-
 
 @dataclass(frozen=True)
 class FedConfig:
-    """Everything needed to reproduce one federated run."""
+    """Everything needed to reproduce one federated run.
+
+    An unchecked record: `config.build_fed_config` builds it from a config
+    that the schema has validated.  Each of the schema's `federation` keys is
+    a field of the same name; delta is `accountant.delta`, at which
+    epsilon_spent is accounted.
+    """
 
     clients: int
     clients_per_round: int
@@ -103,32 +107,10 @@ class FedConfig:
     eta_global: float
     batch_size: int
     mechanism: MechanismConfig
+    delta: float
     sketch_b: Optional[int] = None  # None = identity compressor (no sketching, epsilon = inf)
     optimizer: str = "gd"
-    delta: float = 1e-5
     master_seed: int = 0
-
-    def __post_init__(self):
-        if self.clients < 1 or not 1 <= self.clients_per_round <= self.clients:
-            raise ConfigurationError(
-                f"need 1 <= clients_per_round <= clients, got "
-                f"{self.clients_per_round}/{self.clients}"
-            )
-        if self.local_steps < 1 or self.rounds < 1 or self.batch_size < 1:
-            raise ConfigurationError("local_steps, rounds, batch_size must be >= 1")
-        for name, eta in (("eta_local", self.eta_local), ("eta_global", self.eta_global)):
-            if not 0 < eta < np.inf:
-                raise ConfigurationError(f"{name} must be finite and positive, got {eta}")
-        if self.optimizer not in _OPTIMIZERS:
-            raise ConfigurationError(
-                f"unknown optimizer {self.optimizer!r}; expected one of {_OPTIMIZERS}"
-            )
-        if self.sketch_b is not None and self.sketch_b < 1:
-            raise ConfigurationError(f"sketch_b must be >= 1, got {self.sketch_b}")
-        if not 0.0 < self.delta < 1.0:
-            raise ConfigurationError(f"delta must be in (0,1), got {self.delta}")
-        if self.master_seed < 0:
-            raise ConfigurationError(f"master_seed must be >= 0, got {self.master_seed}")
 
     @property
     def q(self) -> float:

@@ -235,6 +235,7 @@ def test_matches_plain_fedavg_when_privacy_disabled():
             eta_global=eta_g,
             batch_size=1,
             mechanism=MechanismConfig(tau=math.inf, sigma_g=0.0),
+            delta=DELTA_REF,
             sketch_b=None,
             optimizer="gd",
             master_seed=seed % 1000,
@@ -274,6 +275,7 @@ def test_private_convergence_gd_and_amsgrad():
         eta_local=0.04,
         batch_size=1,
         mechanism=MechanismConfig(tau=1.0, sigma_g=sigma, noise_seed=5),
+        delta=DELTA_REF,
         sketch_b=50,
         master_seed=17,
     )

@@ -1038,7 +1038,7 @@ def test_baseline_calibration_refuses_a_target_met_at_its_lower_end(eps, q, T):
 
 @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan])
 def test_baseline_calibration_rejects_non_positive_target(eps):
-    # DpPoint itself refuses a negative or nan epsilon, so pass a bare record
+    # DpPoint itself refuses a negative epsilon, so pass a bare record
     target = SimpleNamespace(epsilon=eps, delta=1e-5)
     with pytest.raises(CalibrationError, match="target epsilon must be positive"):
         calibrate_baseline_sigma(target, q=Q_VISION, T=T_VISION)

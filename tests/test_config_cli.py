@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fedsgm import cli
 from fedsgm.accountant import DpPoint, calibrate_sgm_sigma
 from fedsgm.cli import build_parser, main
 from fedsgm.config import _SCHEMA, build_fed_config, build_task, load_config, validate_config
@@ -120,9 +121,14 @@ def test_nan_rejected():
         ("task", "heterogeneity"),
         ("accountant", "delta"),
         ("mechanism", "sigma_g"),
+        ("federation", "eta_local"),
+        ("federation", "eta_global"),
     ):
         with pytest.raises(ConfigurationError, match=f"{section}.{key} must be finite"):
             validate_config(small_config(**{section: {key: math.inf}}))
+    for key in ("eta_local", "eta_global"):
+        with pytest.raises(ConfigurationError, match=f"^federation.{key}: NaN is not a valid value"):
+            validate_config(small_config(federation={key: math.nan}))
     # ... except tau, where inf is the documented "clipping off"
     assert validate_config(small_config(mechanism={"tau": math.inf}))["mechanism"]["tau"] == math.inf
 
@@ -138,6 +144,8 @@ def test_bad_enum_choice():
     raw = small_config(task={"kind": "mlp"})
     with pytest.raises(ConfigurationError, match="not in"):
         validate_config(raw)
+    with pytest.raises(ConfigurationError, match=r"^optimizer\.kind: 'lbfgs' not in \('gd', 'amsgrad', 'adam'\)$"):
+        validate_config(small_config(optimizer={"kind": "lbfgs"}))
 
 
 def test_fractional_integer_rejected():
@@ -349,6 +357,15 @@ def test_cli_calibrate_non_finite_or_zero_target_exits_2(capsys, eps):
     assert rc == 2
     assert out == ""
     assert err.startswith("infeasible: target epsilon must be positive and finite, got ")
+
+
+def test_cli_calibrate_negative_target_exits_1(capsys):
+    # a negative epsilon is a usage mistake, not an infeasible target
+    rc = main(["calibrate", "--eps", "-1", *VISION_ARGS])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert out == ""
+    assert err == "error: epsilon must be >= 0, got -1.0\n"
 
 
 def test_cli_calibrate_huge_tau(capsys):
@@ -831,8 +848,8 @@ def test_label_noise_range_is_closed(noise):
 
 
 def test_simulate_out_of_memory_exits_1_without_a_traceback(tmp_path):
-    # a d x d Hessian at d = 1e7 asks for 728 TiB; the allocation fails at
-    # once, without touching memory
+    # a d x d Hessian at d = 1e7 would ask for 728 TiB: the config check
+    # refuses it by key before any array is allocated
     env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
     proc = subprocess.run(
         [sys.executable, "-m", "fedsgm.cli", "simulate", str(REPO_ROOT / "configs" / "quadratic.json"),
@@ -841,10 +858,32 @@ def test_simulate_out_of_memory_exits_1_without_a_traceback(tmp_path):
     )
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: out of memory: "), proc.stderr
+    assert proc.stderr == "error: task.d = 10000000 gives a d x d Hessian of more than 100000000 entries\n"
     assert proc.stdout == ""
-    assert not list(tmp_path.rglob("*.csv"))
+    assert not (tmp_path / "o").exists()
+
+
+def test_memory_error_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
+    def no_memory(cfg):
+        raise MemoryError("Unable to allocate 728. TiB")
+
+    monkeypatch.setattr(cli, "build_task", no_memory)
+    rc = main(["simulate", write_config(tmp_path, small_config()), "--out-dir", str(tmp_path / "o")])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert out == ""
+    assert err == "error: out of memory: Unable to allocate 728. TiB\n"
+
+
+@pytest.mark.parametrize("config, key, fits", [
+    ("quadratic.json", "d", 10_000),  # a d x d Hessian of 1e8 entries
+    ("logreg.json", "n", 4_166_667),  # (n + n // 5) x 20 train and test features, 1e8 entries
+])
+def test_task_entries_ceiling(config, key, fits):
+    path = str(REPO_ROOT / "configs" / config)
+    assert load_config(path, [f"task.{key}={fits}"])["task"][key] == fits
+    with pytest.raises(ConfigurationError, match=rf"^task\.{key} = {fits + 1} .* more than 100000000 "):
+        load_config(path, [f"task.{key}={fits + 1}"])
 
 
 def test_sweep_is_not_a_subcommand(tmp_path, capsys):
