@@ -40,7 +40,7 @@ from .errors import (
 )
 from .fedsim import run_federation, strict_json, write_manifest, write_round_csv
 from .mechanism import sensitivity_ratio
-from .tasks import estimate_G_and_sigma_s, intrinsic_dimension
+from .tasks import _HESSIAN_DIM_LIMIT, estimate_G_and_sigma_s, intrinsic_dimension
 
 
 class _UsageError(Exception):
@@ -165,8 +165,8 @@ def cmd_simulate(config_path, overrides=(), out_dir=None) -> int:
     out_dir = cfg["output"]["dir"]
     prefix = cfg["output"]["prefix"]
     _make_out_dir(out_dir)
-    task, partition = build_task(cfg)
     fed_cfg = build_fed_config(cfg)
+    task, partition = build_task(cfg)
     result = run_federation(fed_cfg, task, partition)
 
     csv_path = os.path.join(out_dir, f"{prefix}.csv")
@@ -194,8 +194,12 @@ def cmd_simulate(config_path, overrides=(), out_dir=None) -> int:
 
 def cmd_diagnose(config_path, overrides=()) -> int:
     cfg = load_config(config_path, overrides)
-    task, partition = build_task(cfg)
+    if cfg["task"]["d"] > _HESSIAN_DIM_LIMIT:
+        raise ConfigurationError(
+            f"task.d = {cfg['task']['d']} > {_HESSIAN_DIM_LIMIT}: diagnose needs the dense Hessian"
+        )
     fed_cfg = build_fed_config(cfg)
+    task, partition = build_task(cfg)
     opt_kind = fed_cfg.optimizer
     sigma = fed_cfg.mechanism.sigma_g
     K = fed_cfg.local_steps
@@ -206,7 +210,7 @@ def cmd_diagnose(config_path, overrides=()) -> int:
     eta = eta_g * eta_l
     tau = fed_cfg.mechanism.tau
 
-    I = intrinsic_dimension(task)  # raises ConfigurationError for d > 500
+    I = intrinsic_dimension(task)
 
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(fed_cfg.master_seed)))
     probes = [task.theta0] + [

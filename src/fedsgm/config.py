@@ -8,7 +8,8 @@ Every run is sketched: sketch.b is required.  mechanism.sigma_g may be the
 string "calibrate"; `build_fed_config`, the one path from a config to a run,
 then calibrates the noise to accountant.target_epsilon.  The schema is the
 only validator of a run's values: the records that `build_fed_config`
-builds, FedConfig and MechanismConfig, check nothing.
+builds, FedConfig and MechanismConfig, check nothing, nor do the task
+builders, sketches and clip that a run reaches from them.
 """
 
 from __future__ import annotations
@@ -21,11 +22,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .accountant import DpPoint, calibrate_sgm_sigma
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ParameterRegimeError
 from .fedsim import FedConfig
-from .mechanism import MechanismConfig
+from .mechanism import MechanismConfig, sensitivity_ratio
 from .sketch import DENSE_MAX_ENTRIES
-from .tasks import make_federated_quadratic, make_logreg, power_law_spectrum
+from .tasks import logreg_test_rows, make_federated_quadratic, make_logreg, power_law_spectrum
 
 
 @dataclass(frozen=True)
@@ -176,10 +177,13 @@ def _cross_validate(cfg: dict):
     if t["kind"] == "logreg":
         if t["n"] is None:
             raise ConfigurationError("task.n is required for logreg tasks")
-        if (t["n"] + max(200, t["n"] // 5)) * t["d"] > DENSE_MAX_ENTRIES:
-            # the n training and max(200, n // 5) test rows of d features
+        if (t["n"] + logreg_test_rows(t["n"])) * t["d"] > DENSE_MAX_ENTRIES:
+            # the n training and logreg_test_rows(n) test rows of d features
             raise ConfigurationError(f"task.n = {t['n']} and task.d = {t['d']} give more than "
                                      f"{DENSE_MAX_ENTRIES} feature entries")
+        if t["n"] < cfg["federation"]["clients"]:
+            raise ConfigurationError(f"task.n = {t['n']} is below federation.clients = "
+                                     f"{cfg['federation']['clients']}: every client needs a sample")
     fed = cfg["federation"]
     if fed["clients_per_round"] > fed["clients"]:
         raise ConfigurationError(
@@ -278,6 +282,12 @@ def build_fed_config(cfg: dict) -> FedConfig:
             tau=mech["tau"],
             b=b,
         )
+    elif sigma_g > 0.0 and mech["tau"] < math.inf:
+        # sigma_g = 0 (no noise) and tau = inf (no clipping) run unaccounted
+        r = sensitivity_ratio(mech["tau"], b, sigma_g)
+        if not r < 1.0:
+            raise ParameterRegimeError(f"mechanism.sigma_g = {sigma_g!r} gives r = 2 tau^2/(b sigma_g^2) "
+                                       f"= {r:.4g} >= 1, outside the accounting regime")
     # the schema's federation and mechanism keys are the records' field names
     return FedConfig(
         **fed,

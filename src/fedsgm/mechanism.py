@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, ParameterRegimeError
+from .errors import ParameterRegimeError
 
 
 @dataclass(frozen=True)
@@ -33,14 +33,12 @@ class MechanismConfig:
 
 
 def clip(v: np.ndarray, tau: float) -> tuple[np.ndarray, bool]:
-    """Scale v onto the L2 ball of radius tau: v * min(1, tau/||v||).
+    """Scale v onto the L2 ball of radius tau > 0: v * min(1, tau/||v||).
 
     Returns the clipped copy and whether ||v|| > tau (False for a NaN norm).
     The copy is idempotent, positively homogeneous (c*v at c*tau gives c times
     the copy for c > 0), and the zero vector is a fixed point.  tau = inf is a no-op.
     """
-    if not (tau >= 0):
-        raise ConfigurationError(f"tau must be >= 0, got {tau}")
     v = np.asarray(v, dtype=np.float64)
     norm = float(np.linalg.norm(v))
     if norm == 0.0 or norm <= tau:

@@ -54,17 +54,11 @@ SeedLike = Union[int, Sequence[int]]
 
 @dataclass(frozen=True)
 class SketchSpec:
-    """Immutable description of a sketch matrix: shape plus PRNG seed."""
+    """Immutable description of a sketch matrix: shape (b, d), both >= 1, plus PRNG seed."""
 
     b: int
     d: int
     seed: SeedLike = 0
-
-    def __post_init__(self):
-        if self.b < 1 or self.d < 1:
-            raise DimensionMismatchError(
-                f"sketch dims must be positive, got b={self.b}, d={self.d}"
-            )
 
 
 def block_keys(seed: SeedLike, b: int) -> np.ndarray:
@@ -160,8 +154,6 @@ class IdentityCompressor:
     """No-op stand-in for a sketch: b == d, sketch and desketch are identity."""
 
     def __init__(self, d: int):
-        if d < 1:
-            raise DimensionMismatchError(f"dimension must be positive, got d={d}")
         self.b = d
         self.d = d
 

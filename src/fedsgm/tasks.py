@@ -8,8 +8,11 @@ Two task families cover the experiments at desk scale:
 * synthetic binary logistic regression with IID or label-skewed partitions.
 
 A Task exposes the full-data mean loss, the mean gradient over arbitrary
-sample subsets, and the full Hessian when the dimension is small enough to
-afford it.
+sample subsets, and the full Hessian.
+
+The builders trust their arguments: the config schema (`fedsgm.config`)
+checks every value that reaches them, so a bad value is refused by its key
+before any array is drawn.
 """
 
 from __future__ import annotations
@@ -84,7 +87,7 @@ class Task:
     loss is the mean loss over all samples.  grad takes an optional index
     array and averages over it (all samples when omitted); it also takes an
     (N, d) stack with N index arrays, one gradient per row.  hessian is the
-    full-data Hessian at theta, or None when unavailable.
+    full-data Hessian at theta, a dense d x d array.
 
     eval_window is how many iterates the full-data grad, loss and test_metric
     take at once, as a (W, d) stack with one result per row; 1 means vectors
@@ -102,7 +105,7 @@ class Task:
     n: int
     loss: Callable
     grad: Callable
-    hessian: Optional[Callable]
+    hessian: Callable
     theta0: np.ndarray
     minimum_value: float = math.nan
     test_metric: Optional[Callable] = None
@@ -134,9 +137,7 @@ def _client_batch(theta, idx):
 
 
 def iid_partition(n: int, num_clients: int, seed: int = 0) -> Partition:
-    """Random equal-ish split of n samples into num_clients shards."""
-    if n < num_clients:
-        raise ConfigurationError(f"cannot split {n} samples across {num_clients} clients")
+    """Random equal-ish split of n >= num_clients samples into num_clients shards."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, _TASK_TAG, 1))))
     perm = rng.permutation(n)
     return Partition(tuple(np.sort(a) for a in np.array_split(perm, num_clients)), n)
@@ -145,13 +146,10 @@ def iid_partition(n: int, num_clients: int, seed: int = 0) -> Partition:
 def label_skew_partition(
     labels: np.ndarray, num_clients: int, concentration: float = 0.5, seed: int = 0
 ) -> Partition:
-    """Dirichlet label-skew split: small concentration, strong heterogeneity."""
+    """Dirichlet label-skew split of len(labels) >= num_clients samples: small
+    concentration (> 0), strong heterogeneity."""
     labels = np.asarray(labels)
     n = len(labels)
-    if n < num_clients:
-        raise ConfigurationError(f"cannot split {n} samples across {num_clients} clients")
-    if concentration <= 0:
-        raise ConfigurationError(f"concentration must be positive, got {concentration}")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, _TASK_TAG, 2))))
     shards: list[list[int]] = [[] for _ in range(num_clients)]
     for cls in np.unique(labels):
@@ -195,15 +193,6 @@ def make_federated_quadratic(
     """
     lam = np.asarray(eigenvalues, dtype=np.float64)
     d = lam.shape[0]
-    if d < 1:
-        raise ConfigurationError("empty spectrum")
-    if np.all(lam == 0.0):
-        raise ConfigurationError("all-zero spectrum: the objective is constant")
-    if lam.max() <= 0.0:
-        raise ConfigurationError("spectrum needs at least one positive eigenvalue")
-    if clients < 1:
-        raise ConfigurationError(f"clients must be >= 1, got {clients}")
-
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, _TASK_TAG, 3))))
     Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
     H = (Q * lam) @ Q.T
@@ -372,9 +361,6 @@ def _logreg_task(X: np.ndarray, y: np.ndarray, X_test: np.ndarray, y_test: np.nd
         return out.reshape(np.shape(theta))
 
     def hessian(theta):
-        if d > _HESSIAN_DIM_LIMIT:
-            raise ConfigurationError(f"hessian unavailable for d = {d} > {_HESSIAN_DIM_LIMIT}")
-
         def term(Xb, zb):
             p = _sigmoid(zb)
             return (Xb * (p * (1.0 - p))[:, None]).T @ Xb
@@ -404,6 +390,11 @@ def _logreg_task(X: np.ndarray, y: np.ndarray, X_test: np.ndarray, y_test: np.nd
     )
 
 
+def logreg_test_rows(n: int) -> int:
+    """Size of the held-out set a logistic task of n training rows draws."""
+    return max(200, n // 5)
+
+
 def make_logreg(
     n: int,
     d: int,
@@ -420,8 +411,6 @@ def make_logreg(
     probability.  partition: "iid" or "label_skew" (Dirichlet with
     `concentration = skew`).
     """
-    if n < 2 or d < 1:
-        raise ConfigurationError(f"need n >= 2, d >= 1, got n={n}, d={d}")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, _TASK_TAG, 4))))
     teacher = rng.standard_normal(d)
     teacher /= np.linalg.norm(teacher)
@@ -435,16 +424,11 @@ def make_logreg(
         return Xm, ym
 
     X, y = draw(n)
-    X_test, y_test = draw(max(200, n // 5))
+    X_test, y_test = draw(logreg_test_rows(n))
     task = _logreg_task(X, y, X_test, y_test)
-
     if partition == "iid":
-        part = iid_partition(n, clients, seed=seed)
-    elif partition == "label_skew":
-        part = label_skew_partition(y, clients, concentration=skew, seed=seed)
-    else:
-        raise ConfigurationError(f"unknown partition mode {partition!r}")
-    return task, part
+        return task, iid_partition(n, clients, seed=seed)
+    return task, label_skew_partition(y, clients, concentration=skew, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -457,8 +441,6 @@ def intrinsic_dimension(task: Task, theta: Optional[np.ndarray] = None) -> float
 
     Ranges in [1, d]; equals d for an identity Hessian and stays O(1) for
     fast-decaying spectra.  Requires the exact Hessian (d <= 500)."""
-    if task.hessian is None:
-        raise ConfigurationError(f"task {task.name!r} does not expose a Hessian")
     if task.d > _HESSIAN_DIM_LIMIT:
         raise ConfigurationError(
             f"intrinsic dimension needs a dense eigendecomposition; d = {task.d} > {_HESSIAN_DIM_LIMIT}"
@@ -466,10 +448,7 @@ def intrinsic_dimension(task: Task, theta: Optional[np.ndarray] = None) -> float
     if theta is None:
         theta = task.theta0
     lam = np.linalg.eigvalsh(task.hessian(theta))
-    lam_max = float(lam.max())
-    if lam_max <= 0.0:
-        raise ConfigurationError("largest Hessian eigenvalue must be positive")
-    return float(np.sum(np.abs(lam)) / lam_max)
+    return float(np.sum(np.abs(lam)) / lam.max())
 
 
 def estimate_G_and_sigma_s(

@@ -146,6 +146,8 @@ def test_bad_enum_choice():
         validate_config(raw)
     with pytest.raises(ConfigurationError, match=r"^optimizer\.kind: 'lbfgs' not in \('gd', 'amsgrad', 'adam'\)$"):
         validate_config(small_config(optimizer={"kind": "lbfgs"}))
+    with pytest.raises(ConfigurationError, match=r"^task\.partition: 'dirichlet' not in \('iid', 'label_skew'\)$"):
+        validate_config(small_config(task={"kind": "logreg", "n": 40, "partition": "dirichlet"}))
 
 
 def test_fractional_integer_rejected():
@@ -954,6 +956,10 @@ def test_shipped_quadratic_config_runs_fast(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 
+def _never_called(cfg):
+    raise AssertionError("build_task was called")
+
+
 def _intrinsic_dim_from(out: str) -> float:
     match = re.search(r"intrinsic dimension I = ([0-9.eE+-]+)", out)
     assert match is not None, out
@@ -975,14 +981,16 @@ def test_diagnose_power_law_has_small_intrinsic_dimension(tmp_path, capsys):
     ("quadratic.json", ["task.d=600"]),
     ("logreg.json", ["task.d=600", "task.n=700"]),
 ], ids=["quadratic", "logreg"])
-def test_diagnose_huge_dimension_exits_1(capsys, config, overrides):
-    # a dense Hessian past the ceiling is a config error, not an infeasible privacy target
+def test_diagnose_huge_dimension_exits_1(capsys, monkeypatch, config, overrides):
+    # a dense Hessian past the ceiling is a config error, not an infeasible
+    # privacy target, and is refused by its key before the task is built
+    monkeypatch.setattr(cli, "build_task", _never_called)
     rc = main(["diagnose", str(REPO_ROOT / "configs" / config),
                *itertools.chain.from_iterable(("--override", o) for o in overrides)])
     out, err = capsys.readouterr()
     assert rc == 1
     assert out == ""
-    assert err == "error: intrinsic dimension needs a dense eigendecomposition; d = 600 > 500\n"
+    assert err == "error: task.d = 600 > 500: diagnose needs the dense Hessian\n"
 
 
 @pytest.mark.parametrize("b", [0, -3])
@@ -1025,6 +1033,38 @@ def test_moment_hyperparameters_are_not_run_options(tmp_path, capsys, command, k
     assert rc == 1
     assert out == ""
     assert err == f"error: unknown override target optimizer.{key}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("partition", ["iid", "label_skew"])
+def test_logreg_needs_a_sample_per_client(tmp_path, capsys, partition):
+    # refused by the config check, naming both keys, before a feature is drawn
+    logreg = str(REPO_ROOT / "configs" / "logreg.json")
+    over = f"task.partition={partition}"
+    rc = main(["simulate", logreg, "--override", "task.n=10", "--override", over,
+               "--out-dir", str(tmp_path / "o")])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert out == ""
+    assert err == "error: task.n = 10 is below federation.clients = 20: every client needs a sample\n"
+    assert not (tmp_path / "o").exists()
+    # one sample per client is enough
+    task, partition = build_task(load_config(logreg, ["task.n=20", over]))
+    assert [len(partition.client_indices(c)) for c in range(20)] == [1] * 20
+
+
+@pytest.mark.parametrize("command", ["diagnose", "simulate"])
+def test_numeric_sigma_outside_the_accounting_regime_exits_2(tmp_path, capsys, monkeypatch, command):
+    # r = 2 tau^2/(b sigma_g^2) = 1250 has no finite epsilon: refused before the task is built
+    monkeypatch.setattr(cli, "build_task", _never_called)
+    quadratic = str(REPO_ROOT / "configs" / "quadratic.json")
+    rc = main([command, quadratic, "--override", "mechanism.sigma_g=0.01",
+               *(["--out-dir", str(tmp_path)] if command == "simulate" else [])])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert out == ""
+    assert err == ("infeasible: mechanism.sigma_g = 0.01 gives r = 2 tau^2/(b sigma_g^2) "
+                   "= 1250 >= 1, outside the accounting regime\n")
     assert list(tmp_path.iterdir()) == []
 
 

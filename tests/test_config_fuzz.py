@@ -5,7 +5,8 @@ with values drawn from the key's schema type, plus NaN, +-inf, 0, negatives
 and values of the wrong type, and runs the CLI in-process.  Whatever the
 values, the run must end in exit code 0, 1 or 2 without an exception; a
 refusal prints exactly one `error:` or `infeasible:` line, and a completed
-run writes only finite metrics.
+run writes only finite metrics, and a finite epsilon wherever the run is
+accounted.
 
 Counts (rounds, clients, steps, d, n, b) are drawn from small ranges, so an
 accepted run takes milliseconds.  Huge values are drawn only for the keys
@@ -24,6 +25,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 from hypothesis import event, given, seed, settings, strategies as st
 
+from fedsgm.accountant import delta_split
 from fedsgm.cli import main
 from fedsgm.config import _SCHEMA
 from fedsgm.fedsim import CSV_COLUMNS
@@ -80,7 +82,7 @@ def test_simulate_ends_in_one_line_or_finite_metrics(data):
         with open(config, "w") as fh:
             json.dump(raw, fh)
         out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+        with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings(record=True):
             warnings.simplefilter("always")
             rc = main(["simulate", config, "--out-dir", os.path.join(tmp, "out")])
         err = err.getvalue()
@@ -94,10 +96,14 @@ def test_simulate_ends_in_one_line_or_finite_metrics(data):
             rows = list(csv.reader(line for line in fh if not line.startswith("#")))
 
     assert tuple(rows[0]) == CSV_COLUMNS
-    # epsilon_spent is inf only where the run warned that accounting is
-    # unavailable: sigma_g = 0, or (tau, b, sigma_g, delta) outside the regime
-    unaccounted = any("privacy accounting unavailable" in str(w.message) for w in caught)
+    # epsilon_spent is inf only in the unaccounted modes, sigma_g = 0 and
+    # tau = inf, or in a round t whose per-release delta0 = delta/(2q(t+1))
+    # is not below 1; a numeric sigma_g with r >= 1 exits 2
+    fed, mech = raw["federation"], raw["mechanism"]
+    unaccounted = mech["sigma_g"] == 0 or mech["tau"] == math.inf
+    q = fed["clients_per_round"] / fed["clients"]
     for row in rows[1:]:
         *metrics, epsilon = map(float, row)
         assert all(math.isfinite(v) for v in metrics), row
-        assert math.isfinite(epsilon) or (epsilon == math.inf and unaccounted), row
+        delta0, _ = delta_split(raw["accountant"]["delta"], q, int(metrics[0]) + 1)
+        assert math.isfinite(epsilon) or (epsilon == math.inf and (unaccounted or delta0 >= 1)), row

@@ -4,6 +4,8 @@ FedConfig and MechanismConfig are unchecked records.  Every program file
 builds them through `config.build_fed_config`, from a config that
 `validate_config` has checked, and the schema's `federation` and `mechanism`
 keys are the records' field names, so that function passes them by name.
+The task builders, the sketches and clip check nothing either: each is
+called from one function that hands it values the schema has checked.
 A second way to build a run, or a key renamed on one side only, fails here.
 """
 
@@ -20,10 +22,18 @@ from fedsgm.mechanism import MechanismConfig
 REPO_ROOT = Path(__file__).resolve().parent.parent
 PROGRAM_FILES = sorted([*(REPO_ROOT / "src" / "fedsgm").glob("*.py"), *(REPO_ROOT / "scripts").glob("*.py")])
 RECORDS = ("FedConfig", "MechanismConfig")
+# each unchecked builder and the one (file, function) that may call it
+BUILDER_CALLERS = {
+    "make_federated_quadratic": ("config.py", "build_task"),
+    "make_logreg": ("config.py", "build_task"),
+    "SketchSpec": ("fedsim.py", "_sketches"),
+    "IdentityCompressor": ("fedsim.py", "_sketches"),
+    "clip": ("fedsim.py", "client_privatize"),
+}
 
 
-def record_calls(path):
-    """(file, enclosing function, record) for each call of a record in a file."""
+def record_calls(path, names=RECORDS):
+    """(file, enclosing function, name) for each call of one of names in a file."""
     calls = []
 
     def visit(node, scope):
@@ -31,7 +41,7 @@ def record_calls(path):
             if isinstance(child, ast.Call):
                 func = child.func
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name in RECORDS:
+                if name in names:
                     calls.append((path.name, scope, name))
             is_function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
             visit(child, getattr(child, "name", "<lambda>") if is_function else scope)
@@ -50,6 +60,12 @@ def test_only_build_fed_config_constructs_a_run_record(record):
     assert {(file, scope) for file, scope, name in calls if name == record} == {
         ("config.py", "build_fed_config")
     }
+
+
+@pytest.mark.parametrize("builder", BUILDER_CALLERS)
+def test_one_function_calls_each_unchecked_builder(builder):
+    calls = [call for path in PROGRAM_FILES for call in record_calls(path, (builder,))]
+    assert {(file, scope) for file, scope, _ in calls} == {BUILDER_CALLERS[builder]}
 
 
 def test_schema_federation_keys_are_fed_config_fields():

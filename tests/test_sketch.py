@@ -240,13 +240,6 @@ def test_identity_compressor_roundtrip():
         comp.sketch(np.zeros(7))
 
 
-def test_spec_validation():
-    with pytest.raises(ValueError):
-        SketchSpec(b=0, d=3, seed=1)
-    with pytest.raises(ValueError):
-        SketchSpec(b=2, d=-1, seed=1)
-
-
 @settings(max_examples=25, deadline=None)
 @given(
     b=st.integers(min_value=1, max_value=64),
