@@ -10,11 +10,12 @@ Each run is a config checked by the schema, as `fed-sgm simulate` runs one.
 
 import argparse
 import os
+import sys
 import warnings
 
 from fedsgm.config import build_fed_config, build_task, validate_config
 from fedsgm.fedsim import run_federation, write_round_csv
-from fedsgm.tasks import intrinsic_dimension
+from fedsgm.tasks import _HESSIAN_DIM_LIMIT, intrinsic_dimension
 
 
 def main() -> int:
@@ -26,6 +27,10 @@ def main() -> int:
     ap.add_argument("--b", type=int, default=50)
     ap.add_argument("--out-dir", default="runs")
     args = ap.parse_args()
+    if args.d > _HESSIAN_DIM_LIMIT:
+        print(f"error: --d = {args.d} > {_HESSIAN_DIM_LIMIT}: the intrinsic dimension needs "
+              f"the dense Hessian", file=sys.stderr)
+        return 1
 
     def config(optimizer, eta_global, sigma_g):
         return validate_config({

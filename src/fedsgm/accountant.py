@@ -3,8 +3,8 @@
 The chain, for one federated round observed through the mechanism:
 
   1. One mechanism release is (alpha, eps_rdp)-RDP with
-         eps_rdp = alpha^2 tau^4 / ((alpha-1) b sigma_g^4),
-     valid in the regime 2 tau^2 / (b sigma_g^2) < 1.
+         eps_rdp = alpha^2 tau^4 / ((alpha-1) b sigma_g^4)
+     wherever `rdp_bound_validity` holds at alpha.
   2. RDP converts to (eps0, delta0)-DP at the optimal order, which has a
      closed form.
   3. Each round `client_sampler` draws N of the C clients, a fixed-size
@@ -33,12 +33,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import (
-    CalibrationError,
-    ConfigurationError,
-    ParameterRegimeError,
-    RenyiOrderDomainError,
-)
+from .errors import CalibrationError, ConfigurationError, ParameterRegimeError
 from .mechanism import sensitivity_ratio
 
 # Above this subsampled per-round epsilon the composed budget is astronomically
@@ -74,9 +69,9 @@ def f_alpha(alpha: float, x: float) -> float:
     """Per-coordinate Renyi divergence shape function.
 
     f_alpha(x) = log x + log(x^2 / (alpha x^2 + 1 - alpha)) / (2 (alpha - 1))
-    is the order-alpha divergence D_alpha(N(0,1) || N(0, 1/x^2)) — equivalently
+    is the order-alpha divergence D_alpha(N(0,1) || N(0, x^2)) — equivalently
     the divergence between zero-mean Gaussians whose std ratio (second over
-    first) is x.  Finite only when alpha x^2 + 1 - alpha > 0; decreasing in x
+    first) is x.  Infinite where alpha x^2 + 1 - alpha <= 0; decreasing in x
     on (0, 1), zero at x = 1, increasing on (1, inf).
     """
     if not alpha > 1.0:
@@ -85,10 +80,7 @@ def f_alpha(alpha: float, x: float) -> float:
         raise ConfigurationError(f"x must be > 0, got {x}")
     dom = alpha * x * x + 1.0 - alpha
     if dom <= 0.0:
-        raise RenyiOrderDomainError(
-            f"alpha = {alpha:.6g} too large for variance ratio x^2 = {x * x:.6g}: "
-            f"alpha*x^2 + 1 - alpha = {dom:.3g} <= 0"
-        )
+        return math.inf
     return math.log(x) + math.log(x * x / dom) / (2.0 * (alpha - 1.0))
 
 
@@ -107,7 +99,7 @@ def renyi_divergence_sgm(
     the divergence is b * f_alpha(x) with
     x = sqrt((norm_Dp^2 + m b sigma_g^2) / (norm_D^2 + m b sigma_g^2)).
     `m` counts independent noise terms summed into the release (e.g. clients
-    per round).  Raises RenyiOrderDomainError where the divergence is infinite.
+    per round).
     """
     if norm_D < 0 or norm_Dp < 0:
         raise ConfigurationError("norms must be nonnegative")
@@ -126,10 +118,8 @@ def sgm_rdp_bound(alpha: float, tau: float, b: int, sigma_g: float) -> float:
     """Closed-form RDP bound for one mechanism release under tau-clipped inputs.
 
     eps_rdp(alpha) = alpha^2 tau^4 / ((alpha - 1) b sigma_g^4), requiring the
-    regime 2 tau^2/(b sigma_g^2) < 1.  The quadratic form is a valid upper
-    bound on the exact worst-case divergence when the sensitivity ratio
-    r = 2 tau^2/(b sigma_g^2) satisfies r <~ 3/(2 (alpha^2 - 1)); see
-    `rdp_bound_validity` for the sufficient condition used by the tests.
+    regime 2 tau^2/(b sigma_g^2) < 1.  Whether it bounds the exact worst-case
+    divergence at a given alpha is `rdp_bound_validity`'s question.
     """
     if not alpha > 1.0:
         raise ConfigurationError(f"alpha must be > 1, got {alpha}")
@@ -146,17 +136,19 @@ def sgm_rdp_bound(alpha: float, tau: float, b: int, sigma_g: float) -> float:
 
 
 def rdp_bound_validity(alpha: float, tau: float, b: int, sigma_g: float) -> bool:
-    """Whether the quadratic RDP bound provably dominates the exact divergence.
+    """Whether the closed-form RDP bound dominates the exact worst-case divergence.
 
-    Sufficient condition: r = 2 tau^2/(b sigma_g^2) <= 3/(2 (alpha^2 - 1)).
-    Comparing the series of alpha*log(1-r) - log(1-alpha*r) with alpha^2 r^2 / 2
-    term by term shows the cubic term flips the inequality once
-    r > 3/(2 (alpha^2 - 1)) (up to higher-order corrections); inside this
-    region every term is dominated.  `sgm_pipeline` does not check the region
-    at its alpha*, so its epsilon is proven only where this holds.
+    A release's variance ratio lies in [1 - r, 1 + r], r = 2 tau^2/(b sigma_g^2),
+    in either order.  `f_alpha` falls on (0, 1) and rises on (1, inf), so the
+    worst case sits at the four ratios 1 - r, 1 + r, 1/(1 - r) and 1/(1 + r),
+    and comparing the bound with b f_alpha there is exact in this model.
+    `sgm_pipeline` does not check it at its alpha*, so its epsilon is proven
+    only where this holds.
     """
+    bound = sgm_rdp_bound(alpha, tau, b, sigma_g)
     r = sensitivity_ratio(tau, b, sigma_g)
-    return r <= 1.5 / (alpha * alpha - 1.0)
+    ends = (1.0 - r, 1.0 + r, 1.0 / (1.0 - r), 1.0 / (1.0 + r))
+    return all(bound >= b * f_alpha(alpha, math.sqrt(v)) for v in ends)
 
 
 # ---------------------------------------------------------------------------

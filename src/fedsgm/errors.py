@@ -17,14 +17,6 @@ class ParameterRegimeError(FedSgmError, ValueError):
     """
 
 
-class RenyiOrderDomainError(FedSgmError, ValueError):
-    """The Renyi order alpha is too large for the given variance ratio.
-
-    The order-alpha divergence between zero-mean Gaussians with variance ratio
-    x^2 is finite only when alpha*x^2 + 1 - alpha > 0.
-    """
-
-
 class CalibrationError(FedSgmError, RuntimeError):
     """Noise calibration cannot meet the requested privacy target."""
 

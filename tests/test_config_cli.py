@@ -1092,6 +1092,13 @@ def test_diagnose_reports_bound_validity(capsys):
     overrides = ["--override", "sketch.b=400000", "--override", "mechanism.sigma_g=0.1025"]
     assert main(["diagnose", quadratic, *overrides]) == 0
     assert "rdp_bound_validity at alpha*: valid" in capsys.readouterr().out
+    # alpha*^2 r = 1.4 is inside the old series region r <= 1.5/(alpha^2 - 1), but
+    # the exact release divergence at ratio 1 - r (11.05) is above the bound (10.48)
+    overrides = ["--override", "sketch.b=1000", "--override", "mechanism.sigma_g=0.15"]
+    assert main(["diagnose", quadratic, *overrides]) == 0
+    out = capsys.readouterr().out
+    assert "alpha* = 3.968, alpha*^2 r = 1.4" in out
+    assert "rdp_bound_validity at alpha*: not valid" in out
     assert main(["diagnose", quadratic, "--override", "mechanism.sigma_g=0"]) == 0
     assert "n/a (sigma_g = 0" in capsys.readouterr().out
 

@@ -22,7 +22,7 @@ import pytest
 from fedsgm import fedsim
 from fedsgm import sketch as sketch_module
 from fedsgm import tasks as tasks_module
-from fedsgm._philox import new_generator, philox_keys
+from fedsgm._philox import new_generator, philox_keys, reseed
 from fedsgm.accountant import AccountantParams, sgm_epsilon
 from fedsgm.errors import ConfigurationError, DimensionMismatchError
 from fedsgm.fedsim import (
@@ -909,3 +909,39 @@ def test_records_csv_shape():
         for field in line.split(","):
             float(field)
         assert 0.0 < float(line.split(",")[-1]) < math.inf
+
+
+def test_manifest_seeds_regenerate_a_rounds_noise(tmp_path, monkeypatch):
+    # The epsilon is for an observer who knows neither R_t nor xi, yet the
+    # manifest's master_seed and noise_seed regenerate both: round 0's noise of
+    # configs/quadratic.json, cut to one round, comes back from the manifest's
+    # fields alone, and removing it leaves the sigma_g = 0 run's payloads.
+    from fedsgm.cli import main
+
+    seen = []
+    real_server_round = fedsim.server_round
+
+    def observe(theta, payloads, *rest):
+        seen.append(np.array(payloads))
+        return real_server_round(theta, payloads, *rest)
+
+    monkeypatch.setattr(fedsim, "server_round", observe)
+    quadratic = str(Path(__file__).resolve().parent.parent / "configs" / "quadratic.json")
+    one_round = ["simulate", quadratic, "--override", "federation.rounds=1", "--out-dir", str(tmp_path)]
+    assert main([*one_round, "--override", "output.prefix=private"]) == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the sigma_g = 0 run reports epsilon = inf
+        assert main([*one_round, "--override", "output.prefix=clean",
+                     "--override", "mechanism.sigma_g=0"]) == 0
+    private, clean = seen
+
+    config = json.loads((tmp_path / "private-manifest.json").read_text())["config"]
+    fed, mech = config["federation"], config["mechanism"]
+    rng = new_generator()
+    sampler_key = philox_keys((fed["master_seed"], fedsim._SAMPLER_TAG), (np.arange(1),))[0]
+    clients = client_sampler(rng, sampler_key, fed["clients"], fed["clients_per_round"])
+    noise_keys = philox_keys((mech["noise_seed"], fedsim._NOISE_TAG), (clients, 0))
+    xi = np.array([reseed(rng, key).standard_normal(config["sketch"]["b"]) for key in noise_keys])
+    recovered = private - fed["eta_local"] * mech["sigma_g_resolved"] * xi
+    assert np.linalg.norm(xi) > 1.0  # there was noise to remove
+    assert np.abs(recovered - clean).max() <= 1e-12

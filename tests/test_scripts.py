@@ -67,6 +67,20 @@ def test_convergence_ledger_uses_the_calibration_delta(tmp_path):
     assert eps * (1 - CALIBRATION_REL_TOL) <= final <= eps
 
 
+def test_convergence_refuses_a_dimension_past_the_dense_hessian(tmp_path):
+    # refused right after parsing, by flag, before a task is built or sigma_g solved
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(REPO_ROOT / "scripts" / "convergence_experiment.py"),
+         "--d", "600", "--rounds", "2"],
+        capture_output=True, text=True, cwd=tmp_path, env=env, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: --d = 600 > 500: the intrinsic dimension needs the dense Hessian\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_privacy_tables_rows_are_the_calibrations(tmp_path):
     # one row per (eps, b), each to the 4 decimals the accountant gives
     eps_values, b_values, q, T, tau = (1.6, 0.42), (4000, 400_000), 0.01, 50, 2.0
