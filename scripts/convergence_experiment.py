@@ -13,6 +13,7 @@ import os
 import sys
 import warnings
 
+from fedsgm.cli import exit_code
 from fedsgm.config import build_fed_config, build_task, validate_config
 from fedsgm.fedsim import run_federation, write_round_csv
 from fedsgm.tasks import _HESSIAN_DIM_LIMIT, intrinsic_dimension
@@ -74,4 +75,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(exit_code(main))

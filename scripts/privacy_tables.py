@@ -12,6 +12,7 @@ schedules, and several --b values to sweep the sketch dimension.
 import argparse
 
 from fedsgm.accountant import DpPoint, calibrate_baseline_sigma, calibrate_sgm_sigma
+from fedsgm.cli import exit_code
 
 
 def main() -> int:
@@ -36,4 +37,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(exit_code(main))

@@ -309,13 +309,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        args = build_parser().parse_args(argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
+    return exit_code(args.func, args)
+
+
+def exit_code(run, *args) -> int:
+    """run(*args), or the exit code of a package or out-of-memory error it
+    raises, printed as one stderr line; the CLI and the scripts end through it."""
+    try:
+        return run(*args)
     except (CalibrationError, ParameterRegimeError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2

@@ -14,8 +14,8 @@ R_t depends on (master_seed, round) alone, not on theta_t, so a run's
 sketches are one sequence, drawn in round order.  Where a kept sketch has at
 least _AHEAD_MIN_ENTRIES entries the sequence runs on one worker thread,
 which starts drawing R_{t+1} when the round loop takes R_t; every round,
-round 0 included, then only waits for its sketch.  The worker draws from the
-same block keys, so the bytes of a run do not depend on it.  The loop drops
+round 0 included, then only waits for its sketch.  The worker draws the same
+streams, so the bytes of a run do not depend on it.  The loop drops
 R_{t-1} before it takes R_t, so at most two sketches are alive (the one in
 use and the one being drawn); it draws ahead only where two fit under
 DENSE_MAX_ENTRIES, and never past the last round.
@@ -35,15 +35,16 @@ window is scored, so a pending divergence is reported first.
 The server never sees a raw d-dimensional client delta: `server_round`
 rejects a payload matrix whose rows are not b-dimensional.
 
-Every source of randomness is a Philox substream keyed by role, round, and
-client, so runs are reproducible bit for bit.  Keys are computed in bulk.  The
-main thread draws every stream (sampler, minibatch, noise, and a sketch drawn
-inline) from one generator, reset to the stream's key before its draws; the
-worker that draws sketches ahead has a generator of its own.  A substream is
-used only when the round draws from it: a client whose minibatch covers its
-shard gets no minibatch stream, and a run with sigma_g = 0 gets no noise
-streams.  Since each substream is keyed independently, skipping one changes
-no other draw.
+Every source of randomness is a Philox stream, so runs are reproducible bit
+for bit.  Each role (sampler, minibatch, noise, sketch) has one key per run,
+and a stream is addressed by its counter [0, 0, i, t]: i is the client (the
+sketch's row block, 0 for the sampler) and t the round.  The main thread
+draws every stream (and a sketch drawn inline) from one generator, set to the
+stream's key and counter before its draws; the worker that draws sketches
+ahead has a generator of its own.  A stream is used only when the round draws
+from it: a client whose minibatch covers its shard gets no minibatch stream,
+and a run with sigma_g = 0 gets no noise streams.  Since each stream starts
+at its own counter, skipping one changes no other draw.
 """
 
 from __future__ import annotations
@@ -60,12 +61,12 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .accountant import AccountantParams, sgm_epsilon
+from .accountant import AccountantParams, delta_split, sgm_epsilon
 from .errors import ConfigurationError, DimensionMismatchError, ParameterRegimeError
-from ._philox import new_generator, philox_keys, reseed
+from ._philox import new_generator, reseed, role_key
 from .mechanism import MechanismConfig, clip
 from .optim import MomentState, adam_step, amsgrad_step, gd_step
-from .sketch import Compressor, IdentityCompressor, SketchMatrix, SketchSpec, block_keys, keeps_blocks
+from .sketch import Compressor, IdentityCompressor, SketchMatrix, SketchSpec, keeps_blocks, sketch_key
 from .tasks import Partition, Task
 
 CSV_SCHEMA = "# fed-sgm csv v1"
@@ -75,8 +76,6 @@ CSV_COLUMNS = ("round", "train_loss", "grad_norm_sq", "test_metric", "clip_rate"
 _SAMPLER_TAG = 0xC11E
 _LOCAL_TAG = 0x10CA
 _NOISE_TAG = 0x401E
-
-_KEY_CHUNK = 256  # rounds keyed per pass: the key arrays stay small for any number of rounds
 
 # A kept sketch with at least this many entries is drawn one round ahead on a
 # worker thread.  Below it the handoff costs more than the draw: drawing
@@ -142,14 +141,15 @@ class FederationResult:
 # ---------------------------------------------------------------------------
 
 
-def client_sampler(rng: np.random.Generator, key, clients: int, clients_per_round: int) -> np.ndarray:
-    """Uniform without-replacement client sample, sorted, from rng reset to a
-    round's sampler key; deterministic in (seed, round)."""
-    return np.sort(reseed(rng, key).choice(clients, size=clients_per_round, replace=False))
+def client_sampler(rng: np.random.Generator, key, counter, clients: int,
+                   clients_per_round: int) -> np.ndarray:
+    """Uniform without-replacement client sample, sorted, from rng set to the
+    sampler key at a round's counter; deterministic in (seed, round)."""
+    return np.sort(reseed(rng, key, counter).choice(clients, size=clients_per_round, replace=False))
 
 
-# A (client, round) minibatch or noise stream: the role's generator reset to
-# the pair's key.  One name per role, so each role's streams are counted apart.
+# A (client, round) minibatch or noise stream: the generator set to the role's
+# key at the pair's counter.  One name per role, so each role is counted apart.
 local_stream = noise_stream = reseed
 
 
@@ -159,7 +159,8 @@ def client_local_update(
     shards: list,
     local_steps: int,
     eta_local: float,
-    keys,
+    key,
+    counters,
     rng: Optional[np.random.Generator],
     batch_size: Optional[int] = None,
 ) -> np.ndarray:
@@ -169,14 +170,14 @@ def client_local_update(
 
     A client whose batch_size covers its shard (None: full shards) draws
     nothing; client i otherwise draws its K minibatches in step order from rng
-    reset to keys[i], so the N streams share rng.
+    set to the minibatch key at counters[i], so the N streams share rng.
     """
     batches = []
     for i, shard in enumerate(shards):
         if batch_size is None or batch_size >= len(shard):
             batches.append([shard] * local_steps)
         else:
-            stream = local_stream(rng, keys[i])
+            stream = local_stream(rng, key, counters[i])
             batches.append([stream.choice(shard, size=batch_size, replace=False)
                             for _ in range(local_steps)])
     theta = np.asarray(theta, dtype=np.float64)
@@ -191,7 +192,8 @@ def client_privatize(
     eta_local: float,
     mech: MechanismConfig,
     compressor: Compressor,
-    keys,
+    key,
+    counters,
     rng: Optional[np.random.Generator],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Clip each client's delta over the local step size, sketch all of them
@@ -199,15 +201,16 @@ def client_privatize(
 
     deltas is N x d, one row per client.  Row i of the returned N x b payload
     matrix is eta_local * (R @ clip(deltas[i]/eta_local, tau) + sigma_g * xi_i),
-    xi_i drawn from rng right after its reset to the client's noise key
-    keys[i], so the N streams share rng (neither is read when sigma_g = 0);
-    the N flags say which rows were clipped.
+    xi_i drawn from rng set to the noise key at counters[i], so the N streams
+    share rng (key, counters and rng are not read when sigma_g = 0); the N
+    flags say which rows were clipped.
     """
     scaled = np.asarray(deltas, dtype=np.float64) / eta_local
     rows, clipped = zip(*(clip(row, mech.tau) for row in scaled))
     sketched = compressor.sketch(np.array(rows).T).T
     if mech.sigma_g != 0.0:
-        noise = np.array([noise_stream(rng, key).standard_normal(compressor.b) for key in keys])
+        noise = np.array([noise_stream(rng, key, counter).standard_normal(compressor.b)
+                          for counter in counters])
         sketched = sketched + mech.sigma_g * noise
     return eta_local * sketched, np.array(clipped)
 
@@ -253,17 +256,14 @@ def round_compressor(sketches) -> Compressor:
 
 def _sketches(cfg: FedConfig, d: int, rng: np.random.Generator):
     """Each round's compressor in round order: the identity when unsketched,
-    else a fresh sketch seeded by (master_seed, round), drawn by rng from its
-    blocks' Philox keys (`block_keys`), keyed _KEY_CHUNK rounds per pass."""
+    else a fresh sketch of (master_seed, round), drawn by rng from the run's
+    one sketch key."""
     if cfg.sketch_b is None:
         yield from itertools.repeat(IdentityCompressor(d), cfg.rounds)
         return
-    for start in range(0, cfg.rounds, _KEY_CHUNK):
-        rounds = np.arange(start, min(start + _KEY_CHUNK, cfg.rounds))
-        keys = block_keys((cfg.master_seed, rounds[:, None]), cfg.sketch_b)
-        for t, round_keys in zip(rounds.tolist(), keys):
-            yield SketchMatrix(SketchSpec(b=cfg.sketch_b, d=d, seed=(cfg.master_seed, t)),
-                               round_keys, rng)
+    key = sketch_key(cfg.master_seed)
+    for t in range(cfg.rounds):
+        yield SketchMatrix(SketchSpec(b=cfg.sketch_b, d=d, seed=cfg.master_seed, round=t), key, rng)
 
 
 class _SketchAhead(threading.Thread):
@@ -314,30 +314,23 @@ def _draws_ahead(cfg: FedConfig, d: int) -> bool:
     return cfg.sketch_b * d >= _AHEAD_MIN_ENTRIES and keeps_blocks(2 * cfg.sketch_b, d)
 
 
-def _round_keys(cfg: FedConfig, rng: np.random.Generator):
-    """Per round: (round, clients, their minibatch and noise keys), None for
-    noise where the run draws none; keyed _KEY_CHUNK rounds at a time, one
-    pass per role, after the chunk's clients are drawn."""
-    for start in range(0, cfg.rounds, _KEY_CHUNK):
-        rounds = np.arange(start, min(start + _KEY_CHUNK, cfg.rounds))
-        chosen = np.array([
-            client_sampler(rng, key, cfg.clients, cfg.clients_per_round)
-            for key in philox_keys((cfg.master_seed, _SAMPLER_TAG), (rounds,))
-        ])
-        col = rounds[:, None]
-        local = philox_keys((cfg.master_seed, _LOCAL_TAG), (chosen, col))
-        noise = [None] * len(rounds) if cfg.mechanism.sigma_g == 0.0 else philox_keys(
-            (cfg.mechanism.noise_seed, _NOISE_TAG), (chosen, col))
-        yield from zip(rounds.tolist(), chosen.tolist(), local, noise)
+def _rounds(cfg: FedConfig, rng: np.random.Generator):
+    """Per round t: (t, its sorted clients, their stream counters [0, 0, c, t]),
+    the clients drawn by rng at the sampler's counter [0, 0, 0, t]."""
+    key = role_key(cfg.master_seed, _SAMPLER_TAG)
+    for t in range(cfg.rounds):
+        chosen = client_sampler(rng, key, [0, 0, 0, t], cfg.clients, cfg.clients_per_round)
+        clients = chosen.tolist()
+        yield t, clients, [[0, 0, c, t] for c in clients]
 
 
-def _train_round(cfg, task, theta, moments, shards, compressor, local, noise, rng):
+def _train_round(cfg, task, theta, moments, shards, compressor, counters, local, noise, rng):
     """One round from theta: the clients' local updates, their private
     payloads and the server's step; returns (theta_{t+1}, moments, clip flags)."""
-    deltas = client_local_update(
-        theta, task, shards, cfg.local_steps, cfg.eta_local, local, rng, cfg.batch_size
-    )
-    payloads, clipped = client_privatize(deltas, cfg.eta_local, cfg.mechanism, compressor, noise, rng)
+    deltas = client_local_update(theta, task, shards, cfg.local_steps, cfg.eta_local, local,
+                                 counters, rng, cfg.batch_size)
+    payloads, clipped = client_privatize(deltas, cfg.eta_local, cfg.mechanism, compressor, noise,
+                                         counters, rng)
     return (*server_round(theta, payloads, compressor, cfg, moments), clipped)
 
 
@@ -375,21 +368,21 @@ def _score(cfg: FedConfig, task: Task, window: list) -> list:
 
 
 def _epsilon_spent(cfg: FedConfig, rounds_done: int) -> float:
+    """epsilon of the first rounds_done rounds at cfg.delta.  Where their
+    per-release delta0 = delta/(2 q T) is not below 1, they are accounted at
+    the smallest T whose delta0 is: the first rounds_done releases are a
+    prefix, so a post-processing, of the first T."""
     if cfg.sketch_b is None:
         # an unsketched release is a plain Gaussian sum, outside the sketched analysis
         warnings.warn("privacy accounting covers sketched releases only; reporting epsilon = inf")
         return float("inf")
+    T = max(rounds_done, int(0.5 * cfg.delta / cfg.q))  # no smaller T has delta0 < 1
+    while delta_split(cfg.delta, cfg.q, T)[0] >= 1.0:
+        T += 1
     try:
-        return sgm_epsilon(
-            AccountantParams(
-                q=cfg.q,
-                T=rounds_done,
-                tau=cfg.mechanism.tau,
-                b=cfg.sketch_b,
-                sigma_g=cfg.mechanism.sigma_g,
-            ),
-            cfg.delta,
-        )
+        params = AccountantParams(q=cfg.q, T=T, tau=cfg.mechanism.tau, b=cfg.sketch_b,
+                                  sigma_g=cfg.mechanism.sigma_g)
+        return sgm_epsilon(params, cfg.delta)
     except (ParameterRegimeError, ConfigurationError) as exc:
         warnings.warn(f"privacy accounting unavailable ({exc}); reporting epsilon = inf")
         return float("inf")
@@ -420,18 +413,20 @@ def run_federation(cfg: FedConfig, task: Task, partition: Partition) -> Federati
 
     # a numpy warning in a round trained from a pending iterate raises instead
     speculative = {kind: "raise" for kind, mode in np.geterr().items() if mode != "ignore"}
-    rng = new_generator()  # each stream drawn on this thread resets it to its key
+    rng = new_generator()  # each stream drawn on this thread sets it to its key and counter
+    local = role_key(cfg.master_seed, _LOCAL_TAG)
+    noise = role_key(cfg.mechanism.noise_seed, _NOISE_TAG)
     shards = [partition.client_indices(c) for c in range(cfg.clients)]
     ahead = _draws_ahead(cfg, d)
     sketches = _sketches(cfg, d, new_generator() if ahead else rng)
     if ahead:
         sketches = _SketchAhead(sketches)
     try:
-        for t, clients, local, noise in _round_keys(cfg, rng):
+        for t, clients, counters in _rounds(cfg, rng):
             args = None  # drops round t-1's sketch before round t's is taken
             try:
                 args = (cfg, task, theta, moments, [shards[c] for c in clients],
-                        round_compressor(sketches), local, noise, rng)
+                        round_compressor(sketches), counters, local, noise, rng)
                 with np.errstate(**(speculative if pending else {})):
                     theta, moments, clipped = _train_round(*args)
             except Exception as exc:

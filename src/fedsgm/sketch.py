@@ -7,7 +7,8 @@ R^T R has identity expectation, so desketch(sketch(x)) is an unbiased (noisy)
 estimate of x.
 
 Matrices are generated from a counter-based PRNG (Philox) in fixed-size row
-blocks, each block keyed by (seed, block_index).  Generation is therefore
+blocks: every sketch of a seed shares one key, and block k of the sketch of
+round t is the stream at counter [0, 0, k, t].  Generation is therefore
 deterministic, re-entrant, and streamable: any block can be (re)produced on
 the fly without materializing the full matrix.
 """
@@ -15,11 +16,11 @@ the fly without materializing the full matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Union
 
 import numpy as np
 
-from ._philox import new_generator, philox_keys, reseed
+from ._philox import new_generator, reseed, role_key
 from .errors import DimensionMismatchError
 
 # Rows per generation block.  Fixed constant: changing it changes the bit
@@ -49,24 +50,21 @@ DENSE_MAX_ENTRIES = 10**8
 # derived from the same user seed elsewhere in the package.
 _SKETCH_TAG = 0x5E7C
 
-SeedLike = Union[int, Sequence[int]]
-
 
 @dataclass(frozen=True)
 class SketchSpec:
-    """Immutable description of a sketch matrix: shape (b, d), both >= 1, plus PRNG seed."""
+    """Immutable description of a sketch matrix: shape (b, d), both >= 1, the
+    PRNG seed, and the round, the counter word that tells a seed's sketches apart."""
 
     b: int
     d: int
-    seed: SeedLike = 0
+    seed: int = 0
+    round: int = 0
 
 
-def block_keys(seed: SeedLike, b: int) -> np.ndarray:
-    """Philox keys of the row blocks of the b-row sketch seeded by `seed`,
-    shape (blocks, 2); a seed entry that is a column of values (say rounds)
-    gives one sketch's keys per value, shape (values, blocks, 2)."""
-    seed = (seed,) if isinstance(seed, (int, np.integer)) else tuple(seed)
-    return philox_keys(seed + (_SKETCH_TAG,), (np.arange(-(-b // BLOCK_ROWS)),))
+def sketch_key(seed: int) -> list:
+    """The Philox key of every sketch seeded by `seed`."""
+    return role_key(seed, _SKETCH_TAG)
 
 
 def keeps_blocks(b: int, d: int) -> bool:
@@ -75,10 +73,10 @@ def keeps_blocks(b: int, d: int) -> bool:
 
 
 def _gen_block(spec: SketchSpec, rng: np.random.Generator, key, block: int) -> np.ndarray:
-    """Rows [block*BLOCK_ROWS, ...) of the matrix, drawn from rng reset to the
-    block's key; identical bits on every call."""
+    """Rows [block*BLOCK_ROWS, ...) of the matrix, drawn from rng set to the
+    sketch key at counter [0, 0, block, spec.round]; identical bits on every call."""
     rows = min(BLOCK_ROWS, spec.b - block * BLOCK_ROWS)
-    out = reseed(rng, key).standard_normal((rows, spec.d))
+    out = reseed(rng, key, [0, 0, block, spec.round]).standard_normal((rows, spec.d))
     return np.multiply(out, spec.b ** -0.5, out=out)
 
 
@@ -100,11 +98,11 @@ class SketchMatrix:
     give bit-identical results.
     """
 
-    def __init__(self, spec: SketchSpec, keys=None, rng=None):
-        """keys: the blocks' Philox keys (block_keys(spec.seed, spec.b) by
-        default); rng: the generator that draws them.  A run passes its own."""
+    def __init__(self, spec: SketchSpec, key=None, rng=None):
+        """key: the sketch key (sketch_key(spec.seed) by default); rng: the
+        generator that draws the blocks.  A run passes its own."""
         self.spec = spec
-        self._keys = block_keys(spec.seed, spec.b) if keys is None else keys
+        self._key = sketch_key(spec.seed) if key is None else key
         self._rng = new_generator() if rng is None else rng
         self._kept = list(self.iter_blocks()) if keeps_blocks(spec.b, spec.d) else None
 
@@ -118,8 +116,8 @@ class SketchMatrix:
 
     def iter_blocks(self) -> Iterator[np.ndarray]:
         """Generate the row blocks in order; re-entrant (same bits every pass)."""
-        for k, key in enumerate(self._keys):
-            yield _gen_block(self.spec, self._rng, key, k)
+        for k in range(-(-self.spec.b // BLOCK_ROWS)):
+            yield _gen_block(self.spec, self._rng, self._key, k)
 
     def _blocks(self):
         # kept blocks bypass iter_blocks, so every block it yields is a generated one

@@ -25,7 +25,6 @@ from contextlib import redirect_stderr, redirect_stdout
 
 from hypothesis import event, given, seed, settings, strategies as st
 
-from fedsgm.accountant import delta_split
 from fedsgm.cli import main
 from fedsgm.config import _SCHEMA
 from fedsgm.fedsim import CSV_COLUMNS
@@ -97,13 +96,10 @@ def test_simulate_ends_in_one_line_or_finite_metrics(data):
 
     assert tuple(rows[0]) == CSV_COLUMNS
     # epsilon_spent is inf only in the unaccounted modes, sigma_g = 0 and
-    # tau = inf, or in a round t whose per-release delta0 = delta/(2q(t+1))
-    # is not below 1; a numeric sigma_g with r >= 1 exits 2
-    fed, mech = raw["federation"], raw["mechanism"]
+    # tau = inf; a numeric sigma_g with r >= 1 exits 2
+    mech = raw["mechanism"]
     unaccounted = mech["sigma_g"] == 0 or mech["tau"] == math.inf
-    q = fed["clients_per_round"] / fed["clients"]
     for row in rows[1:]:
         *metrics, epsilon = map(float, row)
         assert all(math.isfinite(v) for v in metrics), row
-        delta0, _ = delta_split(raw["accountant"]["delta"], q, int(metrics[0]) + 1)
-        assert math.isfinite(epsilon) or (epsilon == math.inf and (unaccounted or delta0 >= 1)), row
+        assert math.isfinite(epsilon) or (epsilon == math.inf and unaccounted), row

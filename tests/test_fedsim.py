@@ -22,7 +22,7 @@ import pytest
 from fedsgm import fedsim
 from fedsgm import sketch as sketch_module
 from fedsgm import tasks as tasks_module
-from fedsgm._philox import new_generator, philox_keys, reseed
+from fedsgm._philox import new_generator
 from fedsgm.accountant import AccountantParams, sgm_epsilon
 from fedsgm.errors import ConfigurationError, DimensionMismatchError
 from fedsgm.fedsim import (
@@ -30,7 +30,6 @@ from fedsgm.fedsim import (
     client_local_update,
     client_privatize,
     client_sampler,
-    noise_stream,
     records_to_csv,
     run_federation,
     server_round,
@@ -58,22 +57,23 @@ def diag_quadratic_task():
     )
 
 
-def sampler_keys(seed, round_idx):
-    return philox_keys((seed, fedsim._SAMPLER_TAG), (round_idx,))
+def numpy_key(seed, tag):
+    """A role's key, from numpy's SeedSequence as the oracle."""
+    return np.random.SeedSequence((seed, tag)).generate_state(2, np.uint64)
 
 
-def local_keys(seed, client_ids, round_idx):
-    return philox_keys((seed, fedsim._LOCAL_TAG), (client_ids, round_idx))
+def numpy_stream(seed, tag, i, t):
+    """The oracle of stream i in round t: numpy's Philox at the counter [0, 0, i, t]."""
+    return np.random.Generator(np.random.Philox(key=numpy_key(seed, tag), counter=[0, 0, i, t]))
 
 
-def noise_keys(seed, client_ids, round_idx):
-    return philox_keys((seed, fedsim._NOISE_TAG), (client_ids, round_idx))
+def counters(client_ids, round_idx):
+    return [[0, 0, c, round_idx] for c in client_ids]
 
 
 def sample(clients, clients_per_round, round_idx, seed):
-    return client_sampler(
-        new_generator(), sampler_keys(seed, round_idx), clients, clients_per_round
-    )
+    return client_sampler(new_generator(), numpy_key(seed, fedsim._SAMPLER_TAG),
+                          [0, 0, 0, round_idx], clients, clients_per_round)
 
 
 def small_fed_config(**over):
@@ -102,16 +102,16 @@ def small_fed_config(**over):
 def test_local_update_single_step_is_scaled_gradient():
     task = diag_quadratic_task()
     # from the origin the identity is exact
-    (delta0,) = client_local_update(np.zeros(2), task, [np.array([0])], 1, 0.1, None, None)
+    (delta0,) = client_local_update(np.zeros(2), task, [np.array([0])], 1, 0.1, None, None, None)
     assert np.array_equal(delta0, 0.1 * task.grad(np.zeros(2)))
     theta = np.array([1.0, 1.0])
-    (delta,) = client_local_update(theta, task, [np.array([0])], 1, 0.1, None, None)
+    (delta,) = client_local_update(theta, task, [np.array([0])], 1, 0.1, None, None, None)
     assert np.allclose(delta, 0.1 * task.grad(theta), rtol=1e-12, atol=1e-15)
 
 
 def test_local_update_zero_step_size():
     deltas = client_local_update(
-        np.array([1.0, 1.0]), diag_quadratic_task(), [np.array([0])] * 3, 3, 0.0, None, None
+        np.array([1.0, 1.0]), diag_quadratic_task(), [np.array([0])] * 3, 3, 0.0, None, None, None
     )
     assert np.array_equal(deltas, np.zeros((3, 2)))
 
@@ -121,7 +121,7 @@ def test_local_update_two_step_hand_trace():
     # step 1: theta = (0.9, 0.8); step 2: theta = (0.81, 0.64)
     # delta = (0.19, 0.36), traced by hand.
     (delta,) = client_local_update(
-        np.array([1.0, 1.0]), diag_quadratic_task(), [np.array([0])], 2, 0.1, None, None
+        np.array([1.0, 1.0]), diag_quadratic_task(), [np.array([0])], 2, 0.1, None, None, None
     )
     assert np.allclose(delta, [0.19, 0.36], rtol=1e-12, atol=0)
 
@@ -132,8 +132,9 @@ def test_local_update_minibatch_deterministic():
     theta = np.full(5, 0.3)
 
     def update(seed, round_idx):
-        keys = local_keys(seed, [0], round_idx)
-        return client_local_update(theta, task, shard, 4, 0.05, keys, new_generator(), batch_size=5)
+        key = numpy_key(seed, fedsim._LOCAL_TAG)
+        return client_local_update(theta, task, shard, 4, 0.05, key, counters([0], round_idx),
+                                   new_generator(), batch_size=5)
 
     d1, d2, d3 = update(9, 2), update(9, 2), update(9, 3)
     assert np.array_equal(d1, d2)
@@ -148,7 +149,7 @@ def test_batched_local_update_is_each_clients_own_update():
     shards = [part.client_indices(c) for c in (0, 2, 3, 4)]
     assert {len(s) for s in shards} == {8, 9}
     theta = np.linspace(-0.5, 0.5, 7)
-    keys = local_keys(6, [0, 2, 3, 4], 11)
+    key, ctrs = numpy_key(6, fedsim._LOCAL_TAG), counters([0, 2, 3, 4], 11)
     calls = []
 
     def counted_grad(theta, idx=None):
@@ -156,15 +157,15 @@ def test_batched_local_update_is_each_clients_own_update():
         return grad(theta, idx)
 
     grad, task.grad = task.grad, counted_grad
-    deltas = client_local_update(theta, task, shards, 3, 0.2, keys, new_generator(), batch_size=4)
+    deltas = client_local_update(theta, task, shards, 3, 0.2, key, ctrs, new_generator(), batch_size=4)
     assert calls == [(4, 7)] * 3  # one grad call per local step
     for i, shard in enumerate(shards):
         (alone,) = client_local_update(
-            theta, task, [shard], 3, 0.2, keys[i : i + 1], new_generator(), batch_size=4
+            theta, task, [shard], 3, 0.2, key, ctrs[i : i + 1], new_generator(), batch_size=4
         )
         assert np.array_equal(deltas[i], alone), i
     # a batch that covers every shard draws nothing
-    full = client_local_update(theta, task, shards, 2, 0.2, None, None, batch_size=9)
+    full = client_local_update(theta, task, shards, 2, 0.2, None, None, None, batch_size=9)
     for i, shard in enumerate(shards):
         ref = theta - 0.2 * task.grad(theta, shard)
         ref = ref - 0.2 * task.grad(ref, shard)
@@ -178,7 +179,7 @@ def test_batched_local_update_is_each_clients_own_update():
 def test_privatize_noiseless_identity_within_threshold():
     mech = MechanismConfig(tau=10.0, sigma_g=0.0)
     deltas = np.array([[0.25, -0.5, 0.125], [0.5, 0.0, -0.25]])  # binary fractions: /0.5 is exact
-    payloads, clipped = client_privatize(deltas, 0.5, mech, IdentityCompressor(3), None, None)
+    payloads, clipped = client_privatize(deltas, 0.5, mech, IdentityCompressor(3), None, None, None)
     assert np.array_equal(payloads, deltas)
     assert clipped.tolist() == [False, False]
 
@@ -187,7 +188,7 @@ def test_privatize_clip_saturation_norm():
     mech = MechanismConfig(tau=1.0, sigma_g=0.0)
     eta = 0.5
     deltas = eta * np.array([[2.0, 0.0, 0.0, 0.0], [0.0, 0.0, 3.0, 0.0]])  # normalized norms 2, 3 tau
-    payloads, clipped = client_privatize(deltas, eta, mech, IdentityCompressor(4), None, None)
+    payloads, clipped = client_privatize(deltas, eta, mech, IdentityCompressor(4), None, None, None)
     assert clipped.tolist() == [True, True]
     assert np.linalg.norm(payloads, axis=1).tolist() == [eta * mech.tau] * 2
 
@@ -195,7 +196,7 @@ def test_privatize_clip_saturation_norm():
 def test_privatize_clip_flag_boundary():
     mech = MechanismConfig(tau=1.0, sigma_g=0.0)
     deltas = np.array([[0.3, 0.4], [3.0, 4.0]])
-    _, clipped = client_privatize(deltas, 1.0, mech, IdentityCompressor(2), None, None)
+    _, clipped = client_privatize(deltas, 1.0, mech, IdentityCompressor(2), None, None, None)
     assert clipped.tolist() == [False, True]
 
 
@@ -203,14 +204,14 @@ def test_privatize_dimension_mismatch():
     mech = MechanismConfig(tau=1.0, sigma_g=0.0)
     R = SketchMatrix(SketchSpec(b=4, d=16, seed=0))
     with pytest.raises(DimensionMismatchError):
-        client_privatize(np.zeros((2, 8)), 1.0, mech, R, None, None)
+        client_privatize(np.zeros((2, 8)), 1.0, mech, R, None, None, None)
 
 
 def test_privatize_payload_lives_in_sketched_space():
     mech = MechanismConfig(tau=1.0, sigma_g=0.5, noise_seed=2)
     R = SketchMatrix(SketchSpec(b=4, d=16, seed=0))
-    keys = noise_keys(2, np.arange(3), 0)
-    payloads, clipped = client_privatize(np.ones((3, 16)), 1.0, mech, R, keys, new_generator())
+    payloads, clipped = client_privatize(np.ones((3, 16)), 1.0, mech, R, numpy_key(2, fedsim._NOISE_TAG),
+                                         counters(range(3), 0), new_generator())
     assert payloads.shape == (3, 4)
     assert clipped.shape == (3,)
 
@@ -233,10 +234,10 @@ def test_privatize_matrix_matches_per_client_reference(monkeypatch, mode):
 
     def streams():
         # a fresh generator per client, where client_privatize shares one
-        return [noise_stream(new_generator(), key) for key in keys]
+        return [numpy_stream(seed, fedsim._NOISE_TAG, c, 2) for c in range(n_clients)]
 
-    keys = noise_keys(seed, np.arange(n_clients), 2)
-    payloads, clipped = client_privatize(deltas, eta, mech, R, keys, new_generator())
+    key, ctrs = numpy_key(seed, fedsim._NOISE_TAG), counters(range(n_clients), 2)
+    payloads, clipped = client_privatize(deltas, eta, mech, R, key, ctrs, new_generator())
     assert payloads.shape == (n_clients, R.b)
     for i, rng in enumerate(streams()):
         scaled = deltas[i] / eta
@@ -245,7 +246,7 @@ def test_privatize_matrix_matches_per_client_reference(monkeypatch, mode):
         assert clipped[i] == (np.linalg.norm(scaled) > mech.tau)
     assert clipped.tolist() == [False, True, False, False, False]
     # the noise bits: R @ 0 is exactly 0, so zero deltas leave only eta * sigma_g * xi
-    zero, _ = client_privatize(np.zeros((n_clients, d)), eta, mech, R, keys, new_generator())
+    zero, _ = client_privatize(np.zeros((n_clients, d)), eta, mech, R, key, ctrs, new_generator())
     for i, rng in enumerate(streams()):
         ref = eta * (R.sketch(np.zeros(d)) + mech.sigma_g * rng.standard_normal(R.b))
         assert np.array_equal(zero[i], ref)
@@ -285,11 +286,11 @@ def counted_draws(monkeypatch, fail_round=None):
 
     def counted(spec, rng, key, block):
         on_main = threading.current_thread() is threading.main_thread()
-        if spec.seed[1] == fail_round:
-            drawn.append((spec.seed[1], 0, on_main))
+        if spec.round == fail_round:
+            drawn.append((spec.round, 0, on_main))
             raise RuntimeError(f"no sketch for round {fail_round}")
         out = gen_block(spec, rng, key, block)
-        drawn.append((spec.seed[1], out.shape[0], on_main))
+        drawn.append((spec.round, out.shape[0], on_main))
         return out
 
     monkeypatch.setattr(sketch_module, "_gen_block", counted)
@@ -367,7 +368,7 @@ def test_sketch_worker_hands_over_each_sketch_in_order():
     # semaphores; with thread switches forced often, every item taken is
     # the next one of the sequence, and close() ends a worker whose last
     # item was drawn but never taken
-    specs = [SketchSpec(b=3, d=4, seed=(5, t)) for t in range(201)]
+    specs = [SketchSpec(b=3, d=4, seed=5, round=t) for t in range(201)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     worker = fedsim._SketchAhead(SketchMatrix(spec) for spec in specs)
@@ -400,7 +401,7 @@ def test_at_most_two_sketches_are_alive(monkeypatch, ahead):
 
     def checked(*args, **kwargs):
         gc.collect()
-        alive = [ref().spec.seed[1] for ref in earlier if ref() is not None]
+        alive = [ref().spec.round for ref in earlier if ref() is not None]
         assert alive == [], f"round {len(earlier)} taken while rounds {alive} are alive"
         sketch = taken(*args, **kwargs)
         earlier.append(weakref.ref(sketch))
@@ -508,7 +509,7 @@ def set_server_iterate(monkeypatch, at_round, value):
 
     def server(theta, payloads, compressor, cfg, moments):
         theta, moments = step(theta, payloads, compressor, cfg, moments)
-        if compressor.spec.seed[1] == at_round:
+        if compressor.spec.round == at_round:
             theta = np.full_like(theta, value)
         return theta, moments
 
@@ -530,7 +531,7 @@ def test_divergence_inside_a_window(monkeypatch, value, draw_fails):
     trained = []  # (round, whether its training raised)
 
     def recorded_train(*args):
-        trained.append([args[5].spec.seed[1], True])
+        trained.append([args[5].spec.round, True])
         out = train(*args)
         trained[-1][1] = False
         return out
@@ -556,10 +557,10 @@ def test_a_speculative_round_that_warns_is_trained_again(monkeypatch):
     # warns as in a round-by-round run, which it then matches
     privatize = fedsim.client_privatize
 
-    def warning_privatize(deltas, eta_local, mech, compressor, keys, rng):
-        if compressor.spec.seed[1] == 4:
+    def warning_privatize(deltas, eta_local, mech, compressor, key, counters, rng):
+        if compressor.spec.round == 4:
             np.array([1e308]) * 10.0
-        return privatize(deltas, eta_local, mech, compressor, keys, rng)
+        return privatize(deltas, eta_local, mech, compressor, key, counters, rng)
 
     monkeypatch.setattr(fedsim, "client_privatize", warning_privatize)
     runs = []
@@ -571,6 +572,28 @@ def test_a_speculative_round_that_warns_is_trained_again(monkeypatch):
         assert [str(w.message) for w in caught] == ["overflow encountered in multiply"]
         runs.append((records_to_csv(result.records), result.theta.tobytes()))
     assert runs[0] == runs[1]
+
+
+def test_a_run_keys_each_role_once(monkeypatch):
+    # one SeedSequence per role per run (sampler, minibatch, noise, sketch),
+    # never one per stream: the count does not grow with the rounds.  One
+    # SeedSequence costs about 15 us, six streams' worth a ~250-us round.
+    task, part = make_logreg(n=40, d=6, clients=4, seed=1)  # shards of 10, batches of 4
+    made, seed_sequence = [], np.random.SeedSequence
+
+    def counted(*args, **kwargs):
+        made.append(args)
+        return seed_sequence(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", counted)
+    counts = []
+    for rounds in (3, 300):
+        made.clear()
+        cfg = small_fed_config(rounds=rounds, sketch_b=3,
+                               mechanism=MechanismConfig(tau=1.0, sigma_g=1.0, noise_seed=2))
+        run_federation(cfg, task, part)
+        counts.append(len(made))
+    assert counts[0] == counts[1] <= 4, counts
 
 
 @pytest.mark.parametrize("kind", ["quadratic", "logreg"])
@@ -684,9 +707,9 @@ def test_sampler_uniform_frequency():
     # 1e5 rounds, C=20, N=5: empirical per-client frequency within 3 SE of 1/4
     C, N, rounds = 20, 5, 100_000
     counts = np.zeros(C)
-    rng = new_generator()
-    for key in sampler_keys(77, np.arange(rounds)):  # every round's key in one pass
-        counts[client_sampler(rng, key, C, N)] += 1
+    rng, key = new_generator(), numpy_key(77, fedsim._SAMPLER_TAG)
+    for t in range(rounds):
+        counts[client_sampler(rng, key, [0, 0, 0, t], C, N)] += 1
     freq = counts / rounds
     q = N / C
     se = math.sqrt(q * (1 - q) / rounds)
@@ -937,11 +960,31 @@ def test_manifest_seeds_regenerate_a_rounds_noise(tmp_path, monkeypatch):
 
     config = json.loads((tmp_path / "private-manifest.json").read_text())["config"]
     fed, mech = config["federation"], config["mechanism"]
-    rng = new_generator()
-    sampler_key = philox_keys((fed["master_seed"], fedsim._SAMPLER_TAG), (np.arange(1),))[0]
-    clients = client_sampler(rng, sampler_key, fed["clients"], fed["clients_per_round"])
-    noise_keys = philox_keys((mech["noise_seed"], fedsim._NOISE_TAG), (clients, 0))
-    xi = np.array([reseed(rng, key).standard_normal(config["sketch"]["b"]) for key in noise_keys])
+    # numpy alone: the sampler's stream 0 and each client's noise stream in round 0
+    sampler = numpy_stream(fed["master_seed"], fedsim._SAMPLER_TAG, 0, 0)
+    clients = np.sort(sampler.choice(fed["clients"], size=fed["clients_per_round"], replace=False))
+    xi = np.array([numpy_stream(mech["noise_seed"], fedsim._NOISE_TAG, c, 0)
+                   .standard_normal(config["sketch"]["b"]) for c in clients])
     recovered = private - fed["eta_local"] * mech["sigma_g_resolved"] * xi
     assert np.linalg.norm(xi) > 1.0  # there was noise to remove
     assert np.abs(recovered - clean).max() <= 1e-12
+
+
+def test_a_round_whose_delta0_is_not_below_one_is_accounted_at_a_later_round(tmp_path):
+    # delta = 0.6 at q = 1/4 gives round 0 a per-release delta0 = delta/(2q) =
+    # 1.2; its one release is a prefix, so a post-processing, of round 1's two,
+    # whose delta0 = 0.6 is below 1, so round 0 reports round 1's epsilon
+    from fedsgm.cli import main
+
+    quadratic = str(Path(__file__).resolve().parent.parent / "configs" / "quadratic.json")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["simulate", quadratic, "--override", "accountant.delta=0.6",
+                     "--override", "federation.rounds=4", "--out-dir", str(tmp_path)]) == 0
+    assert caught == []
+    with open(tmp_path / "quadratic.csv") as fh:
+        rows = [line.split(",") for line in fh if not line.startswith("#")][1:]
+    epsilon = [float(row[-1]) for row in rows]
+    assert len(epsilon) == 4 and epsilon[0] == epsilon[1]
+    assert all(math.isfinite(e) for e in epsilon)
+    assert epsilon == sorted(epsilon)

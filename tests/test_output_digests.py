@@ -43,11 +43,11 @@ LOGREG_AHEAD = {
 # fingerprint -> config -> (CSV sha256, normalized manifest sha256)
 DIGESTS = {
     "numpy 2.4.6, blas aa1821ac725ba9cb": {
-        "quadratic": ("dd17eee38bfe32293dbb6e0661e341311799e06af19be7b0c35971e304d15fe9",
+        "quadratic": ("40907ddfbccb53fe1b2a9d24e2c76e16ae8ffbac5e7c6699e4f9e6d4e475ab77",
                       "7da217d6f4d76d32b102990769c288917235a1e0db6b96d8fefdb5632a56138b"),
-        "logreg": ("bd0486fd541ac0efffeff72f2f2e43d452f102041dc691ebae55e927db9658ac",
+        "logreg": ("6a4e8364304899ee1bc80aa75fb4acc1c628264b0a7d7226bbcec3eac57d6b02",
                    "36b85bc497d898e9b83073a478ed83fa65f15079228212c4a6f29b0bc3198630"),
-        "logreg_ahead": ("8dcc9422d11d352bffe106ff783e6f76d5fb5e2cf19e60ae090255f816642a4d",
+        "logreg_ahead": ("9ac3707adbc659dd131e31a29d78d62a7d2366da4337c1d8f185abd4f13895c8",
                          "7febf708720616db64534e6af4337674c3ea4afa5d67d216868e0d5e47eda873"),
     },
 }

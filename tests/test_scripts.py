@@ -81,6 +81,28 @@ def test_convergence_refuses_a_dimension_past_the_dense_hessian(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+REFUSALS = [
+    ("convergence_experiment.py", ["--b", "0", "--d", "20"], 1, "error: sketch.b must be >= 1, got 0"),
+    ("convergence_experiment.py", ["--eps", "0", "--d", "20"], 2,
+     "infeasible: target epsilon must be positive and finite, got 0.0"),
+    ("privacy_tables.py", ["--T", "0"], 1, "error: T must be >= 1, got 0"),
+    ("privacy_tables.py", ["--eps", "0"], 2,
+     "infeasible: target epsilon must be positive and finite, got 0.0"),
+]
+
+
+@pytest.mark.parametrize("script, args, code, line", REFUSALS)
+def test_scripts_end_a_refused_value_as_the_cli_does(tmp_path, script, args, code, line):
+    # one error: line and exit 1, or one infeasible: line and exit 2, not a traceback
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(REPO_ROOT / "scripts" / script), *args],
+        capture_output=True, text=True, cwd=tmp_path, env=env, timeout=120,
+    )
+    assert proc.returncode == code
+    assert proc.stderr == line + "\n"
+
+
 def test_privacy_tables_rows_are_the_calibrations(tmp_path):
     # one row per (eps, b), each to the 4 decimals the accountant gives
     eps_values, b_values, q, T, tau = (1.6, 0.42), (4000, 400_000), 0.01, 50, 2.0

@@ -58,11 +58,11 @@ def test_dense_and_streamed_agree(monkeypatch):
 def test_streamed_blocks_match_reference_bits(monkeypatch):
     # b spans two generation blocks; every block must hold exactly the bits of
     # N(0, 1) draws from its own Philox stream times b^-1/2, kept or regenerated.
-    spec = SketchSpec(b=BLOCK_ROWS + 40, d=9, seed=(4, 2))
+    # Block k of round 2's sketch is numpy's Philox at the sketch key and counter [0, 0, k, 2].
+    spec = SketchSpec(b=BLOCK_ROWS + 40, d=9, seed=4, round=2)
+    key = np.random.SeedSequence((4, sketch_module._SKETCH_TAG)).generate_state(2, np.uint64)
     reference = np.concatenate([
-        np.random.Generator(
-            np.random.Philox(np.random.SeedSequence((4, 2, sketch_module._SKETCH_TAG), spawn_key=(k,)))
-        ).standard_normal(
+        np.random.Generator(np.random.Philox(key=key, counter=[0, 0, k, 2])).standard_normal(
             (rows, spec.d)
         ) * spec.b ** -0.5
         for k, rows in enumerate((BLOCK_ROWS, 40))
