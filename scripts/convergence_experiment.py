@@ -8,19 +8,18 @@ which is the regime where sketching to b = d/4 costs little accuracy.
 Each run is a config checked by the schema, as `fed-sgm simulate` runs one.
 """
 
-import argparse
 import os
-import sys
 import warnings
 
-from fedsgm.cli import exit_code
+from fedsgm.cli import _make_out_dir, _Parser, exit_code
 from fedsgm.config import build_fed_config, build_task, validate_config
+from fedsgm.errors import ConfigurationError
 from fedsgm.fedsim import run_federation, write_round_csv
 from fedsgm.tasks import _HESSIAN_DIM_LIMIT, intrinsic_dimension
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = _Parser(description=__doc__)
     ap.add_argument("--eps", type=float, default=8.0)
     ap.add_argument("--delta", type=float, default=1e-5)
     ap.add_argument("--rounds", type=int, default=300)
@@ -29,9 +28,9 @@ def main() -> int:
     ap.add_argument("--out-dir", default="runs")
     args = ap.parse_args()
     if args.d > _HESSIAN_DIM_LIMIT:
-        print(f"error: --d = {args.d} > {_HESSIAN_DIM_LIMIT}: the intrinsic dimension needs "
-              f"the dense Hessian", file=sys.stderr)
-        return 1
+        raise ConfigurationError(f"--d = {args.d} > {_HESSIAN_DIM_LIMIT}: the intrinsic dimension "
+                                 f"needs the dense Hessian")
+    _make_out_dir(args.out_dir)
 
     def config(optimizer, eta_global, sigma_g):
         return validate_config({
@@ -55,7 +54,6 @@ def main() -> int:
     print(f"d = {args.d}, b = {args.b}, intrinsic dimension = {intrinsic_dimension(task):.3f}")
     print(f"calibrated sigma_g = {sigma:.4f} at eps = {args.eps:g}, delta = {args.delta:g}")
 
-    os.makedirs(args.out_dir, exist_ok=True)
     g0 = task.grad(task.theta0)
     print(f"{'run':>14}  {'final loss':>12}  {'grad_norm_sq':>12}  {'reduction':>10}  {'clip rate':>9}")
     for name, cfg in runs.items():

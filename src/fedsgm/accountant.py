@@ -84,36 +84,6 @@ def f_alpha(alpha: float, x: float) -> float:
     return math.log(x) + math.log(x * x / dom) / (2.0 * (alpha - 1.0))
 
 
-def renyi_divergence_sgm(
-    alpha: float,
-    norm_D: float,
-    norm_Dp: float,
-    m: int,
-    b: int,
-    sigma_g: float,
-) -> float:
-    """Exact order-alpha divergence between mechanism outputs on two datasets.
-
-    The release on a dataset with aggregated statistic gamma is
-    N(0, (||gamma||^2/b + m sigma_g^2) I_b) after marginalizing the sketch, so
-    the divergence is b * f_alpha(x) with
-    x = sqrt((norm_Dp^2 + m b sigma_g^2) / (norm_D^2 + m b sigma_g^2)).
-    `m` counts independent noise terms summed into the release (e.g. clients
-    per round).
-    """
-    if norm_D < 0 or norm_Dp < 0:
-        raise ConfigurationError("norms must be nonnegative")
-    if m < 1 or b < 1:
-        raise ConfigurationError(f"m and b must be >= 1, got m={m}, b={b}")
-    if sigma_g < 0:
-        raise ConfigurationError(f"sigma_g must be >= 0, got {sigma_g}")
-    v_p = norm_D * norm_D + m * b * sigma_g * sigma_g
-    v_q = norm_Dp * norm_Dp + m * b * sigma_g * sigma_g
-    if v_p == 0.0 or v_q == 0.0:
-        raise ConfigurationError("degenerate release: zero variance on one side")
-    return b * f_alpha(alpha, math.sqrt(v_q / v_p))
-
-
 def sgm_rdp_bound(alpha: float, tau: float, b: int, sigma_g: float) -> float:
     """Closed-form RDP bound for one mechanism release under tau-clipped inputs.
 

@@ -308,20 +308,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run(argv) -> int:
+    args = build_parser().parse_args(argv)
+    return args.func(args)
+
+
 def main(argv=None) -> int:
-    try:
-        args = build_parser().parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    return exit_code(args.func, args)
+    return exit_code(_run, argv)
 
 
 def exit_code(run, *args) -> int:
-    """run(*args), or the exit code of a package or out-of-memory error it
-    raises, printed as one stderr line; the CLI and the scripts end through it."""
+    """run(*args), or the exit code of a usage, package or out-of-memory error
+    it raises, printed as one stderr line; the CLI and the scripts end through it."""
     try:
         return run(*args)
+    except _UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 1
     except (CalibrationError, ParameterRegimeError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2

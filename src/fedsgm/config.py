@@ -97,7 +97,9 @@ _SCHEMA = {
     },
 }
 
-_REQUIRED_SECTIONS = ("task", "federation", "mechanism", "accountant")
+_REQUIRED_SECTIONS = tuple(
+    s for s, fields in _SCHEMA.items() if any(f.required for f in fields.values())
+)
 
 
 def _coerce(path: str, spec: _Field, value):

@@ -36,7 +36,6 @@ from fedsgm.accountant import (
     calibrate_baseline_sigma,
     calibrate_sgm_sigma,
     f_alpha,
-    renyi_divergence_sgm,
     sgm_epsilon,
     sgm_pipeline,
     sgm_rdp_bound,
@@ -107,13 +106,25 @@ def test_f_alpha_monotone_both_branches():
 # exact divergence
 
 
+def release_divergence(alpha, norm_D, norm_Dp, m, b, sigma_g):
+    """Order-alpha divergence between the releases on two datasets.
+
+    A release whose aggregated statistic has norm g is N(0, (g^2/b + m sigma_g^2) I_b)
+    once the sketch is marginalized, so the divergence is b * f_alpha(x) at the
+    std ratio x; m counts the noise terms summed into the release.
+    """
+    v_p = norm_D * norm_D + m * b * sigma_g * sigma_g
+    v_q = norm_Dp * norm_Dp + m * b * sigma_g * sigma_g
+    return b * f_alpha(alpha, math.sqrt(v_q / v_p))
+
+
 def test_divergence_zero_for_equal_norms():
-    assert renyi_divergence_sgm(2.0, 1.3, 1.3, 2, 64, 0.5) == 0.0
+    assert release_divergence(2.0, 1.3, 1.3, 2, 64, 0.5) == 0.0
 
 
 def test_divergence_pinned_value():
     # x = sqrt((1 + 1) / (0 + 1)) = sqrt 2, times b = 4
-    got = renyi_divergence_sgm(2.0, 0.0, 1.0, 1, 4, 0.5)
+    got = release_divergence(2.0, 0.0, 1.0, 1, 4, 0.5)
     assert got == pytest.approx(0.5753641449035617, rel=1e-12)
 
 
@@ -132,7 +143,7 @@ def test_divergence_matches_gaussian_quadrature():
     val, err = integrate.quad(integrand, -30 * 0.71, 30 * 0.71, epsabs=1e-14, epsrel=1e-12)
     oracle = 4 * math.log(val) / (alpha - 1.0)
     assert err < 1e-10
-    got = renyi_divergence_sgm(alpha, 0.0, 1.0, 1, 4, 0.5)
+    got = release_divergence(alpha, 0.0, 1.0, 1, 4, 0.5)
     assert got == pytest.approx(oracle, rel=1e-6)
     assert oracle == pytest.approx(0.5753641449035617, rel=1e-9)
 
@@ -158,13 +169,13 @@ def test_divergence_quadrature_grid():
                 epsrel=1e-12,
             )
             oracle = b * math.log(val) / (alpha - 1.0)
-            got = renyi_divergence_sgm(alpha, norm_d, norm_dp, m, b, sigma)
+            got = release_divergence(alpha, norm_d, norm_dp, m, b, sigma)
             assert got == pytest.approx(oracle, rel=1e-6)
 
 
 def test_divergence_not_symmetric():
-    a = renyi_divergence_sgm(4.0, 0.0, 1.0, 1, 16, 0.8)
-    b = renyi_divergence_sgm(4.0, 1.0, 0.0, 1, 16, 0.8)
+    a = release_divergence(4.0, 0.0, 1.0, 1, 16, 0.8)
+    b = release_divergence(4.0, 1.0, 0.0, 1, 16, 0.8)
     assert a != b
 
 
@@ -197,7 +208,7 @@ def test_rdp_bound_dominates_exact_divergence_in_validity_region():
             for m in (1, 2, 8):
                 for g in np.linspace(0.0, m * tau, 9):
                     for gp in (max(0.0, g - tau), g, min(m * tau, g + tau)):
-                        exact = renyi_divergence_sgm(alpha, g, gp, m, b, sigma)
+                        exact = release_divergence(alpha, g, gp, m, b, sigma)
                         assert exact <= bound * (1 + 1e-12) + 1e-15
 
 
@@ -213,7 +224,7 @@ def test_rdp_bound_counterexample_outside_validity_region():
     r = 2 * tau**2 / (b * sigma**2)
     assert alpha * r < 1.0  # still inside the naive "alpha r < 1" heuristic
     assert not rdp_bound_validity(alpha, tau, b, sigma)
-    exact = renyi_divergence_sgm(alpha, m * tau, (m - 1) * tau, m, b, sigma)
+    exact = release_divergence(alpha, m * tau, (m - 1) * tau, m, b, sigma)
     bound = sgm_rdp_bound(alpha, tau, b, sigma)
     assert exact == pytest.approx(2.2873240623392537, rel=1e-12)
     assert bound == pytest.approx(1.637568129706666, rel=1e-12)

@@ -98,10 +98,11 @@ def test_unknown_key_reported_with_dotted_path():
 
 
 def test_missing_required_section():
-    raw = small_config()
-    del raw["accountant"]
-    with pytest.raises(ConfigurationError, match="missing required section"):
-        validate_config(raw)
+    for section in ("accountant", "sketch"):
+        raw = small_config()
+        del raw[section]
+        with pytest.raises(ConfigurationError, match=f"missing required section '{section}'"):
+            validate_config(raw)
 
 
 def test_missing_required_key():

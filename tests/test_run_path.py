@@ -7,6 +7,8 @@ keys are the records' field names, so that function passes them by name.
 The task builders, the sketches and clip check nothing either: each is
 called from one function that hands it values the schema has checked.
 A second way to build a run, or a key renamed on one side only, fails here.
+Every public name of the accountant is read by a program file too, so its
+API is only what the CLI, the scripts and the benchmark use.
 """
 
 import ast
@@ -78,3 +80,32 @@ def test_schema_federation_keys_are_fed_config_fields():
 
 def test_schema_mechanism_keys_are_mechanism_config_fields():
     assert set(_SCHEMA["mechanism"]) == field_names(MechanismConfig)
+
+
+def public_top_level_names(path):
+    """The public functions, classes and constants a module defines."""
+    names = set()
+    for node in ast.parse(path.read_text(), str(path)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {name for name in names if not name.startswith("_")}
+
+
+def names_read(path):
+    """Every name a file loads, bare or as an attribute."""
+    read = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+    return read
+
+
+def test_every_public_accountant_name_is_read_by_a_program_file():
+    read = set().union(*(names_read(path)
+                         for path in [*PROGRAM_FILES, *(REPO_ROOT / "perfbench").glob("*.py")]))
+    assert public_top_level_names(REPO_ROOT / "src" / "fedsgm" / "accountant.py") - read == set()

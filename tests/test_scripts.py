@@ -88,18 +88,26 @@ REFUSALS = [
     ("privacy_tables.py", ["--T", "0"], 1, "error: T must be >= 1, got 0"),
     ("privacy_tables.py", ["--eps", "0"], 2,
      "infeasible: target epsilon must be positive and finite, got 0.0"),
+    ("privacy_tables.py", ["--T", "x"], 1, "usage error: argument --T: invalid int value: 'x'"),
+    ("convergence_experiment.py", ["--rounds", "x"], 1,
+     "usage error: argument --rounds: invalid int value: 'x'"),
+    # refused before sigma_g is calibrated: a-file is a regular file
+    ("convergence_experiment.py", ["--out-dir", "a-file/runs"], 1,
+     "error: cannot create output directory a-file/runs: Not a directory"),
 ]
 
 
 @pytest.mark.parametrize("script, args, code, line", REFUSALS)
 def test_scripts_end_a_refused_value_as_the_cli_does(tmp_path, script, args, code, line):
-    # one error: line and exit 1, or one infeasible: line and exit 2, not a traceback
+    # one usage error:, error: or infeasible: line and nothing on stdout, not a traceback
+    (tmp_path / "a-file").write_text("")
     env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
     proc = subprocess.run(
         [sys.executable, str(REPO_ROOT / "scripts" / script), *args],
         capture_output=True, text=True, cwd=tmp_path, env=env, timeout=120,
     )
     assert proc.returncode == code
+    assert proc.stdout == ""
     assert proc.stderr == line + "\n"
 
 
